@@ -35,10 +35,8 @@ from .crawler import (
     CrawlSpec,
     Instrumentation,
     ResultCube,
-    exhaustive_top_n,
     naive_crawl,
     top_down_crawl,
-    topn_crawl,
 )
 from .errors import (
     ConfigError,
@@ -533,21 +531,9 @@ def cmd_crawl(config: RunConfig, args) -> int:
     cube = input_cfg.load_cube()
     spec = crawl_cfg.build_spec()
     instr = Instrumentation()
-    workers = args.workers
     use_naive = args.oracle == "naive" or crawl_cfg.mode == "naive"
-    ranked = spec.top_n is not None
-    if spec.top_n is not None:
-        if use_naive:
-            sigma, n = spec.top_n
-            base = CrawlSpec(**{**spec.__dict__, "top_n": None})
-            result = exhaustive_top_n(naive_crawl(cube, base, workers, instr), sigma, n)
-        else:
-            result = topn_crawl(cube, spec, workers, instr)
-    elif use_naive:
-        result = naive_crawl(cube, spec, workers, instr)
-    else:
-        result = top_down_crawl(cube, spec, workers, instr)
-    records = result_records(result, ranked)
+    result = (naive_crawl if use_naive else top_down_crawl)(cube, spec, instrumentation=instr)
+    records = result_records(result, spec.top_n is not None)
     write_records(records, result.signal_names, args.format, args.output)
     _write_instrumentation(args, instr)
     return EXIT_OK
@@ -640,10 +626,7 @@ def cmd_join(config: RunConfig, args) -> int:
     joined = join_cubes(left, right, spec, strategy=cfg.strategy)
     cellset = joined.to_cellset()
     store_mod.materialize(cellset, cellset.schema.dimension_names, args.output)
-    instr = Instrumentation()
-    for name, value in joined.counters.items():
-        instr.incr(name, value)
-    _write_instrumentation(args, instr)
+    _write_instrumentation(args, _store_instrumentation(joined))
     return EXIT_OK
 
 
@@ -698,7 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", required=True, help="output file (or store directory)")
         if needs_format:
             p.add_argument("--format", choices=("csv", "jsonl"), default="jsonl")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                       help="accepted for compatibility; every run is serial")
         p.add_argument("--instrument", help="write an instrumentation JSON report here")
         if name == "crawl":
             p.add_argument("--oracle", choices=("naive",),

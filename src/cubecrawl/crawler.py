@@ -3,17 +3,20 @@
 ``naive_crawl`` enumerates every region of every grouping set and is the
 correctness oracle.  ``top_down_crawl`` explores the lattice from the empty
 region, skipping a region's children once an apriori-flagged signal fails its
-threshold.  ``topn_crawl`` finds the exact top-n regions by one apriori
-signal using a dynamic threshold seeded from the degree-1 regions.
+threshold.  With ``spec.top_n`` set the same loop finds the exact top-n
+regions by one apriori signal: the n-th best value found so far acts as an
+apriori threshold that tightens as the crawl runs.  ``topn_crawl`` is that
+crawl with ``top_n`` required.  Crawls run serially in the calling thread;
+the ``workers`` parameter is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import os
-import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -30,7 +33,7 @@ from .core import (
     RegionCursor,
     Table,
 )
-from .errors import AprioriViolationError, RefusalError, SpecError
+from .errors import AprioriViolationError, ConfigError, RefusalError, SpecError
 from .models import (
     PRUNING_OPS,
     EntityMeasureModel,
@@ -46,30 +49,29 @@ SAFETY_CAP_ENV = "HOCA_SAFETY_CAP"
 
 
 class Instrumentation:
-    """Thread-safe run counters (regions evaluated, frames materialized, ...)."""
+    """Run counters (regions evaluated, frames materialized, ...).
+
+    An instance belongs to one thread: nothing guards concurrent updates.
+    """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.counters: dict[str, int] = {}
         self.model_invocations: dict[str, int] = {}
 
     def incr(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + amount
+        self.counters[name] = self.counters.get(name, 0) + amount
 
     def incr_model(self, model_name: str) -> None:
-        with self._lock:
-            self.model_invocations[model_name] = self.model_invocations.get(model_name, 0) + 1
+        self.model_invocations[model_name] = self.model_invocations.get(model_name, 0) + 1
 
     def get(self, name: str) -> int:
         return self.counters.get(name, 0)
 
     def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "counters": dict(sorted(self.counters.items())),
-                "model_invocations": dict(sorted(self.model_invocations.items())),
-            }
+        return {
+            "counters": dict(sorted(self.counters.items())),
+            "model_invocations": dict(sorted(self.model_invocations.items())),
+        }
 
 
 @dataclass
@@ -80,7 +82,12 @@ class CrawlSpec:
     threshold).  A key prefixed with ``-`` thresholds the negated signal,
     which expresses a maximum; negated thresholds never prune.
     ``dimension_values`` optionally restricts which values of a dimension are
-    enumerated (e.g. indicator dimensions crawled only at 1).
+    enumerated (e.g. indicator dimensions crawled only at 1).  ``batch_size``
+    is the number of frontier entries expanded between two tightenings of the
+    top-n threshold; without ``top_n`` it does not change the result or the
+    work done.  ``naive_cap`` bounds how many regions ``naive_crawl`` may
+    enumerate (default: the ``HOCA_SAFETY_CAP`` environment variable, else
+    one million).
     """
 
     models: Sequence[RegionAnalysisModel]
@@ -146,11 +153,14 @@ class ResultCube(AbstractCube):
         return f"ResultCube({len(self.entries)} regions, signals={self.signal_names})"
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
+    """An evaluated region: its cursor, signals, and threshold outcome."""
+
     cursor: RegionCursor
-    signals: dict | None = None
-    prune: bool = False
+    signals: dict[str, float]
+    passed: bool
+    prune: bool
 
 
 class Frontier:
@@ -207,10 +217,16 @@ class _Resolved:
             name = key[1:] if key.startswith("-") else key
             if name not in declared:
                 raise SpecError(f"threshold on undeclared signal {name!r}")
+            try:
+                number = float(value)
+            except (TypeError, ValueError):
+                number = math.nan
+            if not math.isfinite(number):
+                raise SpecError(f"threshold {key!r} must be a finite number, got {value!r}")
             if key.startswith("-"):
-                self.neg_thresholds[name] = float(value)
+                self.neg_thresholds[name] = number
             else:
-                self.min_thresholds[name] = float(value)
+                self.min_thresholds[name] = number
 
         # crawl dimensions
         if spec.dimensions is not None:
@@ -282,11 +298,6 @@ class _Resolved:
                 raise SpecError("top-n needs n >= 1")
             self.top_n = (signal, int(n))
         self.allow_exhaustive_topn = bool(spec.allow_exhaustive_topn)
-
-        cap = spec.naive_cap
-        if cap is None:
-            cap = int(os.environ.get(SAFETY_CAP_ENV, DEFAULT_SAFETY_CAP))
-        self.naive_cap = cap
         self.schema = schema
 
     def _resolve_order(self, spec: CrawlSpec, cube: AbstractCube) -> tuple[str, ...]:
@@ -343,14 +354,6 @@ class _Resolved:
         return allowed is None or value in allowed
 
 
-@dataclass
-class _Outcome:
-    region: Region
-    signals: dict[str, float]
-    passed: bool
-    prune: bool
-
-
 def _population_frames(cube, resolved, instr) -> dict[str, object]:
     frames = {}
     for model in resolved.models:
@@ -365,7 +368,7 @@ def _aggregate_sum(frame, measure: str) -> float:
 
 
 def _evaluate_region(cursor: RegionCursor, resolved: _Resolved, pop_frames: dict,
-                     instr: Instrumentation) -> _Outcome:
+                     instr: Instrumentation) -> _Entry:
     signals: dict[str, float] = {}
     passed = True
     prune = False
@@ -405,7 +408,7 @@ def _evaluate_region(cursor: RegionCursor, resolved: _Resolved, pop_frames: dict
     for s in itertools.chain(resolved.min_thresholds, resolved.neg_thresholds):
         if s not in signals:
             passed = False
-    return _Outcome(cursor.region, signals, passed, prune)
+    return _Entry(cursor, signals, passed, prune)
 
 
 def _children(cursor: RegionCursor, resolved: _Resolved) -> list[RegionCursor]:
@@ -457,207 +460,148 @@ def _signal_names(resolved: _Resolved) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _map_ordered(work, items, workers):
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(work, items))
-    return [work(item) for item in items]
+def _safety_cap(spec: CrawlSpec) -> int:
+    if spec.naive_cap is not None:
+        return spec.naive_cap
+    raw = os.environ.get(SAFETY_CAP_ENV, str(DEFAULT_SAFETY_CAP))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{SAFETY_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def naive_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
                 instrumentation: Instrumentation | None = None) -> ResultCube:
-    """Evaluate every observed region of every grouping set (plus the root)."""
+    """Evaluate every observed region of every grouping set (plus the root).
+
+    With ``spec.top_n`` set, the passing regions are ranked by
+    ``exhaustive_top_n``.  ``workers`` is ignored.
+    """
     instr = instrumentation or Instrumentation()
     resolved = _Resolved(spec, cube)
+    cap = _safety_cap(spec)
 
     ordered_sets = sorted(
         (g for g in resolved.grouping_sets if g),
         key=lambda g: (len(g), tuple(sorted(resolved.order_index[d] for d in g))),
     )
-    regions: list[Region] = []
+    regions: list[Region] = [EMPTY_REGION]
     for g in ordered_sets:
         dims = tuple(sorted(g, key=resolved.order_index.get))
         frame = cube.view(EMPTY_REGION, FeatureRequest(dims, ()))
         for attrs, _ in frame.iter_rows():
             if all(resolved.value_allowed(d, v) for d, v in zip(dims, attrs)):
                 regions.append(Region(zip(dims, attrs)))
-    if len(regions) + 1 > resolved.naive_cap:
+    if len(regions) > cap:
         raise RefusalError(
-            f"naive enumeration of {len(regions) + 1} regions exceeds the safety cap "
-            f"of {resolved.naive_cap} (set {SAFETY_CAP_ENV} to raise it)"
+            f"naive enumeration of {len(regions)} regions exceeds the safety cap "
+            f"of {cap} (set {SAFETY_CAP_ENV} to raise it)"
         )
 
     pop_frames = _population_frames(cube, resolved, instr)
-
-    def work(region: Region) -> _Outcome:
-        return _evaluate_region(cube.bind(region), resolved, pop_frames, instr)
-
     entries: dict[Region, dict[str, float]] = {}
-    root = work(EMPTY_REGION)
-    instr.incr("regions_evaluated")
-    if root.passed and resolved.emits(EMPTY_REGION):
-        entries[EMPTY_REGION] = root.signals
-        instr.incr("regions_emitted")
-    for outcome in _map_ordered(work, regions, workers):
+    for region in regions:
+        entry = _evaluate_region(cube.bind(region), resolved, pop_frames, instr)
         instr.incr("regions_evaluated")
-        if outcome.passed:
-            entries[outcome.region] = outcome.signals
+        if entry.passed and resolved.emits(region):
+            entries[region] = entry.signals
             instr.incr("regions_emitted")
-    return ResultCube(resolved.dims, _signal_names(resolved), entries, resolved.schema)
+    result = ResultCube(resolved.dims, _signal_names(resolved), entries, resolved.schema)
+    if resolved.top_n is not None:
+        result = exhaustive_top_n(result, *resolved.top_n)
+    return result
 
 
 def top_down_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
                    instrumentation: Instrumentation | None = None,
                    validate_apriori: bool = False) -> ResultCube:
-    """Lattice exploration with apriori early stopping (delegates when top_n is set)."""
-    if spec.top_n is not None:
-        return topn_crawl(cube, spec, workers=workers, instrumentation=instrumentation)
-    instr = instrumentation or Instrumentation()
-    resolved = _Resolved(spec, cube)
-    pop_frames = _population_frames(cube, resolved, instr)
+    """Lattice exploration with apriori early stopping.
 
-    def work(entry: _Entry):
-        outcome = _evaluate_region(entry.cursor, resolved, pop_frames, instr)
-        children = None if outcome.prune else _children(entry.cursor, resolved)
-        return outcome, children
-
-    frontier = Frontier(resolved.exploration)
-    frontier.push([_Entry(cube.bind(EMPTY_REGION))])
-    entries: dict[Region, dict[str, float]] = {}
-    while len(frontier):
-        batch = frontier.pop_batch(resolved.batch_size)
-        results = _map_ordered(work, batch, workers)
-        for entry, (outcome, children) in zip(batch, results):
-            instr.incr("regions_evaluated")
-            if validate_apriori and entry.signals is not None:
-                for s, flag in resolved.apriori_flags.items():
-                    if (flag and s in outcome.signals and s in entry.signals
-                            and outcome.signals[s] > entry.signals[s] + 1e-9):
-                        raise AprioriViolationError(
-                            f"signal {s!r} rose from {entry.signals[s]!r} to "
-                            f"{outcome.signals[s]!r} at {outcome.region!r}"
-                        )
-            if outcome.passed and resolved.emits(outcome.region):
-                entries[outcome.region] = outcome.signals
-                instr.incr("regions_emitted")
-            if children:
-                frontier.push([_Entry(c, outcome.signals) for c in children])
-    return ResultCube(resolved.dims, _signal_names(resolved), entries, resolved.schema)
-
-
-def topn_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
-               instrumentation: Instrumentation | None = None) -> ResultCube:
-    """Exact top-n regions by one apriori signal, ties broken by canonical key.
-
-    All degree-1 regions are evaluated first to seed the threshold; the
-    running n-th best value then prunes like an apriori threshold.  The
-    threshold only tightens between batches, so results do not depend on
-    worker count.
+    The frontier holds evaluated regions.  Each batch of ``spec.batch_size``
+    entries is popped; an entry that an apriori signal pruned, or whose top-n
+    signal is below the current threshold, is skipped, and the children of the
+    rest are evaluated and pushed.  With ``spec.top_n = (sigma, n)`` the
+    threshold is the n-th best sigma recorded so far, re-ranked after each
+    batch; ties break by canonical region key, as in ``exhaustive_top_n``.  A
+    non-apriori sigma falls back to ``naive_crawl`` when
+    ``spec.allow_exhaustive_topn`` is set.  ``workers`` is ignored.
     """
     instr = instrumentation or Instrumentation()
     resolved = _Resolved(spec, cube)
-    if resolved.top_n is None:
-        raise SpecError("topn_crawl needs spec.top_n")
-    sigma, n = resolved.top_n
-    if not resolved.apriori_flags.get(sigma, False):
+    sigma, n = resolved.top_n or (None, 0)
+    if sigma is not None and not resolved.apriori_flags.get(sigma, False):
         if not resolved.allow_exhaustive_topn:
             raise SpecError(
                 f"top-n signal {sigma!r} is not apriori; "
                 "set allow_exhaustive_topn to fall back to exhaustive search"
             )
-        exhaustive = naive_crawl(cube, spec, workers=workers, instrumentation=instr)
-        ranked = sorted(
-            exhaustive.entries.items(),
-            key=lambda kv: (-kv[1][sigma], resolved.schema.region_key(kv[0])),
-        )[:n]
-        return ResultCube(resolved.dims, exhaustive.signal_names, dict(ranked), resolved.schema)
+        return naive_crawl(cube, spec, instrumentation=instr)
 
     pop_frames = _population_frames(cube, resolved, instr)
-    pool: list[tuple[float, tuple, Region, dict]] = []
-    threshold: float | None = None
+    # each region's key is computed once, however often the pool is re-ranked
+    region_key = functools.lru_cache(maxsize=None)(resolved.schema.region_key)
+    entries: dict[Region, dict[str, float]] = {}
 
-    def pool_key(item):
-        sigma_value, region_key = item[0], item[1]
-        return (-sigma_value, region_key)
+    def evaluate(cursor: RegionCursor, parent: _Entry | None) -> _Entry:
+        entry = _evaluate_region(cursor, resolved, pop_frames, instr)
+        instr.incr("regions_evaluated")
+        if validate_apriori and parent is not None:
+            for s, flag in resolved.apriori_flags.items():
+                if (flag and s in entry.signals and s in parent.signals
+                        and entry.signals[s] > parent.signals[s] + 1e-9):
+                    raise AprioriViolationError(
+                        f"signal {s!r} rose from {parent.signals[s]!r} to "
+                        f"{entry.signals[s]!r} at {cursor.region!r}"
+                    )
+        if entry.passed and resolved.emits(cursor.region):
+            entries[cursor.region] = entry.signals
+            if sigma is None:
+                instr.incr("regions_emitted")
+        return entry
 
-    def add_candidate(outcome: _Outcome):
-        if not outcome.passed or not resolved.emits(outcome.region):
-            return
-        if sigma not in outcome.signals:
-            return
-        pool.append((outcome.signals[sigma], resolved.schema.region_key(outcome.region),
-                     outcome.region, outcome.signals))
-
-    def tighten():
-        nonlocal threshold
-        if len(pool) < n:
-            return
-        pool.sort(key=pool_key)
-        threshold = pool[n - 1][0]
-        # entries strictly below the n-th value can never re-enter the top n
-        while pool and pool[-1][0] < threshold:
-            pool.pop()
-
-    def work(entry: _Entry):
-        outcome = _evaluate_region(entry.cursor, resolved, pop_frames, instr)
-        return outcome, entry.cursor
-
+    threshold = -math.inf
     frontier = Frontier(resolved.exploration)
-    root_entry = _Entry(cube.bind(EMPTY_REGION))
-    frontier.push([root_entry])
-    root_batch = frontier.pop_batch(1)
-    root_outcome, root_cursor = work(root_batch[0])
-    instr.incr("regions_evaluated")
-    add_candidate(root_outcome)
-
-    evaluated: list[tuple[_Outcome, RegionCursor]] = []
-    if not root_outcome.prune:
-        seeds = _children(root_cursor, resolved)
-        seed_entries = [_Entry(c) for c in seeds]
-        for outcome, cursor in _map_ordered(work, seed_entries, workers):
-            instr.incr("regions_evaluated")
-            add_candidate(outcome)
-            evaluated.append((outcome, cursor))
-    tighten()
-
-    pending = Frontier(resolved.exploration)
-    pending.push([_Entry(c, signals=o.signals, prune=o.prune) for o, c in evaluated])
-    while len(pending):
-        batch = pending.pop_batch(resolved.batch_size)
-        expandable = []
-        for entry in batch:
-            if entry.prune:
+    frontier.push([evaluate(cube.bind(EMPTY_REGION), None)])
+    while len(frontier):
+        for entry in frontier.pop_batch(resolved.batch_size):
+            if entry.prune or entry.signals.get(sigma, threshold) < threshold:
                 continue
-            sigma_value = entry.signals.get(sigma) if entry.signals else None
-            if sigma_value is not None and threshold is not None and sigma_value < threshold:
-                continue
-            expandable.append(entry)
-        children: list[_Entry] = []
-        for entry in expandable:
-            children.extend(_Entry(c) for c in _children(entry.cursor, resolved))
-        for outcome, cursor in _map_ordered(work, children, workers):
-            instr.incr("regions_evaluated")
-            add_candidate(outcome)
-            pending.push([_Entry(cursor, signals=outcome.signals, prune=outcome.prune)])
-        tighten()
+            frontier.push([evaluate(c, entry) for c in _children(entry.cursor, resolved)])
+        if sigma is not None and len(entries) >= n:
+            ranked = _ranked(entries, sigma, region_key)
+            threshold = ranked[n - 1][1][sigma]
+            # entries strictly below the n-th value can never re-enter the top n
+            for region, signals in ranked[n:]:
+                if signals[sigma] < threshold:
+                    del entries[region]
 
-    pool.sort(key=pool_key)
-    ranked = pool[:n]
-    entries = {region: signals for _, _, region, signals in ranked}
-    for region in entries:
-        instr.incr("regions_emitted")
+    if sigma is not None:
+        entries = dict(_ranked(entries, sigma, region_key)[:n])
+        if entries:  # like the threshold crawl, write no counter for zero regions
+            instr.incr("regions_emitted", len(entries))
     return ResultCube(resolved.dims, _signal_names(resolved), entries, resolved.schema)
+
+
+def topn_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
+               instrumentation: Instrumentation | None = None) -> ResultCube:
+    """Exact top-n regions by one apriori signal: ``top_down_crawl`` with ``top_n`` required."""
+    if spec.top_n is None:
+        raise SpecError("topn_crawl needs spec.top_n")
+    return top_down_crawl(cube, spec, instrumentation=instrumentation)
+
+
+def _ranked(entries: Mapping[Region, Mapping[str, float]], sigma: str,
+            region_key) -> list[tuple[Region, Mapping[str, float]]]:
+    """Entries best first by ``sigma``, ties broken by region key ascending."""
+    return sorted(entries.items(), key=lambda kv: (-kv[1][sigma], region_key(kv[0])))
 
 
 def exhaustive_top_n(result: ResultCube, sigma: str, n: int) -> ResultCube:
     """Rank an exhaustive crawl's entries by one signal and keep the best n.
 
-    Ties break by canonical region key ascending, matching ``topn_crawl``.
+    Ties break by canonical region key ascending, matching ``top_down_crawl``.
     """
-    ranked = sorted(
-        result.entries.items(),
-        key=lambda kv: (-kv[1][sigma], result.schema.region_key(kv[0])),
-    )[:n]
+    ranked = _ranked(result.entries, sigma, result.schema.region_key)[:n]
     return ResultCube(result.dimensions, result.signal_names, dict(ranked), result.schema)
 
 

@@ -16,7 +16,6 @@ region or attributes touch a right-only dimension.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .core import (
@@ -54,7 +53,10 @@ class JoinSpec:
 
 
 class JoinedCube(AbstractCube):
-    """Two cubes melded on their join dimensions; strategy LOCAL or GLOBAL."""
+    """Two cubes melded on their join dimensions; strategy LOCAL or GLOBAL.
+
+    An instance belongs to one thread: its ``counters`` are updated unguarded.
+    """
 
     def __init__(self, left: AbstractCube, right: AbstractCube, spec: JoinSpec,
                  strategy: str = "local"):
@@ -65,7 +67,6 @@ class JoinedCube(AbstractCube):
         self.spec = spec
         self.strategy = strategy
         self.counters = {"local_view_joins": 0, "global_cellset_joins": 0}
-        self._counter_lock = threading.Lock()
 
         left_schema, right_schema = left.schema, right.schema
         for name in spec.on:
@@ -148,8 +149,7 @@ class JoinedCube(AbstractCube):
         right_region, right_request = self._side_inputs(region, request, "right")
         left_frame = self.left.view(left_region, left_request)
         right_frame = self.right.view(right_region, right_request)
-        with self._counter_lock:
-            self.counters["local_view_joins"] += 1
+        self.counters["local_view_joins"] += 1
 
         keys = tuple(a for a in request.attribute_features if a in self._join_dims)
         l_attr_idx = {a: i for i, a in enumerate(left_request.attribute_features)}

@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-import threading
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -335,7 +334,10 @@ def chunk_by_partition(cube: BaseTableGroupByCube, partition_dim: str,
 
 
 class _PartitionedStore(AbstractCube):
-    """Shared view assembly for the chunked and re-chunked encodings."""
+    """Shared view assembly for the chunked and re-chunked encodings.
+
+    An instance belongs to one thread: its read ``counters`` are updated unguarded.
+    """
 
     def __init__(self, path):
         self.path = Path(path)
@@ -348,11 +350,6 @@ class _PartitionedStore(AbstractCube):
         self.partition_dim = self.manifest["partition_dim"]
         self.cell_dims = tuple(self.manifest["cell_dims"])
         self.counters: dict[str, int] = {self._read_counter: 0}
-        self._counter_lock = threading.Lock()
-
-    def _count_read(self) -> None:
-        with self._counter_lock:
-            self.counters[self._read_counter] += 1
 
     @property
     def schema(self) -> DimensionSchema:
@@ -435,7 +432,7 @@ class ChunkStore(_PartitionedStore):
 
     def _load_chunk(self, part: dict) -> dict[tuple, dict]:
         descriptors, columns = _read_part(self.path / part["file"], part["checksum"])
-        self._count_read()
+        self.counters[self._read_counter] += 1
         names = [d[0] for d in descriptors]
         by_name = dict(zip(names, columns))
         n_rows = len(columns[0]) if columns else 0
@@ -511,7 +508,7 @@ class RechunkedStore(_PartitionedStore):
 
     def _load_slice(self, part: dict) -> list[tuple]:
         descriptors, columns = _read_part(self.path / part["file"], part["checksum"])
-        self._count_read()
+        self.counters[self._read_counter] += 1
         names = [d[0] for d in descriptors]
         by_name = dict(zip(names, columns))
         n_rows = len(columns[0]) if columns else 0

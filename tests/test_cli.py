@@ -109,6 +109,32 @@ class TestConfigHandling:
                    "--output", str(tmp_path / "out.jsonl")])
         assert rc == 2
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"abc"', "null"])
+    def test_threshold_must_be_a_finite_number(self, tmp_path, capsys, value):
+        config_path = t1_crawl_config(tmp_path)
+        text = config_path.read_text().replace('"total_weight": 40', f'"total_weight": {value}')
+        config_path.write_text(text)
+        rc = main(["crawl", "--config", str(config_path),
+                   "--output", str(tmp_path / "out.jsonl")])
+        assert rc == 2
+        assert not (tmp_path / "out.jsonl").exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"]["type"] == "SpecError"
+
+    def test_bad_safety_cap_fails_only_the_naive_crawl(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("HOCA_SAFETY_CAP", "abc")
+        config_path = t1_crawl_config(tmp_path)
+        out = tmp_path / "out.jsonl"
+        assert main(["crawl", "--config", str(config_path), "--output", str(out)]) == 0
+        assert out.read_text()
+        rc = main(["crawl", "--config", str(config_path), "--output", str(tmp_path / "naive.jsonl"),
+                   "--oracle", "naive"])
+        assert rc == 2
+        assert not (tmp_path / "naive.jsonl").exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "ConfigError" and "HOCA_SAFETY_CAP" in error["message"]
+
 
 class TestCrawlCommand:
     def test_fim_fixture_emits_five_records(self, tmp_path):

@@ -1,0 +1,68 @@
+"""Property test: the pruned crawl agrees with the naive oracle on random inputs."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubecrawl import (
+    NULL,
+    BaseTableGroupByCube,
+    CrawlSpec,
+    Dimension,
+    DimensionSchema,
+    EntityWeightModel,
+    IdModel,
+    Measure,
+    Table,
+    naive_crawl,
+    top_down_crawl,
+)
+
+DOMAIN_VALUES = {
+    "string": ("a", "b", "c"),
+    "integer": (-1, 0, 7),
+    "boolean": (True, False),
+}
+
+
+@st.composite
+def cubes(draw):
+    domains = draw(st.lists(st.sampled_from(sorted(DOMAIN_VALUES)), min_size=1, max_size=3))
+    dims = tuple(Dimension(f"d{i}", domain) for i, domain in enumerate(domains))
+    row = st.tuples(
+        *(st.sampled_from(DOMAIN_VALUES[d.domain] + (NULL,)) for d in dims),
+        st.integers(0, 20),
+        st.integers(-5, 20),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    names = [d.name for d in dims] + ["m0", "m1"]
+    table = Table.from_rows(names, rows)
+    schema = DimensionSchema(dims, (Measure.sum("m0"), Measure.sum("m1")))
+    return BaseTableGroupByCube(table, schema)
+
+
+@st.composite
+def specs(draw):
+    models = [EntityWeightModel("m0", gate=draw(st.booleans()),
+                                min_weight_pushdown=draw(st.sampled_from([None, 5.0])))]
+    if draw(st.booleans()):
+        models.append(IdModel(["m1"]))
+    thresholds = {}
+    if draw(st.booleans()):
+        thresholds["total_weight"] = float(draw(st.integers(0, 60)))
+    if len(models) > 1 and draw(st.booleans()):
+        thresholds["m1"] = float(draw(st.integers(-10, 30)))
+    top_n = draw(st.one_of(st.none(), st.tuples(st.just("total_weight"), st.integers(1, 10))))
+    return CrawlSpec(models=models, thresholds=thresholds, top_n=top_n,
+                     exploration=draw(st.sampled_from(["bfs", "dfs"])),
+                     batch_size=draw(st.sampled_from([1, 2, 64])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cubes(), specs())
+def test_top_down_crawl_matches_naive_crawl(cube, spec):
+    pruned = top_down_crawl(cube, spec)
+    naive = naive_crawl(cube, spec)
+    if spec.top_n is None:
+        assert pruned.entries == naive.entries
+    else:
+        assert list(pruned.entries.items()) == list(naive.entries.items())
