@@ -1,7 +1,10 @@
 """Command-line surface: declarative crawl, attribute, join, and materialize runs.
 
-A run is described by a JSON config (strictly validated, versioned via
-``spec_version``) plus a handful of flags.  Results are emitted as JSON lines
+A run is described by a JSON config plus a handful of flags.  The config is
+versioned via ``spec_version`` and strictly validated: unknown keys and
+wrongly typed values are rejected (exit 2), and integers must be JSON
+integers.  Each key is read once, by one type-checked reader, straight into
+the object its command uses.  Results are emitted as JSON lines
 (lossless) or CSV, with regions flattened to ``dim=value`` pairs joined by
 ``;``.  Exit codes: 0 success, 2 config/spec errors, 3 I/O errors, 4 engine
 errors, 5 safety-cap refusals.
@@ -16,11 +19,12 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import store as store_mod
 from .attribution import SegmentedMetrics, attribute_density, summable_ras
 from .core import (
+    ANY,
     NULL,
     BaseTableGroupByCube,
     CellsetCube,
@@ -29,7 +33,6 @@ from .core import (
     Table,
     format_value,
     schema_from_dict,
-    schema_to_dict,
 )
 from .crawler import (
     CrawlSpec,
@@ -41,6 +44,7 @@ from .crawler import (
 from .errors import (
     ConfigError,
     CubeError,
+    DataError,
     DomainError,
     RefusalError,
     RequestError,
@@ -71,6 +75,61 @@ def _expect(mapping: Mapping, where: str, allowed: Sequence[str], required: Sequ
         raise ConfigError(f"{where}: missing keys {missing}")
 
 
+def _reader(kind: str, ok):
+    """A reader of one config value: the value if ``ok(value)``, else a ConfigError at ``where``."""
+    def read(value, where: str):
+        if not ok(value):
+            raise ConfigError(f"{where}: expected {kind}, got {value!r}")
+        return value
+    return read
+
+
+_integer = _reader("an integer", lambda v: type(v) is int)
+_finite = _reader("a finite number",
+                  lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+_string = _reader("a string", lambda v: isinstance(v, str))
+_path = _reader("a file path", lambda v: isinstance(v, str) and "\0" not in v)
+_boolean = _reader("true or false", lambda v: isinstance(v, bool))
+_object = _reader("an object", lambda v: isinstance(v, dict))
+_scalar = _reader("a string, number, boolean or null",
+                  lambda v: v is None or isinstance(v, (str, int, float)))
+_is_list = _reader("a list", lambda v: isinstance(v, list))
+
+
+def _number(value, where: str) -> float:
+    return float(_finite(value, where))
+
+
+def _choice(*options):
+    return _reader(f"one of {list(options)}", lambda v: v in options)
+
+
+def _list(read):
+    """A reader of a list whose items ``read`` reads."""
+    return lambda value, where: [read(item, f"{where}[{i}]")
+                                 for i, item in enumerate(_is_list(value, where))]
+
+
+def _nullable(read):
+    return lambda value, where: None if value is None else read(value, where)
+
+
+_names = _list(_string)
+
+
+def _section(data, where: str, readers: Mapping, required: Sequence[str] = ()) -> dict:
+    """The keys of the object ``data``, each read by its reader in ``readers``."""
+    _expect(data, where, readers, required)
+    return {key: readers[key](value, f"{where}.{key}") for key, value in data.items()}
+
+
+def _schema(value, where: str) -> DimensionSchema:
+    try:
+        return schema_from_dict(_object(value, where))
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{where}: malformed ({exc})") from None
+
+
 @dataclass
 class InputConfig:
     csv: str
@@ -79,150 +138,74 @@ class InputConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping, where: str) -> "InputConfig":
-        _expect(data, where, ("csv", "schema", "constants"), ("csv", "schema"))
-        try:
-            schema = schema_from_dict(data["schema"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"{where}.schema: malformed ({exc})") from None
-        return cls(csv=data["csv"], schema=schema, constants=dict(data.get("constants", {})))
-
-    def to_dict(self) -> dict:
-        out = {"csv": self.csv, "schema": schema_to_dict(self.schema)}
-        if self.constants:
-            out["constants"] = dict(self.constants)
-        return out
+        return cls(**_section(data, where, {"csv": _path, "schema": _schema, "constants": _object},
+                              ("csv", "schema")))
 
     def load_cube(self) -> BaseTableGroupByCube:
         table = Table.from_csv(self.csv, self.schema, self.constants)
         return BaseTableGroupByCube(table, self.schema)
 
 
-@dataclass
-class ModelConfig:
-    kind: str
-    params: dict = field(default_factory=dict)
-    gate: bool = False
-    pushdown: list = field(default_factory=list)
-
-    @classmethod
-    def from_dict(cls, data: Mapping, where: str) -> "ModelConfig":
-        _expect(data, where, ("model", "params", "gate", "pushdown"), ("model",))
-        pushdown = data.get("pushdown", [])
-        for term in pushdown:
-            if not (isinstance(term, (list, tuple)) and len(term) == 3):
-                raise ConfigError(f"{where}.pushdown: each term is [measure, comparator, value]")
-        return cls(kind=data["model"], params=dict(data.get("params", {})),
-                   gate=bool(data.get("gate", False)),
-                   pushdown=[list(t) for t in pushdown])
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"model": self.kind}
-        if self.params:
-            out["params"] = dict(self.params)
-        if self.gate:
-            out["gate"] = True
-        if self.pushdown:
-            out["pushdown"] = [list(t) for t in self.pushdown]
-        return out
-
-    def build(self):
-        return build_model(self.kind, self.params, gate=self.gate,
-                           pushdown=[tuple(t) for t in self.pushdown])
+def _pushdown_term(value, where: str) -> tuple:
+    if not (isinstance(value, list) and len(value) == 3):
+        raise ConfigError(f"{where}: each term is [measure, comparator, value]")
+    measure, op, number = value
+    return (_string(measure, f"{where}[0]"), _string(op, f"{where}[1]"),
+            _number(number, f"{where}[2]"))
 
 
-_CRAWL_KEYS = ("models", "dimensions", "grouping_sets", "thresholds", "top_n", "exploration",
-               "dimension_order", "hierarchies", "max_degree", "dimension_values",
-               "batch_size", "mode")
+_MODEL_KEYS = {"model": _string, "params": _object, "gate": _boolean,
+               "pushdown": _list(_pushdown_term)}
 
 
-@dataclass
-class CrawlConfig:
-    models: list
-    dimensions: list | None = None
-    grouping_sets: list | None = None
-    thresholds: dict = field(default_factory=dict)
-    top_n: tuple | None = None
-    exploration: str = "bfs"
-    dimension_order: Any = "ascending_cardinality"
-    hierarchies: list | None = None
-    max_degree: int | None = None
-    dimension_values: dict | None = None
-    batch_size: int = 64
-    mode: str = "pruned"
+def _model(data, where: str):
+    fields = _section(data, where, _MODEL_KEYS, ("model",))
+    return build_model(fields.pop("model"), fields.pop("params", {}), **fields)
 
-    @classmethod
-    def from_dict(cls, data: Mapping, where: str) -> "CrawlConfig":
-        _expect(data, where, _CRAWL_KEYS, ("models",))
-        models = [ModelConfig.from_dict(m, f"{where}.models[{i}]")
-                  for i, m in enumerate(data["models"])]
-        top_n = None
-        if data.get("top_n") is not None:
-            _expect(data["top_n"], f"{where}.top_n", ("signal", "n"), ("signal", "n"))
-            top_n = (data["top_n"]["signal"], int(data["top_n"]["n"]))
-        mode = data.get("mode", "pruned")
-        if mode not in ("pruned", "naive"):
-            raise ConfigError(f"{where}.mode: must be 'pruned' or 'naive'")
-        return cls(
-            models=models,
-            dimensions=list(data["dimensions"]) if data.get("dimensions") is not None else None,
-            grouping_sets=[list(g) for g in data["grouping_sets"]]
-            if data.get("grouping_sets") is not None else None,
-            thresholds=dict(data.get("thresholds", {})),
-            top_n=top_n,
-            exploration=data.get("exploration", "bfs"),
-            dimension_order=data.get("dimension_order", "ascending_cardinality"),
-            hierarchies=[list(h) for h in data["hierarchies"]]
-            if data.get("hierarchies") is not None else None,
-            max_degree=data.get("max_degree"),
-            dimension_values={k: list(v) for k, v in data["dimension_values"].items()}
-            if data.get("dimension_values") is not None else None,
-            batch_size=int(data.get("batch_size", 64)),
-            mode=mode,
-        )
 
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"models": [m.to_dict() for m in self.models]}
-        if self.dimensions is not None:
-            out["dimensions"] = list(self.dimensions)
-        if self.grouping_sets is not None:
-            out["grouping_sets"] = [list(g) for g in self.grouping_sets]
-        if self.thresholds:
-            out["thresholds"] = dict(self.thresholds)
-        if self.top_n is not None:
-            out["top_n"] = {"signal": self.top_n[0], "n": self.top_n[1]}
-        if self.exploration != "bfs":
-            out["exploration"] = self.exploration
-        if self.dimension_order != "ascending_cardinality":
-            out["dimension_order"] = list(self.dimension_order)
-        if self.hierarchies is not None:
-            out["hierarchies"] = [list(h) for h in self.hierarchies]
-        if self.max_degree is not None:
-            out["max_degree"] = self.max_degree
-        if self.dimension_values is not None:
-            out["dimension_values"] = {k: list(v) for k, v in self.dimension_values.items()}
-        if self.batch_size != 64:
-            out["batch_size"] = self.batch_size
-        if self.mode != "pruned":
-            out["mode"] = self.mode
-        return out
+def _top_n(value, where: str) -> tuple:
+    top_n = _section(value, where, {"signal": _string, "n": _integer}, ("signal", "n"))
+    return top_n["signal"], top_n["n"]
 
-    def build_spec(self) -> CrawlSpec:
-        return CrawlSpec(
-            models=[m.build() for m in self.models],
-            dimensions=self.dimensions,
-            grouping_sets=self.grouping_sets,
-            thresholds=self.thresholds,
-            top_n=self.top_n,
-            exploration=self.exploration,
-            dimension_order=self.dimension_order,
-            hierarchies=self.hierarchies,
-            max_degree=self.max_degree,
-            dimension_values=self.dimension_values,
-            batch_size=self.batch_size,
-        )
+
+def _dimension_values(value, where: str) -> dict:
+    return {d: _list(_scalar)(values, f"{where}.{d}")
+            for d, values in _object(value, where).items()}
+
+
+# crawl config key -> reader; a key the config leaves out keeps CrawlSpec's default
+_CRAWL_KEYS = {
+    "models": _list(_model),
+    "dimensions": _nullable(_names),
+    "grouping_sets": _nullable(_list(_names)),
+    "thresholds": _object,
+    "top_n": _nullable(_top_n),
+    "exploration": _string,
+    "dimension_order": lambda value, where: (value if isinstance(value, str)
+                                             else _names(value, where)),
+    "hierarchies": _nullable(_list(_names)),
+    "max_degree": _nullable(_integer),
+    "dimension_values": _nullable(_dimension_values),
+    "batch_size": _integer,
+    "mode": _choice("pruned", "naive"),
+}
+
+
+def _crawl(data, where: str) -> tuple[CrawlSpec, str]:
+    """The crawl section as a spec plus its ``mode``."""
+    fields = _section(data, where, _CRAWL_KEYS, ("models",))
+    mode = fields.pop("mode", "pruned")
+    return CrawlSpec(**fields), mode
 
 
 _ATTR_COLUMNS = ("region", "w_control", "w_test", "s_control", "s_test")
+_ATTR_KEYS = {
+    "metrics_csv": _path,
+    "kind": _choice("density", "summable"),
+    "columns": lambda value, where: _section(value, where, dict.fromkeys(_ATTR_COLUMNS, _string)),
+    "population": _nullable(lambda value, where: _section(
+        value, where, dict.fromkeys(_ATTR_COLUMNS[1:], _number), ("w_control", "w_test"))),
+}
 
 
 @dataclass
@@ -234,29 +217,7 @@ class AttributeConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping, where: str) -> "AttributeConfig":
-        _expect(data, where, ("metrics_csv", "kind", "columns", "population"), ("metrics_csv",))
-        kind = data.get("kind", "density")
-        if kind not in ("density", "summable"):
-            raise ConfigError(f"{where}.kind: must be 'density' or 'summable'")
-        columns = dict(data.get("columns", {}))
-        _expect(columns, f"{where}.columns", _ATTR_COLUMNS)
-        population = data.get("population")
-        if population is not None:
-            _expect(population, f"{where}.population",
-                    ("w_control", "w_test", "s_control", "s_test"), ("w_control", "w_test"))
-            population = {k: float(v) for k, v in population.items()}
-        return cls(metrics_csv=data["metrics_csv"], kind=kind, columns=columns,
-                   population=population)
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"metrics_csv": self.metrics_csv}
-        if self.kind != "density":
-            out["kind"] = self.kind
-        if self.columns:
-            out["columns"] = dict(self.columns)
-        if self.population is not None:
-            out["population"] = dict(self.population)
-        return out
+        return cls(**_section(data, where, _ATTR_KEYS, ("metrics_csv",)))
 
     def column(self, role: str) -> str:
         return self.columns.get(role, role)
@@ -264,93 +225,66 @@ class AttributeConfig:
 
 @dataclass
 class SourceConfig:
-    kind: str
-    csv: str | None = None
-    schema: DimensionSchema | None = None
-    constants: dict = field(default_factory=dict)
+    """A join or materialize input: a base table, a store directory, or a crawl output CSV.
+
+    ``table`` is set for a base table; ``schema`` (region dimensions, signals
+    as SUM measures) for a crawl output CSV at ``path``.
+    """
+
+    table: InputConfig | None = None
     path: str | None = None
-    dimensions: list | None = None
-    signals: list | None = None
+    schema: DimensionSchema | None = None
 
     @classmethod
     def from_dict(cls, data: Mapping, where: str) -> "SourceConfig":
         _expect(data, where, ("kind", "csv", "schema", "constants", "path", "dimensions", "signals"),
                 ("kind",))
         kind = data["kind"]
+        rest = {k: v for k, v in data.items() if k != "kind"}
         if kind == "base_table":
-            _expect(data, where, ("kind", "csv", "schema", "constants"), ("kind", "csv", "schema"))
-            return cls(kind=kind, csv=data["csv"], schema=schema_from_dict(data["schema"]),
-                       constants=dict(data.get("constants", {})))
+            return cls(table=InputConfig.from_dict(rest, where))
         if kind == "store":
-            _expect(data, where, ("kind", "path"), ("kind", "path"))
-            return cls(kind=kind, path=data["path"])
+            return cls(**_section(rest, where, {"path": _path}, ("path",)))
         if kind == "result_csv":
-            _expect(data, where, ("kind", "path", "dimensions", "signals"),
-                    ("kind", "path", "dimensions", "signals"))
-            dims = [dict(d) for d in data["dimensions"]]
-            return cls(kind=kind, path=data["path"], dimensions=dims,
-                       signals=list(data["signals"]))
+            fields = _section(rest, where, {"path": _path, "dimensions": _list(_object),
+                                            "signals": _names}, ("path", "dimensions", "signals"))
+            measures = [{"name": s, "agg": "sum", "sources": [s]} for s in fields["signals"]]
+            return cls(path=fields["path"],
+                       schema=_schema({"dimensions": fields["dimensions"], "measures": measures},
+                                      where))
         raise ConfigError(f"{where}.kind: unknown source kind {kind!r}")
 
-    def to_dict(self) -> dict:
-        if self.kind == "base_table":
-            out: dict[str, Any] = {"kind": self.kind, "csv": self.csv,
-                                   "schema": schema_to_dict(self.schema)}
-            if self.constants:
-                out["constants"] = dict(self.constants)
-            return out
-        if self.kind == "store":
-            return {"kind": self.kind, "path": self.path}
-        return {"kind": self.kind, "path": self.path,
-                "dimensions": [dict(d) for d in self.dimensions],
-                "signals": list(self.signals)}
-
     def load_cube(self):
-        if self.kind == "base_table":
-            table = Table.from_csv(self.csv, self.schema, self.constants)
-            return BaseTableGroupByCube(table, self.schema)
-        if self.kind == "store":
+        if self.table is not None:
+            return self.table.load_cube()
+        if self.schema is None:
             return store_mod.load_store(self.path)
-        return _load_result_csv(self.path, self.dimensions, self.signals)
+        return _load_result_csv(self.path, self.schema)
+
+
+_JOIN_KEYS = {"left": SourceConfig.from_dict, "right": SourceConfig.from_dict, "on": _names,
+              "left_prefix": _string, "right_prefix": _string, "kind": _string,
+              "strategy": _string}
 
 
 @dataclass
 class JoinConfig:
     left: SourceConfig
     right: SourceConfig
-    on: list
-    left_prefix: str = "left"
-    right_prefix: str = "right"
-    kind: str = "inner"
-    strategy: str = "global"
+    spec: JoinSpec
+    strategy: str
 
     @classmethod
     def from_dict(cls, data: Mapping, where: str) -> "JoinConfig":
-        _expect(data, where,
-                ("left", "right", "on", "left_prefix", "right_prefix", "kind", "strategy"),
-                ("left", "right", "on"))
-        return cls(
-            left=SourceConfig.from_dict(data["left"], f"{where}.left"),
-            right=SourceConfig.from_dict(data["right"], f"{where}.right"),
-            on=list(data["on"]),
-            left_prefix=data.get("left_prefix", "left"),
-            right_prefix=data.get("right_prefix", "right"),
-            kind=data.get("kind", "inner"),
-            strategy=data.get("strategy", "global"),
-        )
+        fields = _section(data, where, _JOIN_KEYS, ("left", "right", "on"))
+        left, right = fields.pop("left"), fields.pop("right")
+        strategy = fields.pop("strategy", "global")
+        return cls(left, right, JoinSpec(**fields), strategy)
 
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"left": self.left.to_dict(), "right": self.right.to_dict(),
-                               "on": list(self.on)}
-        if self.left_prefix != "left":
-            out["left_prefix"] = self.left_prefix
-        if self.right_prefix != "right":
-            out["right_prefix"] = self.right_prefix
-        if self.kind != "inner":
-            out["kind"] = self.kind
-        if self.strategy != "global":
-            out["strategy"] = self.strategy
-        return out
+
+_MATERIALIZE_KEYS = {"action": _choice("materialize", "chunk", "rechunk"),
+                     "source": SourceConfig.from_dict, "dims": _nullable(_names),
+                     "partition_dim": _nullable(_string)}
 
 
 @dataclass
@@ -362,57 +296,32 @@ class MaterializeConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping, where: str) -> "MaterializeConfig":
-        _expect(data, where, ("action", "source", "dims", "partition_dim"), ("action", "source"))
-        action = data["action"]
-        if action not in ("materialize", "chunk", "rechunk"):
-            raise ConfigError(f"{where}.action: unknown action {action!r}")
-        return cls(action=action,
-                   source=SourceConfig.from_dict(data["source"], f"{where}.source"),
-                   dims=list(data["dims"]) if data.get("dims") is not None else None,
-                   partition_dim=data.get("partition_dim"))
+        return cls(**_section(data, where, _MATERIALIZE_KEYS, ("action", "source")))
 
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"action": self.action, "source": self.source.to_dict()}
-        if self.dims is not None:
-            out["dims"] = list(self.dims)
-        if self.partition_dim is not None:
-            out["partition_dim"] = self.partition_dim
-        return out
+
+_SECTIONS = {"input": InputConfig.from_dict, "crawl": _crawl,
+             "attribute": AttributeConfig.from_dict, "join": JoinConfig.from_dict,
+             "materialize": MaterializeConfig.from_dict}
 
 
 @dataclass
 class RunConfig:
-    spec_version: int = SPEC_VERSION
     input: InputConfig | None = None
-    crawl: CrawlConfig | None = None
+    crawl: CrawlSpec | None = None
+    crawl_mode: str = "pruned"  # the crawl section's "mode": "pruned" or "naive"
     attribute: AttributeConfig | None = None
     join: JoinConfig | None = None
     materialize: MaterializeConfig | None = None
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":
-        _expect(data, "config", ("spec_version", "input", "crawl", "attribute", "join",
-                                 "materialize"), ("spec_version",))
-        if data["spec_version"] != SPEC_VERSION:
+        _expect(data, "config", ("spec_version", *_SECTIONS), ("spec_version",))
+        if _integer(data["spec_version"], "spec_version") != SPEC_VERSION:
             raise ConfigError(f"unsupported spec_version {data['spec_version']!r}")
-        return cls(
-            spec_version=data["spec_version"],
-            input=InputConfig.from_dict(data["input"], "input") if "input" in data else None,
-            crawl=CrawlConfig.from_dict(data["crawl"], "crawl") if "crawl" in data else None,
-            attribute=AttributeConfig.from_dict(data["attribute"], "attribute")
-            if "attribute" in data else None,
-            join=JoinConfig.from_dict(data["join"], "join") if "join" in data else None,
-            materialize=MaterializeConfig.from_dict(data["materialize"], "materialize")
-            if "materialize" in data else None,
-        )
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"spec_version": self.spec_version}
-        for name in ("input", "crawl", "attribute", "join", "materialize"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value.to_dict()
-        return out
+        fields = {key: read(data[key], key) for key, read in _SECTIONS.items() if key in data}
+        if "crawl" in fields:
+            fields["crawl"], fields["crawl_mode"] = fields["crawl"]
+        return cls(**fields)
 
 
 def load_config(path) -> RunConfig:
@@ -495,23 +404,33 @@ def write_records(records: list[dict], signal_names: Sequence[str], fmt: str, pa
             writer.writerow(row)
 
 
-def _load_result_csv(path, dim_dicts: Sequence[Mapping], signals: Sequence[str]) -> CellsetCube:
-    """Read a crawl output CSV back as a cellset over its region dimensions."""
-    schema = schema_from_dict({
-        "dimensions": list(dim_dicts),
-        "measures": [{"name": s, "agg": "sum", "sources": [s]} for s in signals],
-    })
-    from .core import ANY
+def _csv_cell(path, row: Mapping, column: str) -> str:
+    """One cell of a ``csv.DictReader`` row; a missing column is a SchemaError."""
+    if column not in row:
+        raise SchemaError(f"{path}: no column {column!r}")
+    return row[column]
 
+
+def _csv_number(path, line: int, row: Mapping, column: str) -> float:
+    text = _csv_cell(path, row, column)
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        raise DataError(f"{path}:{line}: column {column!r}: {text!r} is not a number") from None
+
+
+def _load_result_csv(path, schema: DimensionSchema) -> CellsetCube:
+    """Read a crawl output CSV back as a cellset over its region dimensions."""
     cells = {}
     names = schema.dimension_names
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            region = parse_region(row["region"], schema)
+            region = parse_region(_csv_cell(path, row, "region"), schema)
             bindings = region.bindings()
             cell = tuple(bindings.get(d, ANY) for d in names)
-            cells[cell] = {s: float(row[s]) for s in signals}
+            cells[cell] = {s: _csv_number(path, reader.line_num, row, s)
+                           for s in schema.measure_names}
     return CellsetCube(schema, cells)
 
 
@@ -526,12 +445,10 @@ def _require(value, name: str):
 
 
 def cmd_crawl(config: RunConfig, args) -> int:
-    crawl_cfg = _require(config.crawl, "crawl")
-    input_cfg = _require(config.input, "input")
-    cube = input_cfg.load_cube()
-    spec = crawl_cfg.build_spec()
+    spec = _require(config.crawl, "crawl")
+    cube = _require(config.input, "input").load_cube()
     instr = Instrumentation()
-    use_naive = args.oracle == "naive" or crawl_cfg.mode == "naive"
+    use_naive = args.oracle == "naive" or config.crawl_mode == "naive"
     result = (naive_crawl if use_naive else top_down_crawl)(cube, spec, instrumentation=instr)
     records = result_records(result, spec.top_n is not None)
     write_records(records, result.signal_names, args.format, args.output)
@@ -543,26 +460,26 @@ def cmd_attribute(config: RunConfig, args) -> int:
     cfg = _require(config.attribute, "attribute")
     density = cfg.kind == "density"
     col = cfg.column
-    rows = []
+    path = cfg.metrics_csv
     try:
-        with open(cfg.metrics_csv, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                rows.append(row)
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            rows = [(reader.line_num, row) for row in reader]
     except OSError as exc:
         raise StoreError(f"cannot read metrics CSV: {exc}") from None
 
-    def floats(row, *names):
-        return tuple(float(row[col(n)]) for n in names)
+    def floats(line, row, *names):
+        return tuple(_csv_number(path, line, row, col(n)) for n in names)
 
     population = cfg.population
     body = []
-    for row in rows:
-        if row[col("region")] == "" and population is None:
-            w_c, w_t = floats(row, "w_control", "w_test")
-            s_c, s_t = floats(row, "s_control", "s_test") if density else (0.0, 0.0)
+    for line, row in rows:
+        if _csv_cell(path, row, col("region")) == "" and population is None:
+            w_c, w_t = floats(line, row, "w_control", "w_test")
+            s_c, s_t = floats(line, row, "s_control", "s_test") if density else (0.0, 0.0)
             population = {"w_control": w_c, "w_test": w_t, "s_control": s_c, "s_test": s_t}
         else:
-            body.append(row)
+            body.append((line, row))
     if population is None:
         raise ConfigError("attribute needs population metrics: add a config 'population' "
                           "section or a CSV row with an empty region")
@@ -573,10 +490,10 @@ def cmd_attribute(config: RunConfig, args) -> int:
     records = []
     total = 0.0
     warnings = 0
-    for row in body:
-        region_text = row[col("region")]
-        w_c, w_t = floats(row, "w_control", "w_test")
-        s_c, s_t = floats(row, "s_control", "s_test") if density else (0.0, 0.0)
+    for line, row in body:
+        region_text = _csv_cell(path, row, col("region"))
+        w_c, w_t = floats(line, row, "w_control", "w_test")
+        s_c, s_t = floats(line, row, "s_control", "s_test") if density else (0.0, 0.0)
         metrics = SegmentedMetrics(w_r_c=w_c, w_r_t=w_t, s_r_c=s_c, s_r_t=s_t,
                                    w_p_c=w_p_c, w_p_t=w_p_t, s_p_c=s_p_c, s_p_t=s_p_t)
         record = {"region": region_text, "region_key": region_text, "signals": {}}
@@ -621,9 +538,7 @@ def cmd_join(config: RunConfig, args) -> int:
     cfg = _require(config.join, "join")
     left = cfg.left.load_cube()
     right = cfg.right.load_cube()
-    spec = JoinSpec(on=tuple(cfg.on), left_prefix=cfg.left_prefix,
-                    right_prefix=cfg.right_prefix, kind=cfg.kind)
-    joined = join_cubes(left, right, spec, strategy=cfg.strategy)
+    joined = join_cubes(left, right, cfg.spec, strategy=cfg.strategy)
     cellset = joined.to_cellset()
     store_mod.materialize(cellset, cellset.schema.dimension_names, args.output)
     _write_instrumentation(args, _store_instrumentation(joined))

@@ -713,7 +713,7 @@ def build_cellset(cube: AbstractCube, dims: Sequence[str]) -> CellsetCube:
 
 
 def schema_to_dict(schema: DimensionSchema) -> dict:
-    """JSON-ready form of a schema (used by run configs and store manifests)."""
+    """JSON-ready form of a schema (used by store manifests)."""
     return {
         "dimensions": [{"name": d.name, "domain": d.domain} for d in schema.dimensions],
         "measures": [

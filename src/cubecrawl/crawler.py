@@ -139,7 +139,7 @@ class ResultCube(AbstractCube):
         return self.to_cellset().region_values(region, dim)
 
     def records(self) -> list[tuple[Region, dict[str, float]]]:
-        """Entries in insertion order for top-n runs, else canonical order."""
+        """Entries in insertion order; ``sorted_records`` gives canonical order."""
         return [(r, dict(self.entries[r])) for r in self.entries]
 
     def sorted_records(self) -> list[tuple[Region, dict[str, float]]]:
@@ -164,21 +164,21 @@ class _Entry:
 
 
 class Frontier:
-    """Pending regions; a stack gives DFS, a queue gives BFS.  No region twice."""
+    """Pending regions; a stack gives DFS, a queue gives BFS.
+
+    No region is pushed twice, so no set of seen regions is kept:
+    ``_children`` binds only dimensions ordered after a region's last bound
+    one, so every region has exactly one parent.
+    """
 
     def __init__(self, exploration: str):
         if exploration not in ("bfs", "dfs"):
             raise SpecError(f"unknown exploration strategy {exploration!r}")
         self.exploration = exploration
         self._pending: deque[_Entry] = deque()
-        self._seen: set[Region] = set()
 
     def push(self, entries: Iterable[_Entry]) -> None:
-        for e in entries:
-            if e.cursor.region in self._seen:
-                continue
-            self._seen.add(e.cursor.region)
-            self._pending.append(e)
+        self._pending.extend(entries)
 
     def pop_batch(self, size: int) -> list[_Entry]:
         out = []
@@ -219,7 +219,7 @@ class _Resolved:
                 raise SpecError(f"threshold on undeclared signal {name!r}")
             try:
                 number = float(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 number = math.nan
             if not math.isfinite(number):
                 raise SpecError(f"threshold {key!r} must be a finite number, got {value!r}")

@@ -254,19 +254,7 @@ class JoinedCube(AbstractCube):
         """Materialize the joined cube (one cellset join for GLOBAL, one view per mask for LOCAL)."""
         if self.strategy == "global":
             return self._cellset
-        import itertools
-
-        names = self._schema.dimension_names
-        all_measures = tuple(m.name for m in self._schema.measures)
-        cells: dict[tuple, dict] = {}
-        for k in range(len(names) + 1):
-            for subset in itertools.combinations(names, k):
-                frame = self._local_view(Region(), FeatureRequest(subset, all_measures))
-                for attrs, measures in frame.iter_rows():
-                    by_name = dict(zip(subset, attrs))
-                    cell = tuple(by_name.get(d, ANY) for d in names)
-                    cells[cell] = dict(zip(all_measures, measures))
-        return CellsetCube(self._schema, cells)
+        return build_cellset(self, self._schema.dimension_names)
 
 
 def _as_cellset(cube: AbstractCube) -> CellsetCube:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cubecrawl import load_cellset
+from cubecrawl import CrawlSpec, load_cellset
 from cubecrawl.cli import RunConfig, load_config, main
 
 from conftest import T1_ROWS
@@ -79,14 +79,46 @@ def fim_config(tmp_path: Path) -> Path:
 
 
 class TestConfigHandling:
-    def test_round_trip_fixpoint(self, tmp_path):
-        config_path = t1_crawl_config(tmp_path, top_n={"signal": "total_weight", "n": 3})
-        first = load_config(config_path)
-        serialized = tmp_path / "round.json"
-        serialized.write_text(json.dumps(first.to_dict()))
-        second = load_config(serialized)
-        assert first == second
-        assert first.to_dict() == second.to_dict()
+    def test_every_crawl_key_reaches_the_spec(self, tmp_path):
+        config_path = t1_crawl_config(
+            tmp_path,
+            models=[{"model": "entity_weight", "params": {"metric": "Revenue", "name": "w"},
+                     "gate": True, "pushdown": [["Clicks", ">=", 1]]},
+                    {"model": "frequent_itemset", "params": {"support_measure": "Clicks"}}],
+            grouping_sets=[["Device"], ["Device", "Browser"]],
+            thresholds={"w": 40, "-support": 9},
+            top_n={"signal": "w", "n": 3},
+            exploration="dfs",
+            dimension_order=["Browser", "Device"],
+            hierarchies=[["Device", "Browser"]],
+            max_degree=1,
+            dimension_values={"Device": ["Pixel", "iPhone"]},
+            batch_size=8,
+            mode="naive",
+        )
+        config = load_config(config_path)
+        spec = config.crawl
+        assert config.crawl_mode == "naive"
+        assert spec.dimensions == ["Device", "Browser"]
+        assert spec.grouping_sets == [["Device"], ["Device", "Browser"]]
+        assert spec.thresholds == {"w": 40, "-support": 9}
+        assert spec.top_n == ("w", 3)
+        assert spec.exploration == "dfs"
+        assert spec.dimension_order == ["Browser", "Device"]
+        assert spec.hierarchies == [["Device", "Browser"]]
+        assert spec.max_degree == 1
+        assert spec.dimension_values == {"Device": ["Pixel", "iPhone"]}
+        assert spec.batch_size == 8
+        weight, itemset = spec.models
+        assert (type(weight).__name__, weight.name, weight.gate) == ("EntityWeightModel", "w", True)
+        assert [(t.measure, t.op, t.value) for t in weight.pushdown] == [("Clicks", ">=", 1.0)]
+        assert (type(itemset).__name__, itemset.name, itemset.gate, itemset.pushdown) == \
+            ("FrequentItemsetModel", "frequent_itemset", False, ())
+        (tmp_path / "defaults").mkdir()
+        defaults = load_config(t1_crawl_config(tmp_path / "defaults", dimensions=None))
+        assert defaults.crawl_mode == "pruned"
+        assert defaults.crawl == CrawlSpec(models=defaults.crawl.models,
+                                           thresholds={"total_weight": 40})
 
     def test_unknown_keys_rejected(self, tmp_path):
         config_path = t1_crawl_config(tmp_path)
@@ -264,6 +296,26 @@ class TestAttributeCommand:
         assert "error" in records[0]
         assert records[-1]["signals"]["warnings"] == 1.0
 
+    @pytest.mark.parametrize("header, cell, code, error", [
+        (("region", "w_control", "w_test", "s_control", "s_test"), "x", 4, "DataError"),
+        (("region", "w_control", "w_test_typo", "s_control", "s_test"), "5", 2, "SchemaError"),
+    ])
+    def test_bad_metrics_csv_is_one_error_record(self, tmp_path, capsys, header, cell, code,
+                                                 error):
+        metrics = tmp_path / "m.csv"
+        self.write_metrics(metrics, [("", 60, 65, 30, 30), ("r1", 10, 15, 5, cell)],
+                           header=header)
+        config = write_config(tmp_path / "attr.json", {
+            "spec_version": 1, "attribute": {"metrics_csv": str(metrics)}})
+        out = tmp_path / "attr.jsonl"
+        assert main(["attribute", "--config", str(config), "--output", str(out)]) == code
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)["error"]
+        assert record["type"] == error and str(metrics) in record["message"]
+        if error == "DataError":
+            assert f"{metrics}:3: column 's_test'" in record["message"]
+
 
 class TestJoinCommand:
     def test_local_and_global_outputs_identical(self, tmp_path):
@@ -315,6 +367,30 @@ class TestJoinCommand:
         frame = loaded.view(Region({"Device": "Pixel"}),
                             FeatureRequest((), ("now.total_weight", "before.total_weight")))
         assert list(frame.iter_rows()) == [((), (70.0, 70.0))]
+
+    @pytest.mark.parametrize("signal, cell, code, error", [
+        ("total_weight", "x", 4, "DataError"),
+        ("missing_signal", "70.0", 2, "SchemaError"),
+    ])
+    def test_bad_result_csv_is_one_error_record(self, tmp_path, capsys, signal, cell, code,
+                                                error):
+        crawl_out = tmp_path / "crawl.csv"
+        crawl_out.write_text(f"region,total_weight\n,125.0\nDevice=Pixel,{cell}\n")
+        source = {"kind": "result_csv", "path": str(crawl_out),
+                  "dimensions": [{"name": "Device"}], "signals": [signal]}
+        config = write_config(tmp_path / "join.json", {
+            "spec_version": 1,
+            "join": {"left": source, "right": source, "on": ["Device"],
+                     "left_prefix": "now", "right_prefix": "before"},
+        })
+        out_dir = tmp_path / "joined"
+        assert main(["join", "--config", str(config), "--output", str(out_dir)]) == code
+        assert not out_dir.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)["error"]
+        assert record["type"] == error and str(crawl_out) in record["message"]
+        if error == "DataError":
+            assert f"{crawl_out}:3: column 'total_weight'" in record["message"]
 
 
 class TestMaterializeCommand:
