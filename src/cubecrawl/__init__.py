@@ -30,7 +30,6 @@ from .core import (
     Region,
     Table,
     build_cellset,
-    cube_view,
     filter_by_region,
     region_precedes,
 )
@@ -51,7 +50,7 @@ from .crawler import (
     topn_crawl,
     transactions_to_table,
 )
-from .join import JoinSpec, JoinedCube, join_cubes, joined_view
+from .join import JoinSpec, JoinedCube, join_cubes
 from .models import (
     AttributionModel,
     DiffModel,

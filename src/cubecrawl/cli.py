@@ -33,6 +33,7 @@ from .core import (
     Table,
     format_value,
     schema_from_dict,
+    utf8_rows,
 )
 from .crawler import (
     CrawlSpec,
@@ -110,6 +111,12 @@ def _list(read):
                                  for i, item in enumerate(_is_list(value, where))]
 
 
+def _map(read):
+    """A reader of an object whose values ``read`` reads."""
+    return lambda value, where: {key: read(item, f"{where}.{key}")
+                                 for key, item in _object(value, where).items()}
+
+
 def _nullable(read):
     return lambda value, where: None if value is None else read(value, where)
 
@@ -154,23 +161,36 @@ def _pushdown_term(value, where: str) -> tuple:
             _number(number, f"{where}[2]"))
 
 
-_MODEL_KEYS = {"model": _string, "params": _object, "gate": _boolean,
+# model kind -> reader of each of its params; build_model checks which are required
+_MODEL_PARAMS = {
+    "id": {"metrics": _names, "apriori": _nullable(_map(_boolean)), "name": _string},
+    "entity_weight": {"metric": _string, "min_weight_pushdown": _nullable(_number),
+                      "name": _string},
+    "frequent_itemset": {"support_measure": _string, "name": _string},
+    "diff": {"weight_measure": _string, "segment_dim": _string, "test_value": _scalar,
+             "epsilon": _number, "name": _string},
+    "entity": {"entity_columns": _names, "name": _string},
+    "entity_measure": {"entity_columns": _names, "entity_measure": _string, "name": _string},
+    "window_outlier": {"date_dim": _string, "metric": _string, "window": _integer,
+                       "name": _string},
+    "attribution": {"numerator": _string, "denominator": _nullable(_string),
+                    "segment_dim": _string, "test_value": _scalar, "name": _string},
+}
+
+_MODEL_KEYS = {"model": _choice(*_MODEL_PARAMS), "params": _object, "gate": _boolean,
                "pushdown": _list(_pushdown_term)}
 
 
 def _model(data, where: str):
     fields = _section(data, where, _MODEL_KEYS, ("model",))
-    return build_model(fields.pop("model"), fields.pop("params", {}), **fields)
+    kind = fields.pop("model")
+    params = _section(fields.pop("params", {}), f"{where}.params", _MODEL_PARAMS[kind])
+    return build_model(kind, params, **fields)
 
 
 def _top_n(value, where: str) -> tuple:
     top_n = _section(value, where, {"signal": _string, "n": _integer}, ("signal", "n"))
     return top_n["signal"], top_n["n"]
-
-
-def _dimension_values(value, where: str) -> dict:
-    return {d: _list(_scalar)(values, f"{where}.{d}")
-            for d, values in _object(value, where).items()}
 
 
 # crawl config key -> reader; a key the config leaves out keeps CrawlSpec's default
@@ -185,7 +205,7 @@ _CRAWL_KEYS = {
                                              else _names(value, where)),
     "hierarchies": _nullable(_list(_names)),
     "max_degree": _nullable(_integer),
-    "dimension_values": _nullable(_dimension_values),
+    "dimension_values": _nullable(_map(_list(_scalar))),
     "batch_size": _integer,
     "mode": _choice("pruned", "naive"),
 }
@@ -329,6 +349,8 @@ def load_config(path) -> RunConfig:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config {path} is not UTF-8 text") from None
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -425,7 +447,7 @@ def _load_result_csv(path, schema: DimensionSchema) -> CellsetCube:
     names = schema.dimension_names
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        for row in reader:
+        for row in utf8_rows(path, reader):
             region = parse_region(_csv_cell(path, row, "region"), schema)
             bindings = region.bindings()
             cell = tuple(bindings.get(d, ANY) for d in names)
@@ -464,7 +486,7 @@ def cmd_attribute(config: RunConfig, args) -> int:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            rows = [(reader.line_num, row) for row in reader]
+            rows = [(reader.line_num, row) for row in utf8_rows(path, reader)]
     except OSError as exc:
         raise StoreError(f"cannot read metrics CSV: {exc}") from None
 

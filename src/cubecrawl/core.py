@@ -403,7 +403,7 @@ class Table:
         dim_by_name = {d.name: d for d in schema.dimensions}
         sum_sources = {m.sources[0] for m in schema.measures if m.agg == "sum"}
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+            reader = utf8_rows(path, csv.reader(fh))
             try:
                 header = next(reader)
             except StopIteration:
@@ -423,6 +423,14 @@ class Table:
         for name, value in (constants or {}).items():
             table = table.with_constant(name, value)
         return table
+
+
+def utf8_rows(path, rows: Iterable) -> Iterator:
+    """The rows of a CSV reader over ``path``; text that is not UTF-8 is a DataError."""
+    try:
+        yield from rows
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
 
 
 def _parse_number(name: str, text: str):
@@ -448,31 +456,24 @@ def filter_by_region(table: Table, region: Region) -> Table:
     return table.subset(keep)
 
 
-class RegionCursor(ABC):
-    """A cube bound at one region: cheap views, child values, and refinement."""
+class RegionCursor:
+    """A cube bound at one region: cheap views, child values, and refinement.
+
+    This cursor answers through the cube's own ``view``, ``region_values`` and
+    ``bind``; a cube with a faster way to refine a region subclasses it.
+    """
 
     def __init__(self, cube: "AbstractCube", region: Region):
         self.cube = cube
         self.region = region
 
-    @abstractmethod
-    def view(self, request: FeatureRequest) -> FeatureFrame: ...
-
-    @abstractmethod
-    def values(self, dim: str) -> tuple: ...
-
-    @abstractmethod
-    def child(self, dim: str, value) -> "RegionCursor": ...
-
-
-class _GenericCursor(RegionCursor):
-    def view(self, request):
+    def view(self, request: FeatureRequest) -> FeatureFrame:
         return self.cube.view(self.region, request)
 
-    def values(self, dim):
+    def values(self, dim: str) -> tuple:
         return self.cube.region_values(self.region, dim)
 
-    def child(self, dim, value):
+    def child(self, dim: str, value) -> "RegionCursor":
         return self.cube.bind(self.region.with_binding(dim, value))
 
 
@@ -492,17 +493,12 @@ class AbstractCube(ABC):
         return frame.attribute_column(dim)
 
     def bind(self, region: Region) -> RegionCursor:
-        return _GenericCursor(self, region)
+        return RegionCursor(self, region)
 
     def _check(self, region: Region, request: FeatureRequest) -> None:
         request.validate(self.schema)
         for dim in region.dims:
             self.schema.dimension(dim)
-
-
-def cube_view(cube: AbstractCube, region: Region, request: FeatureRequest) -> FeatureFrame:
-    """Evaluate the cube function at one region."""
-    return cube.view(region, request)
 
 
 class BaseTableGroupByCube(AbstractCube):
@@ -578,16 +574,10 @@ class BaseTableGroupByCube(AbstractCube):
         return FeatureFrame(attrs, request.metric_features, rows)
 
     def view(self, region: Region, request: FeatureRequest) -> FeatureFrame:
-        self._check(region, request)
-        return self._aggregate(self._rows_for(region), request, region.degree == 0)
+        return self.bind(region).view(request)
 
     def region_values(self, region: Region, dim: str) -> tuple:
-        self._schema.dimension(dim)
-        if region.degree == 0:
-            return tuple(sorted(self._postings[dim], key=_value_sort_key))
-        rows = self._rows_for(region)
-        col = self._table.column(dim)
-        return tuple(sorted({col[i] for i in rows}, key=_value_sort_key))
+        return self.bind(region).values(dim)
 
     def bind(self, region: Region) -> RegionCursor:
         return _TableCursor(self, region, self._rows_for(region))
@@ -667,21 +657,6 @@ class CellsetCube(AbstractCube):
                 measures.append(vals[m])
             rows.append((attrs, tuple(measures)))
         return FeatureFrame(request.attribute_features, request.metric_features, rows)
-
-    def region_values(self, region: Region, dim: str) -> tuple:
-        self._schema.dimension(dim)
-        if dim in region:
-            return (region.get(dim),)
-        names = self._schema.dimension_names
-        needed = frozenset(region.dims) | {dim}
-        bindings = region.bindings()
-        out = set()
-        for cell in self._by_mask.get(needed, ()):
-            by_name = dict(zip(names, cell))
-            if any(by_name[d] != v for d, v in bindings.items()):
-                continue
-            out.add(by_name[dim])
-        return tuple(sorted(out, key=_value_sort_key))
 
 
 def build_cellset(cube: AbstractCube, dims: Sequence[str]) -> CellsetCube:

@@ -135,9 +135,6 @@ class ResultCube(AbstractCube):
     def view(self, region, request):
         return self.to_cellset().view(region, request)
 
-    def region_values(self, region, dim):
-        return self.to_cellset().region_values(region, dim)
-
     def records(self) -> list[tuple[Region, dict[str, float]]]:
         """Entries in insertion order; ``sorted_records`` gives canonical order."""
         return [(r, dict(self.entries[r])) for r in self.entries]

@@ -30,7 +30,7 @@ from .core import (
     Region,
     build_cellset,
 )
-from .errors import JoinError, RequestError, SchemaError
+from .errors import JoinError, RequestError, SchemaError, SpecError
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,11 @@ class JoinSpec:
     def __post_init__(self):
         object.__setattr__(self, "on", tuple(self.on))
         if not self.on:
-            raise JoinError("join needs at least one join dimension")
+            raise SpecError("join needs at least one join dimension")
         if self.kind not in ("inner", "left"):
-            raise JoinError(f"unknown join kind {self.kind!r}")
+            raise SpecError(f"unknown join kind {self.kind!r}")
         if not self.left_prefix or not self.right_prefix or self.left_prefix == self.right_prefix:
-            raise JoinError("join sides need two distinct non-empty prefixes")
+            raise SpecError("join sides need two distinct non-empty prefixes")
 
 
 class JoinedCube(AbstractCube):
@@ -61,7 +61,7 @@ class JoinedCube(AbstractCube):
     def __init__(self, left: AbstractCube, right: AbstractCube, spec: JoinSpec,
                  strategy: str = "local"):
         if strategy not in ("local", "global"):
-            raise JoinError(f"unknown join strategy {strategy!r}")
+            raise SpecError(f"unknown join strategy {strategy!r}")
         self.left = left
         self.right = right
         self.spec = spec
@@ -127,12 +127,6 @@ class JoinedCube(AbstractCube):
         if self.strategy == "global":
             return self._cellset.view(region, request)
         return self._local_view(region, request)
-
-    def region_values(self, region: Region, dim: str) -> tuple:
-        if self.strategy == "global":
-            return self._cellset.region_values(region, dim)
-        frame = self.view(region, FeatureRequest((dim,), ()))
-        return frame.attribute_column(dim)
 
     # -- LOCAL ---------------------------------------------------------------
 
@@ -270,8 +264,3 @@ def join_cubes(left: AbstractCube, right: AbstractCube, spec: JoinSpec,
                strategy: str = "local") -> JoinedCube:
     """Meld two cubes into one; LOCAL defers all work, GLOBAL joins cellsets now."""
     return JoinedCube(left, right, spec, strategy)
-
-
-def joined_view(joined: JoinedCube, region: Region, request: FeatureRequest) -> FeatureFrame:
-    """One view of a joined cube (strategy-independent by construction)."""
-    return joined.view(region, request)

@@ -9,6 +9,7 @@ refinement, which is what lets the crawler stop early.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -38,6 +39,8 @@ class PushdownTerm:
     def __post_init__(self):
         if self.op not in PUSHDOWN_OPS:
             raise SpecError(f"unknown pushdown comparator {self.op!r}")
+        if not (isinstance(self.value, (int, float)) and abs(self.value) <= sys.float_info.max):
+            raise SpecError(f"pushdown value {self.value!r} is not a finite number")
 
     def passes(self, measured: float) -> bool:
         if self.op == ">=":
@@ -241,6 +244,8 @@ class DiffModel(RegionAnalysisModel):
         self.segment_dim = segment_dim
         self.test_value = test_value
         self.epsilon = float(epsilon)
+        if not 0 <= self.epsilon <= sys.float_info.max:
+            raise SpecError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
 
     def _segment_totals(self, frame: FeatureFrame) -> tuple[float, float]:
         test = control = 0.0

@@ -54,6 +54,9 @@ MANIFEST_NAME = "manifest.json"
 _INT64, _FLOAT64, _STRING, _BOOL = 1, 2, 3, 4
 _ROLE_DIM, _ROLE_MEASURE = 0, 1
 _MARK_VALUE, _MARK_WILDCARD, _MARK_NULL = 0, 1, 2
+# row markers each role may hold: a measure is never a wildcard
+_MARKERS = {_ROLE_DIM: bytes((_MARK_VALUE, _MARK_WILDCARD, _MARK_NULL)),
+            _ROLE_MEASURE: bytes((_MARK_VALUE, _MARK_NULL))}
 
 _DOMAIN_TYPE = {"string": _STRING, "integer": _INT64, "boolean": _BOOL}
 
@@ -166,49 +169,72 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def _read_part(path: Path, expected_checksum: str) -> tuple[list[tuple[str, int, int]], list[list]]:
-    """Read and verify one part file; returns (column descriptors, column values)."""
+def _text(raw: bytes, path: Path) -> str:
+    try:
+        return raw.decode()
+    except UnicodeDecodeError:
+        raise StoreError(f"{path.name}: text is not UTF-8") from None
+
+
+def _read_column(r: _Reader, path: Path, n_rows: int, role: int, col_type: int) -> list:
+    """One column's payload, with wildcard and null markers applied."""
+    markers = r.take(n_rows)
+    if markers.translate(None, _MARKERS[role]):
+        raise StoreError(f"{path.name}: bad row marker")
+    if col_type == _INT64:
+        raw = r.unpack(f"<{n_rows}q")
+    elif col_type == _FLOAT64:
+        raw = r.unpack(f"<{n_rows}d")
+    elif col_type == _BOOL:
+        raw = [b == 1 for b in r.take(n_rows)]
+    else:
+        offsets = r.unpack(f"<{n_rows + 1}I")
+        blob = r.take(offsets[-1])
+        raw = [_text(blob[offsets[i]:offsets[i + 1]], path) for i in range(n_rows)]
+    null = NULL if role == _ROLE_DIM else None
+    return [v if m == _MARK_VALUE else ANY if m == _MARK_WILDCARD else null
+            for m, v in zip(markers, raw)]
+
+
+def _read_part(path: Path, expected_checksum: str, dims: Sequence[Dimension],
+               measure_names: Sequence[str]) -> list[tuple[tuple, dict]]:
+    """Read, verify and decode one part file into (cell, measures) rows.
+
+    The part must hold exactly the columns ``dims`` and ``measure_names``, with
+    the role and type the manifest implies for each; a cell lists its values
+    in the order of ``dims``.  Anything else is a ``StoreError``.
+    """
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise StoreError(f"cannot read {path}: {exc}") from None
     if _checksum(data) != expected_checksum:
         raise StoreError(f"checksum mismatch for {path.name}: store is corrupt")
+    expected = {d.name: (_ROLE_DIM, (_DOMAIN_TYPE[d.domain],)) for d in dims}
+    expected.update((m, (_ROLE_MEASURE, (_INT64, _FLOAT64))) for m in measure_names)
     r = _Reader(data)
     if r.take(len(MAGIC)) != MAGIC:
         raise StoreError(f"{path.name}: bad magic")
     version, n_cols = r.unpack("<II")
     if version != FORMAT_VERSION:
         raise StoreError(f"{path.name}: unsupported format version {version}")
+    if n_cols != len(expected):
+        raise StoreError(f"{path.name}: {n_cols} columns, the manifest schema has {len(expected)}")
     (n_rows,) = r.unpack("<Q")
-    descriptors = []
-    columns = []
+    columns = {}
     for _ in range(n_cols):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode()
+        name = _text(r.take(name_len), path)
         role, col_type = r.unpack("<BB")
-        descriptors.append((name, role, col_type))
-        markers = list(r.take(n_rows))
-        if col_type == _INT64:
-            raw = list(r.unpack(f"<{n_rows}q"))
-        elif col_type == _FLOAT64:
-            raw = list(r.unpack(f"<{n_rows}d"))
-        elif col_type == _BOOL:
-            raw = [b == 1 for b in r.take(n_rows)]
-        else:
-            offsets = r.unpack(f"<{n_rows + 1}I")
-            blob = r.take(offsets[-1])
-            raw = [blob[offsets[i]:offsets[i + 1]].decode() for i in range(n_rows)]
-        values = []
-        for marker, v in zip(markers, raw):
-            if marker == _MARK_WILDCARD:
-                values.append(ANY)
-            elif marker == _MARK_NULL:
-                values.append(NULL if role == _ROLE_DIM else None)
-            else:
-                values.append(v)
-        columns.append(values)
-    return descriptors, columns
+        if name in columns or name not in expected or role != expected[name][0] \
+                or col_type not in expected[name][1]:
+            raise StoreError(f"{path.name}: column {name!r} does not match the manifest schema")
+        columns[name] = _read_column(r, path, n_rows, role, col_type)
+    if r.pos != len(data):
+        raise StoreError(f"{path.name}: trailing bytes after the last column")
+    cells = list(zip(*(columns[d.name] for d in dims))) if dims else [()] * n_rows
+    measures = zip(*(columns[m] for m in measure_names)) if measure_names else [()] * n_rows
+    return [(cell, dict(zip(measure_names, values))) for cell, values in zip(cells, measures)]
 
 
 def _cell_sort_key(cell: tuple) -> tuple:
@@ -265,21 +291,6 @@ def materialize(cube: AbstractCube, dims: Sequence[str], path) -> None:
     })
 
 
-def _decode_cells(schema: DimensionSchema, descriptors, columns) -> dict[tuple, dict]:
-    names = [d[0] for d in descriptors]
-    dim_names = [n for n, role, _ in descriptors if role == _ROLE_DIM]
-    measure_names = [n for n, role, _ in descriptors if role == _ROLE_MEASURE]
-    if tuple(dim_names) != schema.dimension_names or tuple(measure_names) != schema.measure_names:
-        raise StoreError("part columns do not match the manifest schema")
-    by_name = dict(zip(names, columns))
-    n_rows = len(columns[0]) if columns else 0
-    cells = {}
-    for i in range(n_rows):
-        cell = tuple(by_name[d][i] for d in dim_names)
-        cells[cell] = {m: by_name[m][i] for m in measure_names}
-    return cells
-
-
 def load_cellset(path) -> CellsetCube:
     """Load a materialized cellset store, verifying its checksum."""
     path = Path(path)
@@ -288,8 +299,9 @@ def load_cellset(path) -> CellsetCube:
         raise StoreError(f"store at {path} is kind {manifest['kind']!r}, not a plain cellset")
     schema = schema_from_dict(manifest["schema"])
     (part,) = manifest["parts"]
-    descriptors, columns = _read_part(path / part["file"], part["checksum"])
-    return CellsetCube(schema, _decode_cells(schema, descriptors, columns))
+    rows = _read_part(path / part["file"], part["checksum"], schema.dimensions,
+                      schema.measure_names)
+    return CellsetCube(schema, dict(rows))
 
 
 def chunk_by_partition(cube: BaseTableGroupByCube, partition_dim: str,
@@ -362,6 +374,22 @@ class _PartitionedStore(AbstractCube):
         """Yield (partition value, cell tuple, measure dict) for matching cells."""
         raise NotImplementedError
 
+    def _read(self, part: dict) -> list[tuple[tuple, dict]]:
+        """Decode one part file, counting the read; its cells list ``_part_dims``."""
+        rows = _read_part(self.path / part["file"], part["checksum"], self._part_dims,
+                          self._schema.measure_names)
+        self.counters[self._read_counter] += 1
+        # parts are written from base-table aggregates, which are never NULL
+        if any(None in measures.values() for _, measures in rows):
+            raise StoreError(f"{part['file']}: NULL measure in a partitioned store")
+        return rows
+
+    def _matches(self, cell: tuple, needed: frozenset, bindings: dict) -> bool:
+        """True iff ``cell`` is concrete on exactly ``needed`` and agrees with ``bindings``."""
+        by_name = dict(zip(self.cell_dims, cell))
+        return (frozenset(d for d, v in by_name.items() if v is not ANY) == needed
+                and all(by_name[d] == v for d, v in bindings.items()))
+
     def view(self, region: Region, request: FeatureRequest,
              partition_range: tuple | None = None) -> FeatureFrame:
         self._check(region, request)
@@ -426,36 +454,18 @@ class ChunkStore(_PartitionedStore):
     def __init__(self, path):
         super().__init__(path)
         self._parts = [(decode_value(p["key"]), p) for p in self.manifest["parts"]]
+        self._part_dims = tuple(self._schema.dimension(d) for d in self.cell_dims)
 
     def partition_values(self) -> tuple:
         return tuple(v for v, _ in self._parts)
 
-    def _load_chunk(self, part: dict) -> dict[tuple, dict]:
-        descriptors, columns = _read_part(self.path / part["file"], part["checksum"])
-        self.counters[self._read_counter] += 1
-        names = [d[0] for d in descriptors]
-        by_name = dict(zip(names, columns))
-        n_rows = len(columns[0]) if columns else 0
-        cells = {}
-        for i in range(n_rows):
-            cell = tuple(by_name[d][i] for d in self.cell_dims)
-            cells[cell] = {m: by_name[m][i] for m in self._schema.measure_names}
-        return cells
-
     def _iter_matching(self, needed, bindings, values):
         wanted = set(values)
         for value, part in self._parts:
-            if value not in wanted:
-                continue
-            cells = self._load_chunk(part)
-            for cell, measures in cells.items():
-                by_name = dict(zip(self.cell_dims, cell))
-                concrete = frozenset(d for d, v in by_name.items() if v is not ANY)
-                if concrete != needed:
-                    continue
-                if any(by_name[d] != v for d, v in bindings.items()):
-                    continue
-                yield value, cell, measures
+            if value in wanted:
+                for cell, measures in self._read(part):
+                    if self._matches(cell, needed, bindings):
+                        yield value, cell, measures
 
 
 def rechunk(store: ChunkStore, path) -> "RechunkedStore":
@@ -464,9 +474,8 @@ def rechunk(store: ChunkStore, path) -> "RechunkedStore":
     path.mkdir(parents=True, exist_ok=True)
     slices: dict[tuple, list] = {}
     for value, part in store._parts:
-        for cell, measures in store._load_chunk(part).items():
+        for cell, measures in store._read(part):
             slices.setdefault(cell, []).append((value, measures))
-    cell_dims = tuple(d for d in store.schema.dimensions if d.name in store.cell_dims)
     partition_dimension = store.schema.dimension(store.partition_dim)
     parts = []
     for i, cell in enumerate(sorted(slices, key=_cell_sort_key)):
@@ -502,34 +511,18 @@ class RechunkedStore(_PartitionedStore):
         self._parts = [(tuple(decode_value(v) for v in p["key"]), p)
                        for p in self.manifest["parts"]]
         self._values = tuple(decode_value(v) for v in self.manifest["partition_values"])
+        self._part_dims = (self._schema.dimension(self.partition_dim),)
 
     def partition_values(self) -> tuple:
         return self._values
 
-    def _load_slice(self, part: dict) -> list[tuple]:
-        descriptors, columns = _read_part(self.path / part["file"], part["checksum"])
-        self.counters[self._read_counter] += 1
-        names = [d[0] for d in descriptors]
-        by_name = dict(zip(names, columns))
-        n_rows = len(columns[0]) if columns else 0
-        return [
-            (by_name[self.partition_dim][i],
-             {m: by_name[m][i] for m in self._schema.measure_names})
-            for i in range(n_rows)
-        ]
-
     def _iter_matching(self, needed, bindings, values):
         wanted = set(values)
         for cell, part in self._parts:
-            by_name = dict(zip(self.cell_dims, cell))
-            concrete = frozenset(d for d, v in by_name.items() if v is not ANY)
-            if concrete != needed:
-                continue
-            if any(by_name[d] != v for d, v in bindings.items()):
-                continue
-            for value, measures in self._load_slice(part):
-                if value in wanted:
-                    yield value, cell, measures
+            if self._matches(cell, needed, bindings):
+                for (value,), measures in self._read(part):
+                    if value in wanted:
+                        yield value, cell, measures
 
 
 def load_store(path) -> AbstractCube:

@@ -10,6 +10,7 @@ from cubecrawl import (
     BaseTableGroupByCube,
     Dimension,
     DimensionSchema,
+    FeatureRequest,
     Measure,
     Table,
 )
@@ -91,3 +92,10 @@ def random_transactions(rng: random.Random, max_items=8, max_txns=50, min_items_
         size = rng.randint(min_items_per_txn, max(min_items_per_txn, len(items) - 1))
         txns.append(set(rng.sample(items, size)))
     return txns
+
+
+def assert_values_match_view(cube, region, dims):
+    """``region_values`` is the view of one attribute, whether free or bound."""
+    for d in dims:
+        frame = cube.view(region, FeatureRequest((d,), ()))
+        assert cube.region_values(region, d) == frame.attribute_column(d), (region, d)

@@ -167,6 +167,32 @@ class TestConfigHandling:
         error = json.loads(line)["error"]
         assert error["type"] == "ConfigError" and "HOCA_SAFETY_CAP" in error["message"]
 
+    @pytest.mark.parametrize("where, command, code, error", [
+        ("config", "crawl", 2, "ConfigError"), ("input", "crawl", 4, "DataError"),
+        ("metrics", "attribute", 4, "DataError"), ("result", "join", 4, "DataError"),
+    ])
+    def test_text_that_is_not_utf8_is_one_error_record(self, tmp_path, capsys, where, command,
+                                                       code, error):
+        config = t1_crawl_config(tmp_path)
+        bad = config if where == "config" else tmp_path / "t1.csv"
+        if where in ("metrics", "result"):
+            bad = tmp_path / "m.csv"
+            bad.write_text("region,w_control,w_test\n,60,65\nDevice=Pixel,10,15\n")
+            source = {"kind": "result_csv", "path": str(bad),
+                      "dimensions": [{"name": "Device"}], "signals": ["w_test"]}
+            section = ({"attribute": {"metrics_csv": str(bad), "kind": "summable"}}
+                       if where == "metrics" else
+                       {"join": {"left": source, "right": source, "on": ["Device"]}})
+            config = write_config(tmp_path / "run2.json", {"spec_version": 1, **section})
+        # a Latin-1 e-acute is not valid UTF-8
+        bad.write_bytes(bad.read_bytes().replace(b"Device", b"D\xe9vice", 1))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--output", str(out)]) == code
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)["error"]
+        assert record["type"] == error and str(bad) in record["message"]
+
 
 class TestCrawlCommand:
     def test_fim_fixture_emits_five_records(self, tmp_path):

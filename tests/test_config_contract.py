@@ -64,8 +64,18 @@ def _configs(root: Path) -> dict:
     crawl = {"spec_version": 1,
              "input": {"csv": str(root / "t1.csv"), "schema": SCHEMA, "constants": {}},
              "crawl": {
-                 "models": [{"model": "entity_weight", "params": {"metric": "Revenue"},
-                             "gate": False, "pushdown": [["Clicks", ">=", 0]]}],
+                 "models": [
+                     {"model": "entity_weight", "gate": False, "pushdown": [["Clicks", ">=", 0]],
+                      "params": {"metric": "Revenue", "min_weight_pushdown": 0,
+                                 "name": "weight"}},
+                     {"model": "id", "params": {"metrics": ["Clicks"],
+                                                "apriori": {"Clicks": True}}},
+                     {"model": "diff", "params": {"weight_measure": "Revenue",
+                                                  "segment_dim": "is_test",
+                                                  "test_value": True, "epsilon": 0.5}},
+                     {"model": "entity", "params": {"entity_columns": ["Browser"]}},
+                     {"model": "window_outlier", "params": {"date_dim": "Browser",
+                                                            "metric": "Clicks", "window": 1}}],
                  "dimensions": ["Device", "Browser"],
                  "grouping_sets": [["Device"], ["Device", "Browser"]],
                  "thresholds": {"total_weight": 10},
@@ -88,7 +98,8 @@ def _configs(root: Path) -> dict:
         "action": "rechunk", "source": {"kind": "store", "path": str(root / "chunks")}}}
     return {
         "crawl": (crawl, [(), ("input",), ("input", "schema"), ("crawl",),
-                          ("crawl", "models", 0), ("crawl", "top_n")]),
+                          ("crawl", "models", 0), ("crawl", "top_n")]
+                  + [("crawl", "models", i, "params") for i in range(5)]),
         "attribute": (attribute, [(), ("attribute",), ("attribute", "columns"),
                                   ("attribute", "population")]),
         "join": (join, [(), ("join",), ("join", "left"), ("join", "right")]),
@@ -151,3 +162,21 @@ def test_numbers_beyond_float_range_are_rejected(configs, where):
     assert code == 2
     (line,) = stderr.splitlines()
     assert json.loads(line)["error"]["exit_code"] == 2
+
+
+@pytest.mark.parametrize("model, key, value", [
+    ("diff", "epsilon", "x"), ("window_outlier", "window", "x"),
+    ("entity_weight", "min_weight_pushdown", "x"), ("id", "metrics", 5),
+    ("entity", "entity_columns", 5), ("entity_weight", "name", ["w"]), ("id", "apriori", [1]),
+])
+def test_wrongly_typed_model_params_name_their_key(configs, model, key, value):
+    config = copy.deepcopy(configs["crawl"][0])
+    models = config["crawl"]["models"]
+    index = [m["model"] for m in models].index(model)
+    models[index]["params"][key] = value
+    code, stderr = _run(config, "crawl")
+    assert code == 2
+    (line,) = stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "ConfigError"
+    assert f"crawl.models[{index}].params.{key}:" in error["message"]

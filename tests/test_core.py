@@ -14,14 +14,14 @@ from cubecrawl import (
     Region,
     Table,
     build_cellset,
-    cube_view,
     filter_by_region,
     region_precedes,
 )
 from cubecrawl.core import ANY, NULL
 from cubecrawl.errors import SchemaError
 
-from conftest import T1_COLUMNS, T1_ROWS, random_table, t1_cube, t1_row_dicts, t1_schema
+from conftest import (T1_COLUMNS, T1_ROWS, assert_values_match_view, random_table, t1_cube,
+                      t1_row_dicts, t1_schema)
 import oracles
 
 
@@ -62,25 +62,25 @@ class TestFilterByRegion:
 
 class TestCubeView:
     def test_population_total(self, sales_cube):
-        frame = cube_view(sales_cube, EMPTY_REGION, FeatureRequest((), ("Revenue",)))
+        frame = sales_cube.view(EMPTY_REGION, FeatureRequest((), ("Revenue",)))
         assert frame.n_rows == 1
         assert frame.value("Revenue") == 125
 
     def test_grouped_view(self, sales_cube):
-        frame = cube_view(sales_cube, Region({"Device": "Pixel"}),
-                          FeatureRequest(("Browser",), ("Revenue",)))
+        frame = sales_cube.view(Region({"Device": "Pixel"}),
+                                FeatureRequest(("Browser",), ("Revenue",)))
         assert list(frame.iter_rows()) == [(("Chrome",), (25,)), (("Safari",), (45,))]
 
     def test_single_row_filter(self, sales_cube):
         region = Region({"Device": "Pixel", "Browser": "Chrome", "is_test": True})
-        frame = cube_view(sales_cube, region, FeatureRequest((), ("Clicks",)))
+        frame = sales_cube.view(region, FeatureRequest((), ("Clicks",)))
         assert frame.value("Clicks") == 5
 
     def test_unknown_feature(self, sales_cube):
         with pytest.raises(SchemaError):
-            cube_view(sales_cube, EMPTY_REGION, FeatureRequest((), ("Margin",)))
+            sales_cube.view(EMPTY_REGION, FeatureRequest((), ("Margin",)))
         with pytest.raises(SchemaError):
-            cube_view(sales_cube, EMPTY_REGION, FeatureRequest(("Revenue",), ()))
+            sales_cube.view(EMPTY_REGION, FeatureRequest(("Revenue",), ()))
 
     def test_matches_plain_dict_oracle(self):
         rng = random.Random(11)
@@ -178,6 +178,7 @@ class TestCellset:
 
     def test_cube_function_equivalence_randomized(self):
         rng = random.Random(23)
+        absent = 0
         for _ in range(15):
             table, schema = random_table(rng, n_measures=2)
             cube = BaseTableGroupByCube(table, schema)
@@ -190,6 +191,10 @@ class TestCellset:
                 attrs = tuple(rng.sample(free, rng.randint(0, len(free))))
                 request = FeatureRequest(attrs, ("m0", "m1"))
                 assert cellset.view(region, request) == cube.view(region, request)
+                absent += not cube.view(region, FeatureRequest((), ("m0",))).n_rows
+                assert_values_match_view(cube, region, dims)
+                assert_values_match_view(cellset, region, dims)
+        assert absent
 
     def test_region_values(self, sales_cube):
         cellset = build_cellset(sales_cube, ["Device", "Browser"])

@@ -16,14 +16,13 @@ from cubecrawl import (
     Region,
     Table,
     join_cubes,
-    joined_view,
     naive_crawl,
     top_down_crawl,
 )
 from cubecrawl.core import NULL
-from cubecrawl.errors import JoinError, RequestError
+from cubecrawl.errors import JoinError, RequestError, SpecError
 
-from conftest import random_table, t1_cube
+from conftest import assert_values_match_view, random_table, t1_cube
 
 
 def two_sided_tables(rng, join_dims=("k0", "k1"), max_values=3):
@@ -53,9 +52,9 @@ class TestJoinValidation:
             join_cubes(sales_cube, other, JoinSpec(on=("Device",)))
 
     def test_kind_and_strategy_validation(self, sales_cube):
-        with pytest.raises(JoinError):
+        with pytest.raises(SpecError):
             JoinSpec(on=("Device",), kind="outer")
-        with pytest.raises(JoinError):
+        with pytest.raises(SpecError):
             join_cubes(sales_cube, sales_cube, JoinSpec(on=("Device",)), strategy="hybrid")
 
     def test_ambiguous_measure_needs_prefix(self, sales_cube):
@@ -106,6 +105,9 @@ class TestJoinUseCase:
             request = FeatureRequest((), ("all.total_weight", "top.total_weight"))
             assert joined.view(Region({"Device": "iPhone"}), request).n_rows == 0
             assert joined.view(Region({"Device": "Pixel"}), request).n_rows == 1
+            for cube in (everything, only_pixel, joined):
+                for region in (EMPTY_REGION, Region({"Device": "iPhone"})):
+                    assert_values_match_view(cube, region, ("Device",))
 
     def test_left_join_carries_absent_right_sentinel(self, sales_cube):
         spec_all = CrawlSpec(models=[EntityWeightModel("Revenue")],
@@ -141,6 +143,8 @@ class TestStrategyEquivalence:
                     attrs = tuple(rng.sample(free, rng.randint(0, len(free))))
                     request = FeatureRequest(attrs, measures)
                     assert local.view(region, request) == glob.view(region, request)
+                    assert_values_match_view(local, region, dims)
+                    assert_values_match_view(glob, region, dims)
 
     def test_join_count_accounting(self):
         rng = random.Random(71)
@@ -203,11 +207,3 @@ class TestCrawlOverJoinedCube:
                            thresholds={"l.total_weight": 60.0})
         second = top_down_crawl(joined, crawl2)
         assert set(second.entries) == {EMPTY_REGION, Region({"Device": "Pixel"})}
-
-
-class TestJoinedViewFunction:
-    def test_joined_view_delegates(self, sales_cube):
-        joined = join_cubes(sales_cube, sales_cube,
-                            JoinSpec(on=("Device", "Browser", "is_test")), "local")
-        request = FeatureRequest((), ("left.Revenue",))
-        assert joined_view(joined, EMPTY_REGION, request) == joined.view(EMPTY_REGION, request)

@@ -18,6 +18,7 @@ from cubecrawl import (
     FrequentItemsetModel,
     IdModel,
     Measure,
+    PushdownTerm,
     Region,
     Table,
     WindowOutlierModel,
@@ -26,7 +27,7 @@ from cubecrawl import (
     naive_crawl,
     region_precedes,
 )
-from cubecrawl.errors import ContractError, DataError, ModelError, SchemaError
+from cubecrawl.errors import ContractError, DataError, ModelError, SchemaError, SpecError
 
 from conftest import random_table, t1_cube, t1_row_dicts
 import oracles
@@ -94,6 +95,18 @@ class TestEvaluateContract:
         cube = BaseTableGroupByCube(table, schema)
         with pytest.raises(DataError):
             evaluate_at(cube, EntityWeightModel("m"), Region({"X": "a"}))
+
+
+def test_pushdown_values_and_epsilon_must_be_finite():
+    for value in (math.nan, math.inf, -math.inf, 10 ** 400, "1"):
+        with pytest.raises(SpecError):
+            PushdownTerm("Revenue", ">=", value)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(SpecError):
+            EntityWeightModel("Revenue", min_weight_pushdown=value)
+    for epsilon in (math.nan, math.inf, -1.0):
+        with pytest.raises(SpecError):
+            DiffModel("Revenue", epsilon=epsilon)
 
 
 class TestDiffModel:

@@ -26,7 +26,7 @@ from cubecrawl import (
 )
 from cubecrawl.errors import StoreError
 
-from conftest import random_table, t1_cube
+from conftest import assert_values_match_view, random_table, t1_cube
 
 
 def daily_cube(n_days=10, devices=("A", "B", "C"), seed=0):
@@ -215,6 +215,8 @@ class TestEncodingInvariance:
                 assert flat.view(region, request) == live
                 assert chunked.view(region, request) == live
                 assert sliced.view(region, request) == live
+                for store in (chunked, sliced):
+                    assert_values_match_view(store, region, ("Device", "date"))
 
     def test_windowed_read_amplification_ordering(self, tmp_path):
         cube = daily_cube(n_days=9)
@@ -282,3 +284,60 @@ class TestStoreAsCube:
         assert set(out_chunked.entries) == {EMPTY_REGION, Region({"Device": "A"})}
         assert (sliced.counters["slice_reads"] - slice_start) < \
             (chunked.counters["chunk_reads"] - chunk_start)
+
+
+class TestDecoderFuzz:
+    """A part whose checksum matches but whose bytes do not decode is a StoreError."""
+
+    REQUESTS = (FeatureRequest((), ("Revenue",)), FeatureRequest(("Device",), ("Revenue",)),
+                FeatureRequest(("date",), ("Revenue", "ids")))
+
+    @staticmethod
+    def _stores(base: Path) -> dict:
+        cube = daily_cube(n_days=4)
+        materialize(cube, ["Device", "date"], base / "cellset")
+        chunked = chunk_by_partition(cube, "date", ["Device"], base / "chunked")
+        rechunk(chunked, base / "rechunked")
+        return {kind: base / kind for kind in ("cellset", "chunked", "rechunked")}
+
+    @staticmethod
+    def _replace_part(store_dir: Path, index: int, data: bytes) -> None:
+        from cubecrawl.store import _checksum
+
+        manifest = json.loads((store_dir / "manifest.json").read_text())
+        part = manifest["parts"][index]
+        (store_dir / part["file"]).write_bytes(data)
+        part["checksum"] = _checksum(data)
+        (store_dir / "manifest.json").write_text(json.dumps(manifest))
+
+    def _read_all(self, store_dir: Path) -> None:
+        store = load_store(store_dir)
+        for request in self.REQUESTS:
+            for region in (EMPTY_REGION, Region({"Device": "B"})):
+                store.view(region, request)
+
+    @pytest.mark.parametrize("kind", ["cellset", "chunked", "rechunked"])
+    def test_mutated_part_is_a_store_error(self, tmp_path, kind):
+        store_dir = self._stores(tmp_path)[kind]
+        files = [p["file"] for p in json.loads((store_dir / "manifest.json").read_text())["parts"]]
+        originals = [(store_dir / f).read_bytes() for f in files]
+        rng = random.Random(f"fuzz:{kind}")
+        for _ in range(200):
+            index = rng.randrange(len(files))
+            data = bytearray(originals[index])
+            for _ in range(rng.randint(1, 3)):
+                data[rng.randrange(len(data))] = rng.randrange(256)
+            self._replace_part(store_dir, index, bytes(data))
+            try:
+                self._read_all(store_dir)
+            except StoreError:
+                pass
+            self._replace_part(store_dir, index, originals[index])
+        self._read_all(store_dir)
+
+    def test_slice_part_in_place_of_a_chunk_part(self, tmp_path):
+        stores = self._stores(tmp_path)
+        slice_bytes = (stores["rechunked"] / "slice-00000.bin").read_bytes()
+        self._replace_part(stores["chunked"], 0, slice_bytes)
+        with pytest.raises(StoreError, match="manifest schema"):
+            self._read_all(stores["chunked"])
