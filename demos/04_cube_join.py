@@ -42,7 +42,7 @@ for strategy in ("local", "global"):
     joined = join_cubes(this_week, last_week, jspec, strategy)
     frame = joined.view(EMPTY_REGION, FeatureRequest(
         ("Device",), ("cur.total_weight", "hist.total_weight")))
-    print(f"[{strategy}] counters={joined.counters}")
+    print(f"[{strategy}] counters={dict(joined.counters)}")
     for (device,), (cur, hist) in frame.iter_rows():
         hist_text = f"{hist:7.1f}" if hist is not None else "  (new)"
         print(f"  {device:7s} now={cur:6.1f} before={hist_text}")
@@ -54,7 +54,7 @@ for device in ("Pixel", "iPhone", "Nokia"):
     request = FeatureRequest((), ("cur.total_weight",))
     local.view(Region({"Device": device}), request)
     glob.view(Region({"Device": device}), request)
-print("local:", local.counters, "| global:", glob.counters)
+print("local:", dict(local.counters), "| global:", dict(glob.counters))
 
 print("\n== composition: crawl the joined cube for grown regions ==")
 inner = join_cubes(this_week, last_week,

@@ -26,6 +26,7 @@ from .core import (
     DimensionSchema,
     FeatureFrame,
     FeatureRequest,
+    Instrumentation,
     Measure,
     Region,
     Table,
@@ -35,8 +36,6 @@ from .core import (
 )
 from .crawler import (
     CrawlSpec,
-    Frontier,
-    Instrumentation,
     ResultCube,
     apply_pushdown,
     exhaustive_top_n,

@@ -29,19 +29,14 @@ from .core import (
     BaseTableGroupByCube,
     CellsetCube,
     DimensionSchema,
+    Instrumentation,
     Region,
     Table,
     format_value,
     schema_from_dict,
     utf8_rows,
 )
-from .crawler import (
-    CrawlSpec,
-    Instrumentation,
-    ResultCube,
-    naive_crawl,
-    top_down_crawl,
-)
+from .crawler import CrawlSpec, ResultCube, naive_crawl, top_down_crawl
 from .errors import (
     ConfigError,
     CubeError,
@@ -274,11 +269,11 @@ class SourceConfig:
                                       where))
         raise ConfigError(f"{where}.kind: unknown source kind {kind!r}")
 
-    def load_cube(self):
+    def load_cube(self, instr: Instrumentation):
         if self.table is not None:
             return self.table.load_cube()
         if self.schema is None:
-            return store_mod.load_store(self.path)
+            return store_mod.load_store(self.path, instr)
         return _load_result_csv(self.path, self.schema)
 
 
@@ -466,19 +461,17 @@ def _require(value, name: str):
     return value
 
 
-def cmd_crawl(config: RunConfig, args) -> int:
+def cmd_crawl(config: RunConfig, args, instr: Instrumentation) -> int:
     spec = _require(config.crawl, "crawl")
     cube = _require(config.input, "input").load_cube()
-    instr = Instrumentation()
     use_naive = args.oracle == "naive" or config.crawl_mode == "naive"
     result = (naive_crawl if use_naive else top_down_crawl)(cube, spec, instrumentation=instr)
     records = result_records(result, spec.top_n is not None)
     write_records(records, result.signal_names, args.format, args.output)
-    _write_instrumentation(args, instr)
     return EXIT_OK
 
 
-def cmd_attribute(config: RunConfig, args) -> int:
+def cmd_attribute(config: RunConfig, args, instr: Instrumentation) -> int:
     cfg = _require(config.attribute, "attribute")
     density = cfg.kind == "density"
     col = cfg.column
@@ -556,55 +549,34 @@ def cmd_attribute(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_join(config: RunConfig, args) -> int:
+def cmd_join(config: RunConfig, args, instr: Instrumentation) -> int:
     cfg = _require(config.join, "join")
-    left = cfg.left.load_cube()
-    right = cfg.right.load_cube()
-    joined = join_cubes(left, right, cfg.spec, strategy=cfg.strategy)
+    left = cfg.left.load_cube(instr)
+    right = cfg.right.load_cube(instr)
+    joined = join_cubes(left, right, cfg.spec, strategy=cfg.strategy, instrumentation=instr)
     cellset = joined.to_cellset()
     store_mod.materialize(cellset, cellset.schema.dimension_names, args.output)
-    _write_instrumentation(args, _store_instrumentation(joined))
     return EXIT_OK
 
 
-def cmd_materialize(config: RunConfig, args) -> int:
+def cmd_materialize(config: RunConfig, args, instr: Instrumentation) -> int:
     cfg = _require(config.materialize, "materialize")
+    cube = cfg.source.load_cube(instr)
     if cfg.action == "rechunk":
-        source = cfg.source.load_cube()
-        if not isinstance(source, store_mod.ChunkStore):
+        if not isinstance(cube, store_mod.ChunkStore):
             raise ConfigError("rechunk needs a 'store' source pointing at a chunked store")
-        result_store = store_mod.rechunk(source, args.output)
-        _write_instrumentation(args, _store_instrumentation(source, result_store))
-        return EXIT_OK
-    cube = cfg.source.load_cube()
-    if cfg.action == "materialize":
+        store_mod.rechunk(cube, args.output)
+    elif cfg.action == "materialize":
         dims = cfg.dims if cfg.dims is not None else list(cube.schema.dimension_names)
         store_mod.materialize(cube, dims, args.output)
-        _write_instrumentation(args, Instrumentation())
-        return EXIT_OK
-    if cfg.partition_dim is None:
-        raise ConfigError("chunk action needs 'partition_dim'")
-    dims = cfg.dims
-    if dims is None:
-        dims = [d for d in cube.schema.dimension_names if d != cfg.partition_dim]
-    chunked = store_mod.chunk_by_partition(cube, cfg.partition_dim, dims, args.output)
-    _write_instrumentation(args, _store_instrumentation(chunked))
+    else:
+        if cfg.partition_dim is None:
+            raise ConfigError("chunk action needs 'partition_dim'")
+        dims = cfg.dims
+        if dims is None:
+            dims = [d for d in cube.schema.dimension_names if d != cfg.partition_dim]
+        store_mod.chunk_by_partition(cube, cfg.partition_dim, dims, args.output)
     return EXIT_OK
-
-
-def _store_instrumentation(*stores) -> Instrumentation:
-    instr = Instrumentation()
-    for s in stores:
-        for name, value in s.counters.items():
-            instr.incr(name, value)
-    return instr
-
-
-def _write_instrumentation(args, instr: Instrumentation) -> None:
-    if getattr(args, "instrument", None):
-        path = Path(args.instrument)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(instr.snapshot(), indent=1, sort_keys=True), encoding="utf-8")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -646,9 +618,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not hasattr(args, "oracle"):
         args.oracle = None
+    instr = Instrumentation()
     try:
         config = load_config(args.config)
-        return _HANDLERS[args.command](config, args)
+        code = _HANDLERS[args.command](config, args, instr)
+        if args.instrument:
+            path = Path(args.instrument)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(instr.snapshot(), indent=1, sort_keys=True),
+                            encoding="utf-8")
+        return code
     except CubeError as exc:
         code = _exit_code_for(exc)
         record = {"error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code}}

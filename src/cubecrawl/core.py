@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -456,6 +457,27 @@ def filter_by_region(table: Table, region: Region) -> Table:
     return table.subset(keep)
 
 
+class Instrumentation:
+    """Run counters and per-model invocation counts, added to by every layer of a run.
+
+    A counter appears once something has counted it.  An instance belongs to
+    one thread: nothing guards concurrent updates.
+    """
+
+    def __init__(self):
+        self.counters: Counter[str] = Counter()
+        self.model_invocations: Counter[str] = Counter()
+
+    def get(self, name: str) -> int:
+        return self.counters[name]
+
+    def snapshot(self) -> dict:
+        return {
+            "counters": dict(sorted(self.counters.items())),
+            "model_invocations": dict(sorted(self.model_invocations.items())),
+        }
+
+
 class RegionCursor:
     """A cube bound at one region: cheap views, child values, and refinement.
 
@@ -624,8 +646,6 @@ class CellsetCube(AbstractCube):
         for cell in norm:
             mask = frozenset(names[i] for i, v in enumerate(cell) if v is not ANY)
             self._by_mask.setdefault(mask, []).append(cell)
-        for cells_for_mask in self._by_mask.values():
-            cells_for_mask.sort(key=lambda c: tuple(format_value(v) for v in c))
 
     @property
     def schema(self) -> DimensionSchema:

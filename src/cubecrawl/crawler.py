@@ -28,6 +28,7 @@ from .core import (
     Dimension,
     DimensionSchema,
     FeatureRequest,
+    Instrumentation,
     Measure,
     Region,
     RegionCursor,
@@ -46,32 +47,6 @@ from .models import (
 
 DEFAULT_SAFETY_CAP = 1_000_000
 SAFETY_CAP_ENV = "HOCA_SAFETY_CAP"
-
-
-class Instrumentation:
-    """Run counters (regions evaluated, frames materialized, ...).
-
-    An instance belongs to one thread: nothing guards concurrent updates.
-    """
-
-    def __init__(self):
-        self.counters: dict[str, int] = {}
-        self.model_invocations: dict[str, int] = {}
-
-    def incr(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
-
-    def incr_model(self, model_name: str) -> None:
-        self.model_invocations[model_name] = self.model_invocations.get(model_name, 0) + 1
-
-    def get(self, name: str) -> int:
-        return self.counters.get(name, 0)
-
-    def snapshot(self) -> dict:
-        return {
-            "counters": dict(sorted(self.counters.items())),
-            "model_invocations": dict(sorted(self.model_invocations.items())),
-        }
 
 
 @dataclass
@@ -158,36 +133,6 @@ class _Entry:
     signals: dict[str, float]
     passed: bool
     prune: bool
-
-
-class Frontier:
-    """Pending regions; a stack gives DFS, a queue gives BFS.
-
-    No region is pushed twice, so no set of seen regions is kept:
-    ``_children`` binds only dimensions ordered after a region's last bound
-    one, so every region has exactly one parent.
-    """
-
-    def __init__(self, exploration: str):
-        if exploration not in ("bfs", "dfs"):
-            raise SpecError(f"unknown exploration strategy {exploration!r}")
-        self.exploration = exploration
-        self._pending: deque[_Entry] = deque()
-
-    def push(self, entries: Iterable[_Entry]) -> None:
-        self._pending.extend(entries)
-
-    def pop_batch(self, size: int) -> list[_Entry]:
-        out = []
-        for _ in range(min(size, len(self._pending))):
-            if self.exploration == "dfs":
-                out.append(self._pending.pop())
-            else:
-                out.append(self._pending.popleft())
-        return out
-
-    def __len__(self):
-        return len(self._pending)
 
 
 class _Resolved:
@@ -356,7 +301,7 @@ def _population_frames(cube, resolved, instr) -> dict[str, object]:
     for model in resolved.models:
         if model.population_request is not None:
             frames[model.name] = cube.view(EMPTY_REGION, model.population_request)
-            instr.incr("population_frames")
+            instr.counters["population_frames"] += 1
     return frames
 
 
@@ -371,11 +316,11 @@ def _evaluate_region(cursor: RegionCursor, resolved: _Resolved, pop_frames: dict
     prune = False
     for model in resolved.models:
         if model.pushdown:
-            instr.incr("pushdown_evaluations")
+            instr.counters["pushdown_evaluations"] += 1
             measures = tuple(dict.fromkeys(t.measure for t in model.pushdown))
             frame = cursor.view(FeatureRequest((), measures))
             if not all(t.passes(_aggregate_sum(frame, t.measure)) for t in model.pushdown):
-                instr.incr("pushdown_rejections")
+                instr.counters["pushdown_rejections"] += 1
                 passed = False
                 if any(t.op in PRUNING_OPS for t in model.pushdown):
                     prune = True
@@ -383,8 +328,8 @@ def _evaluate_region(cursor: RegionCursor, resolved: _Resolved, pop_frames: dict
                     break
                 continue
         frame = cursor.view(model.request)
-        instr.incr("frames_materialized")
-        instr.incr_model(model.name)
+        instr.counters["frames_materialized"] += 1
+        instr.model_invocations[model.name] += 1
         ctx = EvaluationContext(cursor.region, frame, pop_frames.get(model.name))
         signals.update(model.run(ctx))
         model_failed = False
@@ -499,10 +444,10 @@ def naive_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
     entries: dict[Region, dict[str, float]] = {}
     for region in regions:
         entry = _evaluate_region(cube.bind(region), resolved, pop_frames, instr)
-        instr.incr("regions_evaluated")
+        instr.counters["regions_evaluated"] += 1
         if entry.passed and resolved.emits(region):
             entries[region] = entry.signals
-            instr.incr("regions_emitted")
+            instr.counters["regions_emitted"] += 1
     result = ResultCube(resolved.dims, _signal_names(resolved), entries, resolved.schema)
     if resolved.top_n is not None:
         result = exhaustive_top_n(result, *resolved.top_n)
@@ -541,7 +486,7 @@ def top_down_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
 
     def evaluate(cursor: RegionCursor, parent: _Entry | None) -> _Entry:
         entry = _evaluate_region(cursor, resolved, pop_frames, instr)
-        instr.incr("regions_evaluated")
+        instr.counters["regions_evaluated"] += 1
         if validate_apriori and parent is not None:
             for s, flag in resolved.apriori_flags.items():
                 if (flag and s in entry.signals and s in parent.signals
@@ -553,17 +498,20 @@ def top_down_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
         if entry.passed and resolved.emits(cursor.region):
             entries[cursor.region] = entry.signals
             if sigma is None:
-                instr.incr("regions_emitted")
+                instr.counters["regions_emitted"] += 1
         return entry
 
     threshold = -math.inf
-    frontier = Frontier(resolved.exploration)
-    frontier.push([evaluate(cube.bind(EMPTY_REGION), None)])
-    while len(frontier):
-        for entry in frontier.pop_batch(resolved.batch_size):
+    # pending regions: a stack gives DFS, a queue BFS.  No set of seen regions
+    # is kept: ``_children`` binds only dimensions ordered after a region's
+    # last bound one, so every region has exactly one parent.
+    frontier = deque([evaluate(cube.bind(EMPTY_REGION), None)])
+    pop = frontier.pop if resolved.exploration == "dfs" else frontier.popleft
+    while frontier:
+        for entry in [pop() for _ in range(min(resolved.batch_size, len(frontier)))]:
             if entry.prune or entry.signals.get(sigma, threshold) < threshold:
                 continue
-            frontier.push([evaluate(c, entry) for c in _children(entry.cursor, resolved)])
+            frontier.extend([evaluate(c, entry) for c in _children(entry.cursor, resolved)])
         if sigma is not None and len(entries) >= n:
             ranked = _ranked(entries, sigma, region_key)
             threshold = ranked[n - 1][1][sigma]
@@ -575,7 +523,7 @@ def top_down_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
     if sigma is not None:
         entries = dict(_ranked(entries, sigma, region_key)[:n])
         if entries:  # like the threshold crawl, write no counter for zero regions
-            instr.incr("regions_emitted", len(entries))
+            instr.counters["regions_emitted"] += len(entries)
     return ResultCube(resolved.dims, _signal_names(resolved), entries, resolved.schema)
 
 

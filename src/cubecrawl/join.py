@@ -26,6 +26,7 @@ from .core import (
     DimensionSchema,
     FeatureFrame,
     FeatureRequest,
+    Instrumentation,
     Measure,
     Region,
     build_cellset,
@@ -53,20 +54,17 @@ class JoinSpec:
 
 
 class JoinedCube(AbstractCube):
-    """Two cubes melded on their join dimensions; strategy LOCAL or GLOBAL.
-
-    An instance belongs to one thread: its ``counters`` are updated unguarded.
-    """
+    """Two cubes melded on their join dimensions; strategy LOCAL or GLOBAL."""
 
     def __init__(self, left: AbstractCube, right: AbstractCube, spec: JoinSpec,
-                 strategy: str = "local"):
+                 strategy: str = "local", instrumentation: Instrumentation | None = None):
         if strategy not in ("local", "global"):
             raise SpecError(f"unknown join strategy {strategy!r}")
         self.left = left
         self.right = right
         self.spec = spec
         self.strategy = strategy
-        self.counters = {"local_view_joins": 0, "global_cellset_joins": 0}
+        self.counters = (instrumentation or Instrumentation()).counters
 
         left_schema, right_schema = left.schema, right.schema
         for name in spec.on:
@@ -261,6 +259,7 @@ def _as_cellset(cube: AbstractCube) -> CellsetCube:
 
 
 def join_cubes(left: AbstractCube, right: AbstractCube, spec: JoinSpec,
-               strategy: str = "local") -> JoinedCube:
+               strategy: str = "local",
+               instrumentation: Instrumentation | None = None) -> JoinedCube:
     """Meld two cubes into one; LOCAL defers all work, GLOBAL joins cellsets now."""
-    return JoinedCube(left, right, spec, strategy)
+    return JoinedCube(left, right, spec, strategy, instrumentation)

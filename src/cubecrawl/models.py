@@ -414,19 +414,20 @@ class LambdaModel(RegionAnalysisModel):
 
 def build_model(kind: str, params: Mapping, gate: bool = False,
                 pushdown: Sequence[Sequence] = ()) -> RegionAnalysisModel:
-    """Construct a built-in model from a config mapping (used by run configs)."""
+    """Construct a built-in model from a config mapping (used by run configs).
+
+    ``gate`` and the ``pushdown`` terms apply to every kind; the terms follow
+    any pushdown the kind declares itself (``min_weight_pushdown``).
+    """
     params = dict(params)
     terms = tuple(PushdownTerm(m, op, float(v)) for m, op, v in pushdown)
     try:
         if kind == "id":
             model = IdModel(params.pop("metrics"), apriori=params.pop("apriori", None),
-                            name=params.pop("name", "id"), gate=gate, pushdown=terms)
+                            name=params.pop("name", "id"))
         elif kind == "entity_weight":
             model = EntityWeightModel(params.pop("metric"), name=params.pop("name", "entity_weight"),
-                                      gate=gate,
                                       min_weight_pushdown=params.pop("min_weight_pushdown", None))
-            if terms:
-                model.pushdown = model.pushdown + terms
         elif kind == "frequent_itemset":
             model = FrequentItemsetModel(params.pop("support_measure", "support"),
                                          name=params.pop("name", "frequent_itemset"))
@@ -435,27 +436,28 @@ def build_model(kind: str, params: Mapping, gate: bool = False,
                               segment_dim=params.pop("segment_dim", "is_test"),
                               test_value=params.pop("test_value", True),
                               epsilon=params.pop("epsilon", 0.0),
-                              name=params.pop("name", "diff"), gate=gate)
+                              name=params.pop("name", "diff"))
         elif kind == "entity":
-            model = EntityModel(params.pop("entity_columns"), name=params.pop("name", "entity"),
-                                gate=gate)
+            model = EntityModel(params.pop("entity_columns"), name=params.pop("name", "entity"))
         elif kind == "entity_measure":
             model = EntityMeasureModel(params.pop("entity_columns"), params.pop("entity_measure"),
-                                       name=params.pop("name", "entity_measure"), gate=gate)
+                                       name=params.pop("name", "entity_measure"))
         elif kind == "window_outlier":
             model = WindowOutlierModel(params.pop("date_dim"), params.pop("metric"),
                                        params.pop("window"),
-                                       name=params.pop("name", "window_outlier"), gate=gate)
+                                       name=params.pop("name", "window_outlier"))
         elif kind == "attribution":
             model = AttributionModel(params.pop("numerator"),
                                      denominator=params.pop("denominator", None),
                                      segment_dim=params.pop("segment_dim", "is_test"),
                                      test_value=params.pop("test_value", True),
-                                     name=params.pop("name", "attribution"), gate=gate)
+                                     name=params.pop("name", "attribution"))
         else:
             raise SpecError(f"unknown model kind {kind!r}")
     except KeyError as exc:
         raise SpecError(f"model {kind!r} missing parameter {exc.args[0]!r}") from None
     if params:
         raise SpecError(f"model {kind!r} got unknown parameters {sorted(params)}")
+    model.gate = bool(gate)
+    model.pushdown = model.pushdown + terms
     return model

@@ -37,6 +37,7 @@ from .core import (
     DimensionSchema,
     FeatureFrame,
     FeatureRequest,
+    Instrumentation,
     Region,
     _value_sort_key,
     build_cellset,
@@ -59,6 +60,8 @@ _MARKERS = {_ROLE_DIM: bytes((_MARK_VALUE, _MARK_WILDCARD, _MARK_NULL)),
             _ROLE_MEASURE: bytes((_MARK_VALUE, _MARK_NULL))}
 
 _DOMAIN_TYPE = {"string": _STRING, "integer": _INT64, "boolean": _BOOL}
+# a domain's encode_value tag and Python type
+_DOMAIN_TAG = {"string": ("s", str), "integer": ("i", int), "boolean": ("b", bool)}
 
 
 def _checksum(data: bytes) -> str:
@@ -77,16 +80,18 @@ def encode_value(value) -> dict:
     return {"s": str(value)}
 
 
-def decode_value(data: Mapping):
-    if data.get("any"):
-        return ANY
-    if data.get("null"):
-        return NULL
-    if "b" in data:
-        return bool(data["b"])
-    if "i" in data:
-        return int(data["i"])
-    return data["s"]
+def decode_value(data: Mapping, dim: Dimension):
+    """The value of ``dim`` that ``encode_value`` wrote as ``data``: ANY, NULL or of its domain.
+
+    Any other shape is a StoreError.
+    """
+    if isinstance(data, Mapping) and len(data) == 1:
+        ((tag, value),) = data.items()
+        if tag in ("any", "null") and value is True:
+            return ANY if tag == "any" else NULL
+        if (tag, type(value)) == _DOMAIN_TAG[dim.domain]:
+            return value
+    raise StoreError(f"manifest holds {data!r} where a value of {dim.name!r} belongs")
 
 
 def _pack_column(name: str, role: int, col_type: int, markers: list[int], values: list) -> bytes:
@@ -260,17 +265,63 @@ def _write_manifest(path: Path, payload: dict) -> None:
     (path / MANIFEST_NAME).write_text(json.dumps(payload, indent=1, sort_keys=True), encoding="utf-8")
 
 
-def _read_manifest(path: Path) -> dict:
+def _plain_name(name) -> bool:
+    """True iff ``name`` names a file directly inside the store directory."""
+    return (isinstance(name, str) and name not in ("", "..") and "\0" not in name
+            and Path(name).name == name)
+
+
+def _read_manifest(path: Path) -> tuple[dict, DimensionSchema]:
+    """The manifest of the store at ``path`` and its parsed schema.
+
+    Each key the store's kind reads must be present with the shape it is read
+    as, down to the part keys, whose values ``decode_value`` checks against
+    their dimensions' domains as the store decodes them; a part's file must
+    be a plain name inside the store.  Anything else is a ``StoreError``.
+    """
     manifest_path = Path(path) / MANIFEST_NAME
     try:
         payload = json.loads(manifest_path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise StoreError(f"cannot read manifest: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise StoreError(f"manifest is not valid JSON: {exc}") from None
-    if payload.get("format") != "cube-store" or payload.get("version") != FORMAT_VERSION:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise StoreError(f"manifest is not valid UTF-8 JSON: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != "cube-store" \
+            or payload.get("version") != FORMAT_VERSION:
         raise StoreError("not a cube store directory")
-    return payload
+    kind = payload.get("kind")
+    if kind not in ("cellset", "chunked", "rechunked"):
+        raise StoreError(f"unknown store kind {kind!r}")
+    try:
+        schema = schema_from_dict(payload["schema"])
+    except (KeyError, TypeError, AttributeError, SchemaError) as exc:
+        raise StoreError(f"manifest schema is malformed ({exc!r})") from None
+    parts = payload.get("parts")
+    if not isinstance(parts, list):
+        raise StoreError("manifest 'parts' must be a list")
+    if kind == "cellset" and len(parts) != 1:
+        raise StoreError(f"a cellset store has one part, its manifest lists {len(parts)}")
+    for part in parts:
+        if not (isinstance(part, dict) and _plain_name(part.get("file"))
+                and isinstance(part.get("checksum"), str)):
+            raise StoreError(f"manifest part {part!r} needs a checksum and a plain file name")
+    if kind == "cellset":
+        return payload, schema
+    names = schema.dimension_names
+    partition_dim, cell_dims = payload.get("partition_dim"), payload.get("cell_dims")
+    if not (isinstance(partition_dim, str) and partition_dim in names
+            and isinstance(cell_dims, list)
+            and all(isinstance(d, str) and d in names and d != partition_dim for d in cell_dims)):
+        raise StoreError("manifest 'cell_dims' must list dimensions of its schema other than "
+                         "'partition_dim', itself a dimension of the schema")
+    if any("key" not in part for part in parts):
+        raise StoreError("manifest part lacks its 'key'")
+    if kind == "rechunked" and not (
+            isinstance(payload.get("partition_values"), list)
+            and all(isinstance(part["key"], list) and len(part["key"]) == len(cell_dims)
+                    for part in parts)):
+        raise StoreError("manifest needs 'partition_values' and one key value per cell dimension")
+    return payload, schema
 
 
 def materialize(cube: AbstractCube, dims: Sequence[str], path) -> None:
@@ -294,10 +345,9 @@ def materialize(cube: AbstractCube, dims: Sequence[str], path) -> None:
 def load_cellset(path) -> CellsetCube:
     """Load a materialized cellset store, verifying its checksum."""
     path = Path(path)
-    manifest = _read_manifest(path)
+    manifest, schema = _read_manifest(path)
     if manifest["kind"] != "cellset":
         raise StoreError(f"store at {path} is kind {manifest['kind']!r}, not a plain cellset")
-    schema = schema_from_dict(manifest["schema"])
     (part,) = manifest["parts"]
     rows = _read_part(path / part["file"], part["checksum"], schema.dimensions,
                       schema.measure_names)
@@ -346,22 +396,18 @@ def chunk_by_partition(cube: BaseTableGroupByCube, partition_dim: str,
 
 
 class _PartitionedStore(AbstractCube):
-    """Shared view assembly for the chunked and re-chunked encodings.
+    """Shared view assembly for the chunked and re-chunked encodings."""
 
-    An instance belongs to one thread: its read ``counters`` are updated unguarded.
-    """
-
-    def __init__(self, path):
+    def __init__(self, path, instrumentation: Instrumentation | None = None):
         self.path = Path(path)
-        self.manifest = _read_manifest(self.path)
+        self.manifest, self._schema = _read_manifest(self.path)
         if self.manifest["kind"] != self._kind:
             raise StoreError(
                 f"store at {self.path} is kind {self.manifest['kind']!r}, expected {self._kind!r}"
             )
-        self._schema = schema_from_dict(self.manifest["schema"])
         self.partition_dim = self.manifest["partition_dim"]
         self.cell_dims = tuple(self.manifest["cell_dims"])
-        self.counters: dict[str, int] = {self._read_counter: 0}
+        self.counters = (instrumentation or Instrumentation()).counters
 
     @property
     def schema(self) -> DimensionSchema:
@@ -451,9 +497,10 @@ class ChunkStore(_PartitionedStore):
     _kind = "chunked"
     _read_counter = "chunk_reads"
 
-    def __init__(self, path):
-        super().__init__(path)
-        self._parts = [(decode_value(p["key"]), p) for p in self.manifest["parts"]]
+    def __init__(self, path, instrumentation: Instrumentation | None = None):
+        super().__init__(path, instrumentation)
+        partition = self._schema.dimension(self.partition_dim)
+        self._parts = [(decode_value(p["key"], partition), p) for p in self.manifest["parts"]]
         self._part_dims = tuple(self._schema.dimension(d) for d in self.cell_dims)
 
     def partition_values(self) -> tuple:
@@ -506,12 +553,14 @@ class RechunkedStore(_PartitionedStore):
     _kind = "rechunked"
     _read_counter = "slice_reads"
 
-    def __init__(self, path):
-        super().__init__(path)
-        self._parts = [(tuple(decode_value(v) for v in p["key"]), p)
+    def __init__(self, path, instrumentation: Instrumentation | None = None):
+        super().__init__(path, instrumentation)
+        cell_dims = tuple(self._schema.dimension(d) for d in self.cell_dims)
+        self._parts = [(tuple(decode_value(v, d) for v, d in zip(p["key"], cell_dims)), p)
                        for p in self.manifest["parts"]]
-        self._values = tuple(decode_value(v) for v in self.manifest["partition_values"])
         self._part_dims = (self._schema.dimension(self.partition_dim),)
+        self._values = tuple(decode_value(v, self._part_dims[0])
+                             for v in self.manifest["partition_values"])
 
     def partition_values(self) -> tuple:
         return self._values
@@ -525,14 +574,10 @@ class RechunkedStore(_PartitionedStore):
                         yield value, cell, measures
 
 
-def load_store(path) -> AbstractCube:
+def load_store(path, instrumentation: Instrumentation | None = None) -> AbstractCube:
     """Open any store directory as a cube (cellset, chunked, or rechunked)."""
-    manifest = _read_manifest(Path(path))
-    kind = manifest["kind"]
-    if kind == "cellset":
+    manifest, _ = _read_manifest(Path(path))
+    if manifest["kind"] == "cellset":
         return load_cellset(path)
-    if kind == "chunked":
-        return ChunkStore(path)
-    if kind == "rechunked":
-        return RechunkedStore(path)
-    raise StoreError(f"unknown store kind {kind!r}")
+    store_class = ChunkStore if manifest["kind"] == "chunked" else RechunkedStore
+    return store_class(path, instrumentation)

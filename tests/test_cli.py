@@ -47,6 +47,19 @@ def t1_crawl_config(tmp_path: Path, **crawl_overrides) -> Path:
     })
 
 
+def daily_source(tmp_path: Path) -> dict:
+    """A base-table source of 2 devices x 8 dates, written to ``daily.csv``."""
+    with open(tmp_path / "daily.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["Device", "date", "Revenue"])
+        for device in ("A", "B"):
+            for i in range(8):
+                writer.writerow([device, f"d{i}", 10 + i])
+    schema = {"dimensions": [{"name": "Device"}, {"name": "date"}],
+              "measures": [{"name": "Revenue", "agg": "sum", "sources": ["Revenue"]}]}
+    return {"kind": "base_table", "csv": str(tmp_path / "daily.csv"), "schema": schema}
+
+
 def fim_config(tmp_path: Path) -> Path:
     rows = [("t1", "A"), ("t1", "B"), ("t1", "C"), ("t2", "A"), ("t2", "B"),
             ("t3", "A"), ("t3", "C"), ("t4", "B")]
@@ -243,6 +256,15 @@ class TestCrawlCommand:
         payload = json.loads(report.read_text())
         assert payload["counters"]["regions_evaluated"] > 0
         assert "entity_weight" in payload["model_invocations"]
+
+    def test_pushdown_applies_to_every_model_kind(self, tmp_path):
+        # no region reaches the pushdown's Revenue, so nothing may be emitted
+        model = {"model": "diff", "params": {"weight_measure": "Revenue"},
+                 "pushdown": [["Revenue", ">=", 1e9]]}
+        config_path = t1_crawl_config(tmp_path, models=[model], thresholds={})
+        out = tmp_path / "diff.jsonl"
+        assert main(["crawl", "--config", str(config_path), "--output", str(out)]) == 0
+        assert out.read_text() == ""
 
     def test_records_validate_against_schema(self, tmp_path):
         config_path = t1_crawl_config(tmp_path)
@@ -454,15 +476,7 @@ class TestMaterializeCommand:
         assert len(stored_result.entries) == len(live_records)
 
     def test_chunk_then_rechunk(self, tmp_path):
-        with open(tmp_path / "daily.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["Device", "date", "Revenue"])
-            for device in ("A", "B"):
-                for i in range(8):
-                    writer.writerow([device, f"d{i}", 10 + i])
-        schema = {"dimensions": [{"name": "Device"}, {"name": "date"}],
-                  "measures": [{"name": "Revenue", "agg": "sum", "sources": ["Revenue"]}]}
-        source = {"kind": "base_table", "csv": str(tmp_path / "daily.csv"), "schema": schema}
+        source = daily_source(tmp_path)
         chunk_config = write_config(tmp_path / "chunk.json", {
             "spec_version": 1,
             "materialize": {"action": "chunk", "source": source, "dims": ["Device"],
@@ -488,6 +502,66 @@ class TestMaterializeCommand:
         before = sliced.counters["slice_reads"]
         sliced.view(Region({"Device": "A"}), FeatureRequest(("date",), ("Revenue",)))
         assert sliced.counters["slice_reads"] - before == 1
+
+
+class TestInstrumentReport:
+    """Every layer a command runs counts into the command's one ``--instrument`` report."""
+
+    @staticmethod
+    def run(tmp_path, command, section, output, report=True) -> dict | None:
+        config = write_config(tmp_path / f"{output.name}.json", {"spec_version": 1, **section})
+        argv = [command, "--config", str(config), "--output", str(output)]
+        report_path = tmp_path / f"{output.name}.instrument.json"
+        if report:
+            argv += ["--instrument", str(report_path)]
+        assert main(argv) == 0
+        return json.loads(report_path.read_text()) if report else None
+
+    def chunked_store(self, tmp_path) -> dict:
+        """A store source chunked by date (8 chunks) from ``daily_source``."""
+        self.run(tmp_path, "materialize", {"materialize": {
+            "action": "chunk", "source": daily_source(tmp_path), "dims": ["Device"],
+            "partition_dim": "date"}}, tmp_path / "chunks", report=False)
+        return {"kind": "store", "path": str(tmp_path / "chunks")}
+
+    def test_materialize_over_a_chunked_store_counts_its_reads(self, tmp_path):
+        report = self.run(tmp_path, "materialize", {"materialize": {
+            "action": "materialize", "source": self.chunked_store(tmp_path)}},
+            tmp_path / "cells")
+        # one view per mask of (Device, date), each reading all 8 chunks
+        assert report == {"counters": {"chunk_reads": 4 * 8}, "model_invocations": {}}
+
+    def test_local_join_with_a_chunked_side_counts_reads_and_joins(self, tmp_path):
+        report = self.run(tmp_path, "join", {"join": {
+            "left": self.chunked_store(tmp_path), "right": daily_source(tmp_path),
+            "on": ["Device", "date"], "strategy": "local"}}, tmp_path / "joined")
+        # one LOCAL view join per mask of (Device, date), each reading all 8 chunks
+        assert report == {"counters": {"chunk_reads": 4 * 8, "local_view_joins": 4},
+                          "model_invocations": {}}
+
+    def test_outputs_are_byte_identical_with_and_without_a_report(self, tmp_path):
+        t1_crawl_config(tmp_path)
+        t1 = {"kind": "base_table", "csv": str(tmp_path / "t1.csv"), "schema": T1_SCHEMA_DICT}
+        crawl = json.loads((tmp_path / "run.json").read_text())
+        chunks = self.chunked_store(tmp_path)
+        runs = {
+            "crawl": ("crawl", {key: crawl[key] for key in ("input", "crawl")}),
+            "join": ("join", {"join": {"left": chunks, "right": daily_source(tmp_path),
+                                       "on": ["Device", "date"], "strategy": "local"}}),
+            "join_global": ("join", {"join": {"left": t1, "right": t1,
+                                              "on": ["Device", "Browser", "is_test"]}}),
+            "chunk": ("materialize", {"materialize": {
+                "action": "chunk", "source": t1, "partition_dim": "is_test"}}),
+            "rechunk": ("materialize", {"materialize": {"action": "rechunk", "source": chunks}}),
+        }
+        for name, (command, section) in runs.items():
+            outputs = []
+            for report in (False, True):
+                output = tmp_path / f"{name}_{report}"
+                self.run(tmp_path, command, section, output, report)
+                files = sorted(output.iterdir()) if output.is_dir() else [output]
+                outputs.append({str(f.relative_to(output)): f.read_bytes() for f in files})
+            assert outputs[0] == outputs[1], name
 
 
 class TestWorkerDeterminism:

@@ -28,6 +28,7 @@ from cubecrawl import (
     region_precedes,
 )
 from cubecrawl.errors import ContractError, DataError, ModelError, SchemaError, SpecError
+from cubecrawl.models import build_model
 
 from conftest import random_table, t1_cube, t1_row_dicts
 import oracles
@@ -107,6 +108,26 @@ def test_pushdown_values_and_epsilon_must_be_finite():
     for epsilon in (math.nan, math.inf, -1.0):
         with pytest.raises(SpecError):
             DiffModel("Revenue", epsilon=epsilon)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("id", {"metrics": ["Revenue"]}),
+    ("entity_weight", {"metric": "Revenue", "min_weight_pushdown": 5}),
+    ("frequent_itemset", {}),
+    ("diff", {"weight_measure": "Revenue"}),
+    ("entity", {"entity_columns": ["Browser"]}),
+    ("entity_measure", {"entity_columns": ["Browser"], "entity_measure": "Revenue"}),
+    ("window_outlier", {"date_dim": "date", "metric": "Revenue", "window": 3}),
+    ("attribution", {"numerator": "Revenue"}),
+])
+def test_build_model_keeps_gate_and_pushdown_for_every_kind(kind, params):
+    term = PushdownTerm("Revenue", ">=", 1e9)
+    model = build_model(kind, params, gate=True, pushdown=[("Revenue", ">=", 1e9)])
+    assert model.gate is True
+    # the kind's own pushdown (entity_weight's min_weight_pushdown) comes first
+    own = build_model(kind, params)
+    assert own.gate is False
+    assert model.pushdown == own.pushdown + (term,)
 
 
 class TestDiffModel:

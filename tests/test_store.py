@@ -24,6 +24,7 @@ from cubecrawl import (
     rechunk,
     top_down_crawl,
 )
+from cubecrawl.cli import main
 from cubecrawl.errors import StoreError
 
 from conftest import assert_values_match_view, random_table, t1_cube
@@ -341,3 +342,74 @@ class TestDecoderFuzz:
         self._replace_part(stores["chunked"], 0, slice_bytes)
         with pytest.raises(StoreError, match="manifest schema"):
             self._read_all(stores["chunked"])
+
+
+def _drop(manifest: dict, key: str) -> dict:
+    return {k: v for k, v in manifest.items() if k != key}
+
+
+def _part(manifest: dict, **fields) -> dict:
+    """``manifest`` with ``fields`` set on its first part; a None value drops that field."""
+    first = {k: v for k, v in dict(manifest["parts"][0], **fields).items() if v is not None}
+    return dict(manifest, parts=[first] + manifest["parts"][1:])
+
+
+class TestManifestChecks:
+    """A manifest lacking a key its kind reads, or holding one in the wrong shape,
+    is a StoreError from ``load_store`` and one JSON error record (exit 3) from the CLI."""
+
+    # case -> (store kind, edit of (manifest, store directory))
+    CASES = {
+        "only_format_version_kind": ("chunked", lambda m, d: {
+            "format": "cube-store", "version": 1, "kind": "chunked"}),
+        "not_an_object": ("cellset", lambda m, d: [m]),
+        "no_schema": ("chunked", lambda m, d: _drop(m, "schema")),
+        "schema_dimension_without_name": (
+            "cellset", lambda m, d: dict(m, schema={"dimensions": [{}]})),
+        "no_partition_dim": ("chunked", lambda m, d: _drop(m, "partition_dim")),
+        "partition_dim_not_in_schema": ("rechunked", lambda m, d: dict(m, partition_dim="Nope")),
+        "no_cell_dims": ("rechunked", lambda m, d: _drop(m, "cell_dims")),
+        "cell_dims_not_a_list": ("chunked", lambda m, d: dict(m, cell_dims="Device")),
+        "cell_dim_not_in_schema": ("chunked", lambda m, d: dict(m, cell_dims=["Nope"])),
+        "partition_dim_among_cell_dims": (
+            "chunked", lambda m, d: dict(m, cell_dims=["Device", "date"])),
+        "parts_not_a_list": ("chunked", lambda m, d: dict(m, parts=m["parts"][0])),
+        "cellset_with_two_parts": ("cellset", lambda m, d: dict(m, parts=m["parts"] * 2)),
+        "part_not_an_object": ("chunked", lambda m, d: dict(m, parts=["chunk-00000.bin"])),
+        "part_without_checksum": ("chunked", lambda m, d: _part(m, checksum=None)),
+        "part_without_file": ("chunked", lambda m, d: _part(m, file=None)),
+        # both name a valid part, but from outside the store directory
+        "part_file_absolute": (
+            "cellset", lambda m, d: _part(m, file=str(d / m["parts"][0]["file"]))),
+        "part_file_outside_store": (
+            "chunked", lambda m, d: _part(m, file=f"../{d.name}/{m['parts'][0]['file']}")),
+        "chunk_key_missing": ("chunked", lambda m, d: _part(m, key=None)),
+        "chunk_key_malformed": ("chunked", lambda m, d: _part(m, key={"x": 1})),
+        "chunk_key_two_tags": ("chunked", lambda m, d: _part(m, key={"s": "d00", "i": 0})),
+        "chunk_key_of_another_domain": ("chunked", lambda m, d: _part(m, key={"i": 7})),
+        "slice_key_too_short": ("rechunked", lambda m, d: _part(m, key=[])),
+        "slice_key_not_a_list": ("rechunked", lambda m, d: _part(m, key={"s": "A"})),
+        "slice_key_of_another_domain": ("rechunked", lambda m, d: _part(m, key=[{"b": True}])),
+        "no_partition_values": ("rechunked", lambda m, d: _drop(m, "partition_values")),
+        "partition_value_malformed": ("rechunked", lambda m, d: dict(m, partition_values=[5])),
+        "partition_value_of_another_domain": (
+            "rechunked", lambda m, d: dict(m, partition_values=[{"i": 0}])),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bad_manifest_is_a_store_error(self, tmp_path, capsys, case):
+        kind, edit = self.CASES[case]
+        store_dir = TestDecoderFuzz._stores(tmp_path)[kind]
+        manifest_path = store_dir / "manifest.json"
+        manifest_path.write_text(json.dumps(edit(json.loads(manifest_path.read_text()),
+                                                 store_dir)))
+        with pytest.raises(StoreError):
+            load_store(store_dir)
+        config = tmp_path / "materialize.json"
+        config.write_text(json.dumps({"spec_version": 1, "materialize": {
+            "action": "materialize", "source": {"kind": "store", "path": str(store_dir)}}}))
+        out_dir = tmp_path / "out"
+        assert main(["materialize", "--config", str(config), "--output", str(out_dir)]) == 3
+        assert not out_dir.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"]["type"] == "StoreError"
