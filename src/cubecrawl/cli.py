@@ -554,8 +554,7 @@ def cmd_join(config: RunConfig, args, instr: Instrumentation) -> int:
     left = cfg.left.load_cube(instr)
     right = cfg.right.load_cube(instr)
     joined = join_cubes(left, right, cfg.spec, strategy=cfg.strategy, instrumentation=instr)
-    cellset = joined.to_cellset()
-    store_mod.materialize(cellset, cellset.schema.dimension_names, args.output)
+    store_mod.materialize(joined, joined.schema.dimension_names, args.output)
     return EXIT_OK
 
 

@@ -695,15 +695,15 @@ def build_cellset(cube: AbstractCube, dims: Sequence[str]) -> CellsetCube:
         tuple(h for h in cube.schema.hierarchies if all(n in dims for n in h)),
     )
     ordered = sub_schema.dimension_names
-    all_measures = FeatureRequest((), cube.schema.measure_names)
+    measure_names = sub_schema.measure_names
     cells: dict[tuple, dict[str, Any]] = {}
     for k in range(len(ordered) + 1):
         for subset in itertools.combinations(ordered, k):
-            frame = cube.view(EMPTY_REGION, FeatureRequest(subset, all_measures.metric_features))
+            frame = cube.view(EMPTY_REGION, FeatureRequest(subset, measure_names))
             for attrs, measures in frame.iter_rows():
                 by_name = dict(zip(subset, attrs))
                 cell = tuple(by_name.get(d, ANY) for d in ordered)
-                cells[cell] = dict(zip(cube.schema.measure_names, measures))
+                cells[cell] = dict(zip(measure_names, measures))
     return CellsetCube(sub_schema, cells)
 
 

@@ -278,14 +278,6 @@ class _Resolved:
                     return False
         return True
 
-    def hierarchy_allows(self, bound: frozenset, dim: str) -> bool:
-        for chain in self.hierarchies:
-            if dim in chain:
-                i = chain.index(dim)
-                if not all(p in bound for p in chain[:i]):
-                    return False
-        return True
-
     def emits(self, region: Region) -> bool:
         return frozenset(region.dims) in self.grouping_sets
 
@@ -363,14 +355,14 @@ def _children(cursor: RegionCursor, resolved: _Resolved) -> list[RegionCursor]:
     for i in range(last + 1, len(resolved.order)):
         dim = resolved.order[i]
         extended = bound | {dim}
-        # a grouping set must remain reachable by adding only later-ordered dims
+        # a grouping set must remain reachable by adding only later-ordered dims;
+        # grouping sets are hierarchy-consistent and the order puts each chain
+        # coarse-to-fine, so this also requires dim's hierarchy parents bound
         reachable = any(
             extended <= g and all(resolved.order_index[x] > i for x in g - extended)
             for g in resolved.grouping_sets
         )
         if not reachable:
-            continue
-        if not resolved.hierarchy_allows(bound, dim):
             continue
         for value in cursor.values(dim):
             if not resolved.value_allowed(dim, value):

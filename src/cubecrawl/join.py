@@ -1,9 +1,12 @@
 """Joining two cubes on shared dimensions.
 
 The LOCAL strategy defers all work: each view loads both sides' frames and
-joins them as tables (one relational join per view).  The GLOBAL strategy
-eagerly joins the two cellsets once; every later view is a lookup.  Both
-strategies answer every (region, request) identically.
+joins them as tables (one relational join per view).  The GLOBAL strategy is
+the LOCAL join materialized once: at construction it materializes each side
+as a cellset, joins the two with LOCAL views, one per mask of the merged
+dimensions, and keeps the result, so every later view is a cellset lookup.
+With one join algorithm, both strategies answer every (region, request)
+identically.
 
 View semantics: each side is aggregated at its own granularity and the frames
 are joined on the join dimensions that appear among the requested attributes.
@@ -19,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    ANY,
-    NULL,
     AbstractCube,
     CellsetCube,
     DimensionSchema,
@@ -98,7 +99,10 @@ class JoinedCube(AbstractCube):
 
         self._cellset: CellsetCube | None = None
         if strategy == "global":
-            self._cellset = self._build_global_cellset()
+            # the LOCAL join of the materialized sides, counted as one cellset
+            # join: the nested cube counts its view joins into its own counters
+            self._cellset = JoinedCube(_as_cellset(left), _as_cellset(right), spec).to_cellset()
+            self.counters["global_cellset_joins"] += 1
 
     @property
     def schema(self) -> DimensionSchema:
@@ -122,11 +126,9 @@ class JoinedCube(AbstractCube):
     def view(self, region: Region, request: FeatureRequest) -> FeatureFrame:
         request = self._canonical_request(request)
         self._check(region, request)
-        if self.strategy == "global":
+        if self._cellset is not None:
             return self._cellset.view(region, request)
         return self._local_view(region, request)
-
-    # -- LOCAL ---------------------------------------------------------------
 
     def _side_inputs(self, region: Region, request: FeatureRequest, side: str):
         dims = self._left_dims if side == "left" else self._right_dims
@@ -169,14 +171,9 @@ class JoinedCube(AbstractCube):
                     continue
                 matches = (None,)
             for match in matches:
-                out_attrs = []
-                for a in request.attribute_features:
-                    if a in l_attr_idx:
-                        out_attrs.append(l_attrs[l_attr_idx[a]])
-                    elif match is not None:
-                        out_attrs.append(match[0][r_attr_idx[a]])
-                    else:
-                        out_attrs.append(NULL)
+                # an unmatched row (match None) requests no right-only attribute
+                out_attrs = [l_attrs[l_attr_idx[a]] if a in l_attr_idx else match[0][r_attr_idx[a]]
+                             for a in request.attribute_features]
                 out_measures = []
                 for m in request.metric_features:
                     side, orig = self._measure_map[m]
@@ -189,67 +186,21 @@ class JoinedCube(AbstractCube):
                 rows.append((tuple(out_attrs), tuple(out_measures)))
         return FeatureFrame(request.attribute_features, request.metric_features, rows)
 
-    # -- GLOBAL --------------------------------------------------------------
-
-    def _build_global_cellset(self) -> CellsetCube:
-        left_cs = _as_cellset(self.left)
-        right_cs = _as_cellset(self.right)
-        self.counters["global_cellset_joins"] += 1
-
-        l_names = left_cs.schema.dimension_names
-        r_names = right_cs.schema.dimension_names
-        l_join_pos = [l_names.index(d) for d in self.spec.on]
-        r_join_pos = [r_names.index(d) for d in self.spec.on]
-        merged_names = self._schema.dimension_names
-        right_only_names = [d for d in r_names if d in self._right_only]
-        r_only_pos = [r_names.index(d) for d in right_only_names]
-
-        right_by_pattern: dict[tuple, list[tuple]] = {}
-        for cell in right_cs.cells:
-            pattern = tuple(cell[i] for i in r_join_pos)
-            right_by_pattern.setdefault(pattern, []).append(cell)
-
-        cells: dict[tuple, dict] = {}
-        right_measure_names = [m.name for m in self.right.schema.measures]
-        left_measure_names = [m.name for m in self.left.schema.measures]
-
-        def merged_values(l_cell, r_cell):
-            by_name = dict(zip(l_names, l_cell))
-            if r_cell is not None:
-                for d, v in zip(right_only_names, (r_cell[i] for i in r_only_pos)):
-                    by_name[d] = v
-            else:
-                for d in right_only_names:
-                    by_name[d] = ANY
-            return tuple(by_name[d] for d in merged_names)
-
-        for l_cell, l_vals in left_cs.cells.items():
-            pattern = tuple(l_cell[i] for i in l_join_pos)
-            matches = right_by_pattern.get(pattern, ())
-            if not matches:
-                if self.spec.kind != "left":
-                    continue
-                merged = merged_values(l_cell, None)
-                values = {f"{self.spec.left_prefix}.{m}": l_vals[m] for m in left_measure_names}
-                values.update({f"{self.spec.right_prefix}.{m}": None for m in right_measure_names})
-                cells[merged] = values
-                continue
-            for r_cell in matches:
-                merged = merged_values(l_cell, r_cell)
-                r_vals = right_cs.cell_values(r_cell)
-                values = {f"{self.spec.left_prefix}.{m}": l_vals[m] for m in left_measure_names}
-                values.update({f"{self.spec.right_prefix}.{m}": r_vals[m] for m in right_measure_names})
-                cells[merged] = values
-        return CellsetCube(self._schema, cells)
-
     def to_cellset(self) -> CellsetCube:
-        """Materialize the joined cube (one cellset join for GLOBAL, one view per mask for LOCAL)."""
-        if self.strategy == "global":
+        """The joined cube as a cellset.
+
+        GLOBAL returns the cellset it built at construction; LOCAL builds one
+        with one view join per mask of the merged dimensions.
+        """
+        if self._cellset is not None:
             return self._cellset
         return build_cellset(self, self._schema.dimension_names)
 
 
 def _as_cellset(cube: AbstractCube) -> CellsetCube:
+    """``cube`` materialized once.  A GLOBAL build views each side once per mask
+    of the merged dimensions, so an unmaterialized base table would be grouped
+    2^k times as often, k being the dimensions only the other side has."""
     if isinstance(cube, CellsetCube):
         return cube
     to_cellset = getattr(cube, "to_cellset", None)
@@ -261,5 +212,5 @@ def _as_cellset(cube: AbstractCube) -> CellsetCube:
 def join_cubes(left: AbstractCube, right: AbstractCube, spec: JoinSpec,
                strategy: str = "local",
                instrumentation: Instrumentation | None = None) -> JoinedCube:
-    """Meld two cubes into one; LOCAL defers all work, GLOBAL joins cellsets now."""
+    """Meld two cubes into one; LOCAL defers all work, GLOBAL materializes the join now."""
     return JoinedCube(left, right, spec, strategy, instrumentation)

@@ -342,10 +342,14 @@ def materialize(cube: AbstractCube, dims: Sequence[str], path) -> None:
     })
 
 
-def load_cellset(path) -> CellsetCube:
-    """Load a materialized cellset store, verifying its checksum."""
+def load_cellset(path, opened: tuple[dict, DimensionSchema] | None = None) -> CellsetCube:
+    """Load a materialized cellset store, verifying its checksum.
+
+    ``opened`` is the store's manifest and schema as ``_read_manifest``
+    returned them, for a caller that has already read them.
+    """
     path = Path(path)
-    manifest, schema = _read_manifest(path)
+    manifest, schema = opened or _read_manifest(path)
     if manifest["kind"] != "cellset":
         raise StoreError(f"store at {path} is kind {manifest['kind']!r}, not a plain cellset")
     (part,) = manifest["parts"]
@@ -398,9 +402,10 @@ def chunk_by_partition(cube: BaseTableGroupByCube, partition_dim: str,
 class _PartitionedStore(AbstractCube):
     """Shared view assembly for the chunked and re-chunked encodings."""
 
-    def __init__(self, path, instrumentation: Instrumentation | None = None):
+    def __init__(self, path, instrumentation: Instrumentation | None = None,
+                 opened: tuple[dict, DimensionSchema] | None = None):
         self.path = Path(path)
-        self.manifest, self._schema = _read_manifest(self.path)
+        self.manifest, self._schema = opened or _read_manifest(self.path)
         if self.manifest["kind"] != self._kind:
             raise StoreError(
                 f"store at {self.path} is kind {self.manifest['kind']!r}, expected {self._kind!r}"
@@ -497,8 +502,9 @@ class ChunkStore(_PartitionedStore):
     _kind = "chunked"
     _read_counter = "chunk_reads"
 
-    def __init__(self, path, instrumentation: Instrumentation | None = None):
-        super().__init__(path, instrumentation)
+    def __init__(self, path, instrumentation: Instrumentation | None = None,
+                 opened: tuple[dict, DimensionSchema] | None = None):
+        super().__init__(path, instrumentation, opened)
         partition = self._schema.dimension(self.partition_dim)
         self._parts = [(decode_value(p["key"], partition), p) for p in self.manifest["parts"]]
         self._part_dims = tuple(self._schema.dimension(d) for d in self.cell_dims)
@@ -553,8 +559,9 @@ class RechunkedStore(_PartitionedStore):
     _kind = "rechunked"
     _read_counter = "slice_reads"
 
-    def __init__(self, path, instrumentation: Instrumentation | None = None):
-        super().__init__(path, instrumentation)
+    def __init__(self, path, instrumentation: Instrumentation | None = None,
+                 opened: tuple[dict, DimensionSchema] | None = None):
+        super().__init__(path, instrumentation, opened)
         cell_dims = tuple(self._schema.dimension(d) for d in self.cell_dims)
         self._parts = [(tuple(decode_value(v, d) for v, d in zip(p["key"], cell_dims)), p)
                        for p in self.manifest["parts"]]
@@ -576,8 +583,9 @@ class RechunkedStore(_PartitionedStore):
 
 def load_store(path, instrumentation: Instrumentation | None = None) -> AbstractCube:
     """Open any store directory as a cube (cellset, chunked, or rechunked)."""
-    manifest, _ = _read_manifest(Path(path))
-    if manifest["kind"] == "cellset":
-        return load_cellset(path)
-    store_class = ChunkStore if manifest["kind"] == "chunked" else RechunkedStore
-    return store_class(path, instrumentation)
+    opened = _read_manifest(Path(path))
+    kind = opened[0]["kind"]
+    if kind == "cellset":
+        return load_cellset(path, opened)
+    store_class = ChunkStore if kind == "chunked" else RechunkedStore
+    return store_class(path, instrumentation, opened)

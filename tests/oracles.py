@@ -87,3 +87,41 @@ def mean_std(values):
     n = len(values)
     m = sum(values) / n
     return m, math.sqrt(sum((v - m) ** 2 for v in values) / n)
+
+
+def join_view(left_rows, right_rows, on, region, attrs, left_measures, right_measures,
+              kind="inner"):
+    """One view of two row sets joined on the dimensions ``on``.
+
+    Each side is filtered by the region's bindings on its own columns and
+    grouped by the requested attributes it has; the two groupings are joined
+    on the requested join dimensions.  In a left join an unmatched left group
+    keeps ``None`` for every right measure, unless the region or the
+    attributes name a dimension only the right side has.  Returns
+    ``{attribute tuple: (left sums..., right sums...)}``.
+    """
+    def grouped(rows, measures):
+        cols = set(rows[0]) if rows else set()
+        side_attrs = [a for a in attrs if a in cols]
+        bindings = {d: v for d, v in region.items() if d in cols}
+        return side_attrs, group_by(rows_matching(rows, bindings), side_attrs, measures)
+
+    l_attrs, left = grouped(left_rows, left_measures)
+    r_attrs, right = grouped(right_rows, right_measures)
+    right_only = {a for a in right_rows[0] if a not in left_rows[0]} if right_rows else set()
+    keys = [a for a in attrs if a in on]
+    out = {}
+    for l_key, l_agg in left.items():
+        l_vals = dict(zip(l_attrs, l_key))
+        matched = False
+        for r_key, r_agg in right.items():
+            r_vals = dict(zip(r_attrs, r_key))
+            if all(l_vals[k] == r_vals[k] for k in keys):
+                matched = True
+                vals = {**r_vals, **l_vals}
+                out[tuple(vals[a] for a in attrs)] = (
+                    tuple(l_agg[m] for m in left_measures) + tuple(r_agg[m] for m in right_measures))
+        if not matched and kind == "left" and not right_only & (set(attrs) | set(region)):
+            out[tuple(l_vals[a] for a in attrs)] = (
+                tuple(l_agg[m] for m in left_measures) + (None,) * len(right_measures))
+    return out

@@ -278,9 +278,10 @@ def test_criterion_9_join_strategy_equivalence():
             schema = DimensionSchema(
                 (Dimension("j0"), Dimension("j1"), Dimension(extra)),
                 (Measure.sum(measure),))
-            return BaseTableGroupByCube(Table(cols), schema)
+            rows = [dict(zip(cols, r)) for r in zip(*cols.values())]
+            return BaseTableGroupByCube(Table(cols), schema), rows
 
-        left, right = side("la", "ml"), side("rb", "mr")
+        (left, left_rows), (right, right_rows) = side("la", "ml"), side("rb", "mr")
         kind = rng.choice(["inner", "left"])
         spec = JoinSpec(on=("j0", "j1"), kind=kind)
         local = join_cubes(left, right, spec, "local")
@@ -294,7 +295,10 @@ def test_criterion_9_join_strategy_equivalence():
             free = [d for d in dims if d not in bound]
             attrs = tuple(rng.sample(free, rng.randint(0, len(free))))
             request = FeatureRequest(attrs, ("left.ml", "right.mr"))
-            if local.view(region, request) != glob.view(region, request):
+            want = oracles.join_view(left_rows, right_rows, spec.on, region.bindings(), attrs,
+                                     ("ml",), ("mr",), kind)
+            got = local.view(region, request)
+            if got != glob.view(region, request) or dict(got.iter_rows()) != want:
                 failures.append((case, region, attrs, kind))
     _report(9, "join strategy equivalence", failures)
 

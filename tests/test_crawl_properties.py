@@ -41,7 +41,9 @@ def cubes(draw):
 
 
 @st.composite
-def specs(draw):
+def specs(draw, dims):
+    """A crawl spec over ``dims``, with at most one hierarchy chain among them."""
+    chain = draw(st.permutations(dims))[:draw(st.integers(0, len(dims)))]
     models = [EntityWeightModel("m0", gate=draw(st.booleans()),
                                 min_weight_pushdown=draw(st.sampled_from([None, 5.0])))]
     if draw(st.booleans()):
@@ -53,13 +55,16 @@ def specs(draw):
         thresholds["m1"] = float(draw(st.integers(-10, 30)))
     top_n = draw(st.one_of(st.none(), st.tuples(st.just("total_weight"), st.integers(1, 10))))
     return CrawlSpec(models=models, thresholds=thresholds, top_n=top_n,
+                     hierarchies=[chain] if len(chain) > 1 else [],
                      exploration=draw(st.sampled_from(["bfs", "dfs"])),
                      batch_size=draw(st.sampled_from([1, 2, 64])))
 
 
 @settings(max_examples=300, deadline=None)
-@given(cubes(), specs())
-def test_top_down_crawl_matches_naive_crawl(cube, spec):
+@given(cubes().flatmap(lambda cube: st.tuples(st.just(cube),
+                                              specs(cube.schema.dimension_names))))
+def test_top_down_crawl_matches_naive_crawl(case):
+    cube, spec = case
     pruned = top_down_crawl(cube, spec)
     naive = naive_crawl(cube, spec)
     if spec.top_n is None:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -125,6 +126,34 @@ class TestJoinUseCase:
 
 
 class TestStrategyEquivalence:
+    def test_left_join_with_a_partial_right_result_cube(self, sales_cube):
+        # the right crawl keeps only its (Device, OS) cells: no cell leaves OS free
+        installs = BaseTableGroupByCube(
+            Table.from_rows(["Device", "OS", "Installs"],
+                            [("Pixel", "Android", 3), ("Pixel", "Lineage", 1),
+                             ("iPhone", "iOS", 4)]),
+            DimensionSchema((Dimension("Device"), Dimension("OS")), (Measure.sum("Installs"),)))
+        right = top_down_crawl(installs, CrawlSpec(
+            models=[EntityWeightModel("Installs")], dimensions=["Device", "OS"],
+            grouping_sets=[("Device", "OS")], thresholds={"total_weight": 2.0}))
+        spec = JoinSpec(on=("Device",), left_prefix="sales", right_prefix="os", kind="left")
+        local = join_cubes(sales_cube, right, spec, "local")
+        glob = join_cubes(sales_cube, right, spec, "global")
+        dims = local.schema.dimension_names
+        measures = ("sales.Revenue", "os.total_weight")
+        # the unmatched left rows stay, with None for the right measure
+        assert list(glob.view(EMPTY_REGION, FeatureRequest(("Device",), measures))
+                    .iter_rows()) == [(("Pixel",), (70, None)), (("iPhone",), (55, None))]
+        regions = [EMPTY_REGION] + [Region({d: v}) for d in dims
+                                    for v in local.region_values(EMPTY_REGION, d)]
+        for region in regions:
+            free = [d for d in dims if d not in region.dims]
+            for k in range(len(free) + 1):
+                for attrs in itertools.combinations(free, k):
+                    request = FeatureRequest(attrs, measures)
+                    assert local.view(region, request) == glob.view(region, request), \
+                        (region, attrs)
+
     def test_local_equals_global_randomized(self):
         rng = random.Random(67)
         for _ in range(25):

@@ -254,6 +254,22 @@ class TestManifestScan:
 
 
 class TestStoreAsCube:
+    def test_load_store_reads_the_manifest_once(self, tmp_path, monkeypatch):
+        import cubecrawl.store as store_mod
+
+        cube = daily_cube(n_days=3)
+        materialize(cube, ["Device", "date"], tmp_path / "cellset")
+        rechunk(chunk_by_partition(cube, "date", ["Device"], tmp_path / "chunked"),
+                tmp_path / "rechunked")
+        reads = []
+        read_manifest = store_mod._read_manifest
+        monkeypatch.setattr(store_mod, "_read_manifest",
+                            lambda path: reads.append(path) or read_manifest(path))
+        for kind in ("cellset", "chunked", "rechunked"):
+            reads.clear()
+            load_store(tmp_path / kind)
+            assert reads == [tmp_path / kind], kind
+
     def test_crawl_over_loaded_cellset(self, tmp_path, sales_cube):
         materialize(sales_cube, ["Device", "Browser"], tmp_path / "cells")
         loaded = load_store(tmp_path / "cells")
