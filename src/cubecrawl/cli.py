@@ -24,10 +24,8 @@ from typing import Mapping, Sequence
 from . import store as store_mod
 from .attribution import SegmentedMetrics, attribute_density, summable_ras
 from .core import (
-    ANY,
     NULL,
     BaseTableGroupByCube,
-    CellsetCube,
     DimensionSchema,
     Instrumentation,
     Region,
@@ -436,19 +434,16 @@ def _csv_number(path, line: int, row: Mapping, column: str) -> float:
         raise DataError(f"{path}:{line}: column {column!r}: {text!r} is not a number") from None
 
 
-def _load_result_csv(path, schema: DimensionSchema) -> CellsetCube:
-    """Read a crawl output CSV back as a cellset over its region dimensions."""
-    cells = {}
-    names = schema.dimension_names
+def _load_result_csv(path, schema: DimensionSchema) -> ResultCube:
+    """Read a crawl output CSV back as a crawl result over its region dimensions."""
+    entries = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in utf8_rows(path, reader):
             region = parse_region(_csv_cell(path, row, "region"), schema)
-            bindings = region.bindings()
-            cell = tuple(bindings.get(d, ANY) for d in names)
-            cells[cell] = {s: _csv_number(path, reader.line_num, row, s)
-                           for s in schema.measure_names}
-    return CellsetCube(schema, cells)
+            entries[region] = {s: _csv_number(path, reader.line_num, row, s)
+                               for s in schema.measure_names}
+    return ResultCube(schema.dimension_names, schema.measure_names, entries, schema)
 
 
 # ---------------------------------------------------------------------------

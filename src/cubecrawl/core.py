@@ -326,14 +326,6 @@ class FeatureFrame:
         name = measure if measure is not None else self.measure_names[0]
         return self.measure_column(name)[0]
 
-    def row_dicts(self) -> list[dict]:
-        out = []
-        for a, m in self._rows:
-            d = dict(zip(self.attribute_names, a))
-            d.update(zip(self.measure_names, m))
-            out.append(d)
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, FeatureFrame)
@@ -517,6 +509,10 @@ class AbstractCube(ABC):
     def bind(self, region: Region) -> RegionCursor:
         return RegionCursor(self, region)
 
+    def to_cellset(self) -> "CellsetCube":
+        """The cube materialized as a cellset over all of its dimensions."""
+        return build_cellset(self, self.schema.dimension_names)
+
     def _check(self, region: Region, request: FeatureRequest) -> None:
         request.validate(self.schema)
         for dim in region.dims:
@@ -655,8 +651,8 @@ class CellsetCube(AbstractCube):
     def cells(self) -> dict:
         return self._cells
 
-    def cell_values(self, cell: tuple) -> dict:
-        return self._cells[tuple(cell)]
+    def to_cellset(self) -> "CellsetCube":
+        return self
 
     def view(self, region: Region, request: FeatureRequest) -> FeatureFrame:
         self._check(region, request)

@@ -2,11 +2,12 @@
 
 The LOCAL strategy defers all work: each view loads both sides' frames and
 joins them as tables (one relational join per view).  The GLOBAL strategy is
-the LOCAL join materialized once: at construction it materializes each side
-as a cellset, joins the two with LOCAL views, one per mask of the merged
-dimensions, and keeps the result, so every later view is a cellset lookup.
-With one join algorithm, both strategies answer every (region, request)
-identically.
+the LOCAL join materialized once: at construction it takes each side's
+``to_cellset()`` (a cellset side as it is, any other cube built once), joins
+the two with LOCAL views, one per mask of the merged dimensions, and keeps
+the result, so every later view is a cellset lookup and ``to_cellset()``
+returns it without another view.  With one join algorithm, both strategies
+answer every (region, request) identically.
 
 View semantics: each side is aggregated at its own granularity and the frames
 are joined on the join dimensions that appear among the requested attributes.
@@ -30,7 +31,6 @@ from .core import (
     Instrumentation,
     Measure,
     Region,
-    build_cellset,
 )
 from .errors import JoinError, RequestError, SchemaError, SpecError
 
@@ -99,9 +99,11 @@ class JoinedCube(AbstractCube):
 
         self._cellset: CellsetCube | None = None
         if strategy == "global":
-            # the LOCAL join of the materialized sides, counted as one cellset
-            # join: the nested cube counts its view joins into its own counters
-            self._cellset = JoinedCube(_as_cellset(left), _as_cellset(right), spec).to_cellset()
+            # the LOCAL join of the sides' cellsets, counted as one cellset join
+            # (the nested cube counts its view joins into its own counters).  It
+            # views each side once per mask of the merged dimensions: a base table
+            # would be grouped 2^k times as often, k = dimensions only the other has.
+            self._cellset = JoinedCube(left.to_cellset(), right.to_cellset(), spec).to_cellset()
             self.counters["global_cellset_joins"] += 1
 
     @property
@@ -187,26 +189,11 @@ class JoinedCube(AbstractCube):
         return FeatureFrame(request.attribute_features, request.metric_features, rows)
 
     def to_cellset(self) -> CellsetCube:
-        """The joined cube as a cellset.
-
-        GLOBAL returns the cellset it built at construction; LOCAL builds one
-        with one view join per mask of the merged dimensions.
-        """
+        """GLOBAL returns the cellset it built at construction; LOCAL builds one
+        with one view join per mask of the merged dimensions."""
         if self._cellset is not None:
             return self._cellset
-        return build_cellset(self, self._schema.dimension_names)
-
-
-def _as_cellset(cube: AbstractCube) -> CellsetCube:
-    """``cube`` materialized once.  A GLOBAL build views each side once per mask
-    of the merged dimensions, so an unmaterialized base table would be grouped
-    2^k times as often, k being the dimensions only the other side has."""
-    if isinstance(cube, CellsetCube):
-        return cube
-    to_cellset = getattr(cube, "to_cellset", None)
-    if to_cellset is not None:
-        return to_cellset()
-    return build_cellset(cube, cube.schema.dimension_names)
+        return super().to_cellset()
 
 
 def join_cubes(left: AbstractCube, right: AbstractCube, spec: JoinSpec,

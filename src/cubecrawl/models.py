@@ -8,6 +8,7 @@ refinement, which is what lets the crawler stop early.
 
 from __future__ import annotations
 
+import inspect
 import math
 import sys
 from dataclasses import dataclass
@@ -148,6 +149,22 @@ def _sum_column(frame: FeatureFrame, measure: str) -> float:
     return sum(col)
 
 
+def _segment_totals(frame: FeatureFrame, measure: str, test_value,
+                    model: str) -> tuple[float, float]:
+    """Sums of ``measure`` where the first attribute is ``test_value`` and elsewhere."""
+    test = control = 0.0
+    idx = frame.measure_names.index(measure)
+    for attrs, measures in frame.iter_rows():
+        v = measures[idx]
+        if v is None:
+            raise ModelError(f"{model} model does not handle absent-side sentinels")
+        if attrs[0] == test_value:
+            test += v
+        else:
+            control += v
+    return test, control
+
+
 class IdModel(RegionAnalysisModel):
     """Passes requested metric aggregates through as signals, one per measure.
 
@@ -155,12 +172,12 @@ class IdModel(RegionAnalysisModel):
     SUM measures only if declared so explicitly.
     """
 
-    def __init__(self, metric_features: Sequence[str], apriori: Mapping[str, bool] | None = None,
+    def __init__(self, metrics: Sequence[str], apriori: Mapping[str, bool] | None = None,
                  name: str = "id", gate: bool = False, pushdown: Sequence[PushdownTerm] = ()):
-        metric_features = tuple(metric_features)
+        metrics = tuple(metrics)
         self._explicit_apriori = dict(apriori or {})
-        signals = tuple(SignalSpec(m, self._explicit_apriori.get(m, False)) for m in metric_features)
-        super().__init__(name, FeatureRequest((), metric_features), signals,
+        signals = tuple(SignalSpec(m, self._explicit_apriori.get(m, False)) for m in metrics)
+        super().__init__(name, FeatureRequest((), metrics), signals,
                          gate=gate, pushdown=pushdown)
 
     def validate_against(self, schema):
@@ -247,20 +264,10 @@ class DiffModel(RegionAnalysisModel):
         if not 0 <= self.epsilon <= sys.float_info.max:
             raise SpecError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
 
-    def _segment_totals(self, frame: FeatureFrame) -> tuple[float, float]:
-        test = control = 0.0
-        for (segment,), (weight,) in frame.iter_rows():
-            if weight is None:
-                raise ModelError("diff model does not handle absent-side sentinels")
-            if segment == self.test_value:
-                test += weight
-            else:
-                control += weight
-        return test, control
-
     def evaluate(self, ctx):
-        r_t, r_c = self._segment_totals(ctx.region_frame)
-        p_t, p_c = self._segment_totals(ctx.population_frame)
+        measure, test_value = self.weight_measure, self.test_value
+        r_t, r_c = _segment_totals(ctx.region_frame, measure, test_value, "diff")
+        p_t, p_c = _segment_totals(ctx.population_frame, measure, test_value, "diff")
         if p_t <= 0 or p_c <= 0:
             raise ModelError("diff model needs positive population weight in both segments")
         test_share = r_t / p_t
@@ -370,17 +377,7 @@ class AttributionModel(RegionAnalysisModel):
         self.test_value = test_value
 
     def _totals(self, frame: FeatureFrame, measure: str) -> tuple[float, float]:
-        test = control = 0.0
-        idx = frame.measure_names.index(measure)
-        for attrs, measures in frame.iter_rows():
-            v = measures[idx]
-            if v is None:
-                raise ModelError("attribution model does not handle absent-side sentinels")
-            if attrs[0] == self.test_value:
-                test += v
-            else:
-                control += v
-        return test, control
+        return _segment_totals(frame, measure, self.test_value, "attribution")
 
     def evaluate(self, ctx):
         w_r_t, w_r_c = self._totals(ctx.region_frame, self.numerator)
@@ -412,52 +409,39 @@ class LambdaModel(RegionAnalysisModel):
         return dict(self._fn(ctx))
 
 
+#: built-in model kinds of run configs; a kind's params are its class's keywords
+MODEL_KINDS: dict[str, type[RegionAnalysisModel]] = {
+    "id": IdModel,
+    "entity_weight": EntityWeightModel,
+    "frequent_itemset": FrequentItemsetModel,
+    "diff": DiffModel,
+    "entity": EntityModel,
+    "entity_measure": EntityMeasureModel,
+    "window_outlier": WindowOutlierModel,
+    "attribution": AttributionModel,
+}
+
+
 def build_model(kind: str, params: Mapping, gate: bool = False,
                 pushdown: Sequence[Sequence] = ()) -> RegionAnalysisModel:
     """Construct a built-in model from a config mapping (used by run configs).
 
-    ``gate`` and the ``pushdown`` terms apply to every kind; the terms follow
-    any pushdown the kind declares itself (``min_weight_pushdown``).
+    ``params`` are the keywords of the kind's class in ``MODEL_KINDS``.
+    ``gate`` and the ``pushdown`` terms apply to every kind and are not
+    params; the terms follow any pushdown the kind declares itself
+    (``min_weight_pushdown``).
     """
-    params = dict(params)
     terms = tuple(PushdownTerm(m, op, float(v)) for m, op, v in pushdown)
+    if kind not in MODEL_KINDS:
+        raise SpecError(f"unknown model kind {kind!r}")
+    cls = MODEL_KINDS[kind]
+    if {"gate", "pushdown"} & set(params):
+        raise SpecError(f"model {kind!r}: 'gate' and 'pushdown' go beside 'params', not in it")
     try:
-        if kind == "id":
-            model = IdModel(params.pop("metrics"), apriori=params.pop("apriori", None),
-                            name=params.pop("name", "id"))
-        elif kind == "entity_weight":
-            model = EntityWeightModel(params.pop("metric"), name=params.pop("name", "entity_weight"),
-                                      min_weight_pushdown=params.pop("min_weight_pushdown", None))
-        elif kind == "frequent_itemset":
-            model = FrequentItemsetModel(params.pop("support_measure", "support"),
-                                         name=params.pop("name", "frequent_itemset"))
-        elif kind == "diff":
-            model = DiffModel(params.pop("weight_measure"),
-                              segment_dim=params.pop("segment_dim", "is_test"),
-                              test_value=params.pop("test_value", True),
-                              epsilon=params.pop("epsilon", 0.0),
-                              name=params.pop("name", "diff"))
-        elif kind == "entity":
-            model = EntityModel(params.pop("entity_columns"), name=params.pop("name", "entity"))
-        elif kind == "entity_measure":
-            model = EntityMeasureModel(params.pop("entity_columns"), params.pop("entity_measure"),
-                                       name=params.pop("name", "entity_measure"))
-        elif kind == "window_outlier":
-            model = WindowOutlierModel(params.pop("date_dim"), params.pop("metric"),
-                                       params.pop("window"),
-                                       name=params.pop("name", "window_outlier"))
-        elif kind == "attribution":
-            model = AttributionModel(params.pop("numerator"),
-                                     denominator=params.pop("denominator", None),
-                                     segment_dim=params.pop("segment_dim", "is_test"),
-                                     test_value=params.pop("test_value", True),
-                                     name=params.pop("name", "attribution"))
-        else:
-            raise SpecError(f"unknown model kind {kind!r}")
-    except KeyError as exc:
-        raise SpecError(f"model {kind!r} missing parameter {exc.args[0]!r}") from None
-    if params:
-        raise SpecError(f"model {kind!r} got unknown parameters {sorted(params)}")
+        inspect.signature(cls).bind(**params)
+    except TypeError as exc:
+        raise SpecError(f"model {kind!r}: {exc}") from None
+    model = cls(**params)
     model.gate = bool(gate)
     model.pushdown = model.pushdown + terms
     return model

@@ -256,7 +256,10 @@ def _cell_sort_key(cell: tuple) -> tuple:
 
 def _rows_from_cells(cells: Mapping[tuple, Mapping[str, object]],
                      measure_names: Sequence[str]) -> list[tuple[tuple, tuple]]:
-    rows = [(cell, tuple(values[m] for m in measure_names)) for cell, values in cells.items()]
+    try:
+        rows = [(cell, tuple(values[m] for m in measure_names)) for cell, values in cells.items()]
+    except KeyError as exc:
+        raise SchemaError(f"measure {exc.args[0]!r} not stored in cellset") from None
     rows.sort(key=lambda r: _cell_sort_key(r[0]))
     return rows
 
@@ -325,10 +328,12 @@ def _read_manifest(path: Path) -> tuple[dict, DimensionSchema]:
 
 
 def materialize(cube: AbstractCube, dims: Sequence[str], path) -> None:
-    """Persist the cellset of ``cube`` over ``dims`` as a loadable store."""
+    """Persist the cellset of ``cube`` over ``dims`` as a loadable store; over all
+    of its dimensions that is ``cube.to_cellset()``, a cellset it may hold already."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    cellset = build_cellset(cube, dims)
+    whole = set(dims) == set(cube.schema.dimension_names)
+    cellset = cube.to_cellset() if whole else build_cellset(cube, dims)
     rows = _rows_from_cells(cellset.cells, cellset.schema.measure_names)
     entry = _write_part(path / "cells.bin", cellset.schema.dimensions,
                         cellset.schema.measure_names, rows)

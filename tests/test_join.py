@@ -12,11 +12,14 @@ from cubecrawl import (
     EntityWeightModel,
     FeatureRequest,
     IdModel,
+    JoinedCube,
     JoinSpec,
     Measure,
     Region,
     Table,
     join_cubes,
+    load_cellset,
+    materialize,
     naive_crawl,
     top_down_crawl,
 )
@@ -191,6 +194,27 @@ class TestStrategyEquivalence:
             glob.view(EMPTY_REGION, request)
         assert local.counters["local_view_joins"] == len(requests)
         assert glob.counters["global_cellset_joins"] == 1
+
+
+class TestMaterializeJoinedCube:
+    def test_global_join_is_written_without_a_view(self, tmp_path, monkeypatch, sales_cube):
+        installs = BaseTableGroupByCube(
+            Table.from_rows(["Device", "Installs"], [("Pixel", 3), ("iPhone", 4)]),
+            DimensionSchema((Dimension("Device"),), (Measure.sum("Installs"),)))
+        sales = BaseTableGroupByCube(sales_cube.table, DimensionSchema(
+            (Dimension("Device"), Dimension("Browser")), (Measure.sum("Revenue"),)))
+        spec = JoinSpec(on=("Device",))
+        glob = join_cubes(sales, installs, spec, "global")
+        views = []
+        view = JoinedCube.view
+        monkeypatch.setattr(JoinedCube, "view",
+                            lambda cube, *args: views.append(args) or view(cube, *args))
+        # a rebuild would view the joined cube once per mask of (Device, Browser)
+        materialize(glob, glob.schema.dimension_names, tmp_path / "joined")
+        assert views == []
+        monkeypatch.undo()
+        local = join_cubes(sales, installs, spec, "local")
+        assert load_cellset(tmp_path / "joined").cells == local.to_cellset().cells
 
 
 class TestCrawlOverJoinedCube:

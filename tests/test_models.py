@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 
@@ -28,7 +29,8 @@ from cubecrawl import (
     region_precedes,
 )
 from cubecrawl.errors import ContractError, DataError, ModelError, SchemaError, SpecError
-from cubecrawl.models import build_model
+from cubecrawl.cli import _MODEL_PARAMS
+from cubecrawl.models import MODEL_KINDS, build_model
 
 from conftest import random_table, t1_cube, t1_row_dicts
 import oracles
@@ -128,6 +130,26 @@ def test_build_model_keeps_gate_and_pushdown_for_every_kind(kind, params):
     own = build_model(kind, params)
     assert own.gate is False
     assert model.pushdown == own.pushdown + (term,)
+
+
+def test_model_kind_params_are_its_class_keywords():
+    assert set(MODEL_KINDS) == set(_MODEL_PARAMS)
+    for kind, cls in MODEL_KINDS.items():
+        keywords = set(inspect.signature(cls).parameters) - {"gate", "pushdown"}
+        assert keywords == set(_MODEL_PARAMS[kind]), kind
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("lasso", {}, "unknown model kind 'lasso'"),
+    ("diff", {}, "missing a required argument: 'weight_measure'"),
+    ("diff", {"weight_measure": "Revenue", "bogus": 1}, "unexpected keyword argument 'bogus'"),
+    ("diff", {"weight_measure": "Revenue", "gate": True}, "go beside 'params'"),
+    ("id", {"metrics": ["Revenue"], "pushdown": []}, "go beside 'params'"),
+    ("frequent_itemset", {"gate": False}, "go beside 'params'"),
+])
+def test_build_model_rejects_bad_params(kind, params, message):
+    with pytest.raises(SpecError, match=message):
+        build_model(kind, params)
 
 
 class TestDiffModel:

@@ -14,6 +14,7 @@ from cubecrawl import (
     FeatureRequest,
     Measure,
     Region,
+    ResultCube,
     Table,
     WindowOutlierModel,
     build_cellset,
@@ -25,7 +26,7 @@ from cubecrawl import (
     top_down_crawl,
 )
 from cubecrawl.cli import main
-from cubecrawl.errors import StoreError
+from cubecrawl.errors import SchemaError, StoreError
 
 from conftest import assert_values_match_view, random_table, t1_cube
 
@@ -96,6 +97,32 @@ class TestMaterialize:
         request = FeatureRequest((), ("m", "ids"))
         assert loaded.view(region, request) == cube.view(region, request)
         assert loaded.view(region, request).value("ids") == 1
+
+
+    def test_a_cellset_is_written_as_it_is(self, tmp_path, sales_cube):
+        dims = ["Device", "Browser"]
+        materialize(sales_cube, dims, tmp_path / "cells")
+        materialize(load_cellset(tmp_path / "cells"), dims, tmp_path / "again")
+        for name in ("cells.bin", "manifest.json"):
+            assert (tmp_path / "again" / name).read_bytes() == \
+                (tmp_path / "cells" / name).read_bytes()
+
+    def test_result_cube_writes_the_cells_its_views_give(self, tmp_path, sales_cube):
+        result = top_down_crawl(sales_cube, CrawlSpec(
+            models=[EntityWeightModel("Revenue")], dimensions=["Device", "Browser"],
+            thresholds={"total_weight": 20.0}))
+        dims = result.schema.dimension_names
+        materialize(result, dims, tmp_path / "held")
+        materialize(build_cellset(result, dims), dims, tmp_path / "rebuilt")
+        for name in ("cells.bin", "manifest.json"):
+            assert (tmp_path / "held" / name).read_bytes() == \
+                (tmp_path / "rebuilt" / name).read_bytes()
+
+    def test_result_cube_missing_a_signal_is_a_schema_error(self, tmp_path, sales_schema):
+        entries = {EMPTY_REGION: {"a": 1.0, "b": 2.0}, Region({"Device": "Pixel"}): {"a": 1.0}}
+        result = ResultCube(("Device",), ("a", "b"), entries, sales_schema)
+        with pytest.raises(SchemaError, match="measure 'b' not stored in cellset"):
+            materialize(result, ["Device"], tmp_path / "cells")
 
 
 class TestChunking:
