@@ -374,8 +374,9 @@ def parse_region(text: str, schema: DimensionSchema) -> Region:
         dim, _, raw = part.partition("=")
         if not _:
             raise RequestError(f"malformed region binding {part!r}")
-        value = NULL if raw == "NULL" else schema.dimension(dim).parse(raw)
-        bindings[dim] = value
+        if dim in bindings:
+            raise RequestError(f"region {text!r} binds {dim!r} twice")
+        bindings[dim] = NULL if raw == "NULL" else schema.dimension(dim).parse(raw)
     return Region(bindings)
 
 
@@ -441,6 +442,8 @@ def _load_result_csv(path, schema: DimensionSchema) -> ResultCube:
         reader = csv.DictReader(fh)
         for row in utf8_rows(path, reader):
             region = parse_region(_csv_cell(path, row, "region"), schema)
+            if region in entries:
+                raise DataError(f"{path}:{reader.line_num}: region {region!r} is listed twice")
             entries[region] = {s: _csv_number(path, reader.line_num, row, s)
                                for s in schema.measure_names}
     return ResultCube(schema.dimension_names, schema.measure_names, entries, schema)

@@ -530,14 +530,9 @@ class BaseTableGroupByCube(AbstractCube):
                 table.column(src)
         self._table = table
         self._schema = schema
-        # per-dimension posting lists: value -> sorted row ids
-        self._postings: dict[str, dict[Any, tuple[int, ...]]] = {}
-        for d in schema.dimensions:
-            col = table.column(d.name)
-            acc: dict[Any, list[int]] = {}
-            for i, v in enumerate(col):
-                acc.setdefault(v, []).append(i)
-            self._postings[d.name] = {v: tuple(ids) for v, ids in acc.items()}
+        # a root cursor's state; holding the cursor would make a reference cycle
+        self._all_rows = tuple(range(table.n_rows))
+        self._root_partitions: dict[str, dict[Any, list[int]]] = {}
 
     @property
     def schema(self) -> DimensionSchema:
@@ -546,22 +541,6 @@ class BaseTableGroupByCube(AbstractCube):
     @property
     def table(self) -> Table:
         return self._table
-
-    def _rows_for(self, region: Region) -> tuple[int, ...]:
-        if region.degree == 0:
-            return tuple(range(self._table.n_rows))
-        postings = []
-        for dim, value in region.items():
-            self._schema.dimension(dim)
-            postings.append(self._postings[dim].get(value, ()))
-        postings.sort(key=len)
-        rows = postings[0]
-        for other in postings[1:]:
-            members = set(other)
-            rows = tuple(i for i in rows if i in members)
-            if not rows:
-                break
-        return rows
 
     def _aggregate(self, row_ids: Sequence[int], request: FeatureRequest,
                    grand_total: bool) -> FeatureFrame:
@@ -598,29 +577,51 @@ class BaseTableGroupByCube(AbstractCube):
         return self.bind(region).values(dim)
 
     def bind(self, region: Region) -> RegionCursor:
-        return _TableCursor(self, region, self._rows_for(region))
+        root = _TableCursor(self, EMPTY_REGION, self._all_rows, self._root_partitions)
+        if not region.degree:
+            return root
+        postings = (root._partition(d).get(v, ()) for d, v in region.items())
+        rows, *others = sorted(postings, key=len)
+        for other in others:
+            members = set(other)
+            rows = tuple(i for i in rows if i in members)
+        return _TableCursor(self, region, rows, {})
 
 
 class _TableCursor(RegionCursor):
-    """Carries the region's row ids so refinement scans only the parent's rows."""
+    """A base-table region's row ids, ascending so that sums add in table order.
 
-    def __init__(self, cube: BaseTableGroupByCube, region: Region, row_ids: tuple[int, ...]):
+    ``_partition(dim)`` splits them by value in one memoised pass (BUC's
+    partition step): ``values`` is its sorted keys, ``child`` a lookup in it.
+    """
+
+    def __init__(self, cube: BaseTableGroupByCube, region: Region, row_ids: Sequence[int],
+                 partitions: dict):
         super().__init__(cube, region)
         self.row_ids = row_ids
+        self._partitions = partitions
+
+    def _partition(self, dim: str) -> dict[Any, list[int]]:
+        part = self._partitions.get(dim)
+        if part is None:
+            self.cube.schema.dimension(dim)
+            col = self.cube.table.column(dim)
+            part = self._partitions[dim] = {}
+            for i in self.row_ids:
+                part.setdefault(col[i], []).append(i)
+        return part
 
     def view(self, request):
-        self.cube._check(self.region, request)
+        # ``bind`` and ``child`` have checked the region's dimensions
+        request.validate(self.cube.schema)
         return self.cube._aggregate(self.row_ids, request, self.region.degree == 0)
 
     def values(self, dim):
-        self.cube.schema.dimension(dim)
-        col = self.cube.table.column(dim)
-        return tuple(sorted({col[i] for i in self.row_ids}, key=_value_sort_key))
+        return tuple(sorted(self._partition(dim), key=_value_sort_key))
 
     def child(self, dim, value):
-        col = self.cube.table.column(dim)
-        ids = tuple(i for i in self.row_ids if col[i] is value or col[i] == value)
-        return _TableCursor(self.cube, self.region.with_binding(dim, value), ids)
+        rows = self._partition(dim).get(value, ())
+        return _TableCursor(self.cube, self.region.with_binding(dim, value), rows, {})
 
 
 class CellsetCube(AbstractCube):

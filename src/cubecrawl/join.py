@@ -127,9 +127,9 @@ class JoinedCube(AbstractCube):
 
     def view(self, region: Region, request: FeatureRequest) -> FeatureFrame:
         request = self._canonical_request(request)
-        self._check(region, request)
         if self._cellset is not None:
-            return self._cellset.view(region, request)
+            return self._cellset.view(region, request)  # checks against the same schema
+        self._check(region, request)
         return self._local_view(region, request)
 
     def _side_inputs(self, region: Region, request: FeatureRequest, side: str):

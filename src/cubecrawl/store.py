@@ -41,7 +41,6 @@ from .core import (
     Region,
     _value_sort_key,
     build_cellset,
-    filter_by_region,
     format_value,
     schema_from_dict,
     schema_to_dict,
@@ -369,7 +368,8 @@ def chunk_by_partition(cube: BaseTableGroupByCube, partition_dim: str,
     if not isinstance(cube, BaseTableGroupByCube):
         raise SpecError("chunking needs a base-table cube to partition")
     schema = cube.schema
-    schema.dimension(partition_dim)
+    root = cube.bind(Region())
+    values = root.values(partition_dim)  # checks the partition dimension
     dims = tuple(dims)
     if partition_dim in dims:
         raise SpecError("partition dimension cannot also be a chunk dimension")
@@ -377,11 +377,10 @@ def chunk_by_partition(cube: BaseTableGroupByCube, partition_dim: str,
         schema.dimension(d)
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    values = cube.region_values(Region(), partition_dim)
     cell_dims = tuple(d for d in schema.dimensions if d.name in dims)
     parts = []
     for i, value in enumerate(values):
-        sub_table = filter_by_region(cube.table, Region({partition_dim: value}))
+        sub_table = cube.table.subset(root.child(partition_dim, value).row_ids)
         sub_cube = BaseTableGroupByCube(sub_table, schema)
         cellset = build_cellset(sub_cube, dims)
         rows = _rows_from_cells(cellset.cells, schema.measure_names)
@@ -462,8 +461,11 @@ class _PartitionedStore(AbstractCube):
         if partition_binding is not None:
             values = [v for v in values if v == partition_binding]
         if partition_range is not None:
+            # bounds are inclusive, in sort-key order: NULL sorts after every value
             lo, hi = partition_range
-            values = [v for v in values if (lo is None or v >= lo) and (hi is None or v <= hi)]
+            key = _value_sort_key
+            values = [v for v in values if (lo is None or key(v) >= key(lo))
+                      and (hi is None or key(v) <= key(hi))]
 
         attrs = request.attribute_features
         timeseries = self.partition_dim in attrs

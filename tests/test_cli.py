@@ -442,6 +442,28 @@ class TestJoinCommand:
 
 
 class TestMaterializeCommand:
+    @pytest.mark.parametrize("body, code, error, message", [
+        ("Device=Pixel,70.0\nDevice=Pixel,5.0\n", 4, "DataError",
+         "{path}:4: region Region(Device=Pixel) is listed twice"),
+        ("Device=Pixel;Device=iPhone,70.0\n", 2, "RequestError",
+         "region 'Device=Pixel;Device=iPhone' binds 'Device' twice"),
+    ])
+    def test_a_region_listed_or_bound_twice_is_one_error_record(self, tmp_path, capsys, body,
+                                                                code, error, message):
+        crawl_out = tmp_path / "crawl.csv"
+        crawl_out.write_text("region,total_weight\n,125.0\n" + body)
+        source = {"kind": "result_csv", "path": str(crawl_out),
+                  "dimensions": [{"name": "Device"}], "signals": ["total_weight"]}
+        config = write_config(tmp_path / "mat.json", {
+            "spec_version": 1, "materialize": {"action": "materialize", "source": source}})
+        store_dir = tmp_path / "store"
+        assert main(["materialize", "--config", str(config), "--output", str(store_dir)]) == code
+        assert not store_dir.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)["error"]
+        assert (record["type"], record["exit_code"]) == (error, code)
+        assert record["message"] == message.format(path=crawl_out)
+
     def test_materialize_load_crawl_equals_live(self, tmp_path):
         config_path = t1_crawl_config(tmp_path)
         run = load_config(config_path)

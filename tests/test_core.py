@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -116,6 +118,31 @@ class TestCubeView:
         frame = cube.view(EMPTY_REGION, FeatureRequest(("X",), ("m",)))
         assert list(frame.iter_rows()) == [(("a",), (1,)), ((NULL,), (5,))]
         assert cube.view(Region({"X": NULL}), FeatureRequest((), ("m",))).value() == 5
+
+
+class TestTableCursor:
+    def test_a_refined_cube_is_freed_by_reference_counting(self):
+        # a cursor points at its cube, so a cube holding a cursor would be a
+        # cycle that only the cycle collector frees
+        gc.disable()
+        try:
+            cube = t1_cube()
+            root = cube.bind(EMPTY_REGION)
+            leaf = root.child("Device", "Pixel").child("Browser", "Chrome")
+            leaf.view(FeatureRequest(("is_test",), ("Revenue",)))
+            cube.bind(Region({"Device": "Pixel", "is_test": True})).values("Browser")
+            ref = weakref.ref(cube)
+            del cube, root, leaf
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_refinement_checks_the_dimension(self, sales_cube):
+        root = sales_cube.bind(EMPTY_REGION)
+        for read in (lambda: root.values("Revenue"), lambda: root.child("Revenue", 10),
+                     lambda: sales_cube.bind(Region({"Color": "red"}))):
+            with pytest.raises(SchemaError):
+                read()
 
 
 class TestRegionPrecedes:

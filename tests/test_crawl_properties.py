@@ -1,21 +1,27 @@
-"""Property test: the pruned crawl agrees with the naive oracle on random inputs."""
+"""Property tests on random inputs: base-table cursors agree with the row
+oracle, and the pruned crawl agrees with the naive oracle."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubecrawl import (
+    EMPTY_REGION,
     NULL,
     BaseTableGroupByCube,
     CrawlSpec,
     Dimension,
     DimensionSchema,
     EntityWeightModel,
+    FeatureRequest,
     IdModel,
     Measure,
+    Region,
     Table,
     naive_crawl,
     top_down_crawl,
 )
+
+from oracles import group_by, rows_matching
 
 DOMAIN_VALUES = {
     "string": ("a", "b", "c"),
@@ -71,3 +77,39 @@ def test_top_down_crawl_matches_naive_crawl(case):
         assert pruned.entries == naive.entries
     else:
         assert list(pruned.entries.items()) == list(naive.entries.items())
+
+
+def _null_last(value):
+    return (value is NULL, 0 if value is NULL else value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cursors_match_the_row_oracle(data):
+    """``bind``, ``child`` chains in any order and ``values`` read the rows the
+    region matches, for observed and unobserved values up to full degree."""
+    cube = data.draw(cubes())
+    dims = cube.schema.dimension_names
+    columns = cube.table.columns
+    rows = [dict(zip(columns, r)) for r in zip(*columns.values())]
+    order = data.draw(st.permutations(dims))[:data.draw(st.integers(0, len(dims)))]
+    bindings = [(d, data.draw(st.sampled_from(DOMAIN_VALUES[cube.schema.dimension(d).domain]
+                                               + (NULL,)))) for d in order]
+    region = Region(bindings)
+    matching = rows_matching(rows, dict(bindings))
+
+    split = data.draw(st.integers(0, len(bindings)))
+    chained = cube.bind(Region(bindings[:split]))
+    for d, v in bindings[split:]:
+        chained = chained.child(d, v)
+    from_root = cube.bind(EMPTY_REGION)
+    for d, v in bindings:
+        from_root = from_root.child(d, v)
+    for cursor in (cube.bind(region), chained, from_root):
+        assert cursor.region == region
+        for d in dims:
+            assert cursor.values(d) == tuple(sorted({r[d] for r in matching}, key=_null_last))
+        for attrs in [()] + [(d,) for d in dims] + [dims]:
+            frame = cursor.view(FeatureRequest(attrs, ("m0", "m1")))
+            assert {a: dict(zip(("m0", "m1"), m)) for a, m in frame.iter_rows()} == \
+                group_by(matching, attrs, ("m0", "m1"))

@@ -5,6 +5,7 @@ import pytest
 
 from cubecrawl import (
     EMPTY_REGION,
+    AbstractCube,
     BaseTableGroupByCube,
     CrawlSpec,
     Dimension,
@@ -24,7 +25,7 @@ from cubecrawl import (
     top_down_crawl,
 )
 from cubecrawl.core import NULL
-from cubecrawl.errors import JoinError, RequestError, SpecError
+from cubecrawl.errors import JoinError, RequestError, SchemaError, SpecError
 
 from conftest import assert_values_match_view, random_table, t1_cube
 
@@ -194,6 +195,18 @@ class TestStrategyEquivalence:
             glob.view(EMPTY_REGION, request)
         assert local.counters["local_view_joins"] == len(requests)
         assert glob.counters["global_cellset_joins"] == 1
+
+    def test_a_global_view_checks_its_request_once(self, monkeypatch):
+        left, right = two_sided_tables(random.Random(73))
+        glob = join_cubes(left, right, JoinSpec(on=("k0", "k1")), "global")
+        checks = []
+        check = AbstractCube._check
+        monkeypatch.setattr(AbstractCube, "_check",
+                            lambda cube, *args: checks.append(cube) or check(cube, *args))
+        glob.view(Region({"k0": "v0"}), FeatureRequest(("la",), ("left.m_left",)))
+        assert len(checks) == 1
+        with pytest.raises(SchemaError):
+            glob.view(Region({"nope": "v0"}), FeatureRequest((), ("left.m_left",)))
 
 
 class TestMaterializeJoinedCube:

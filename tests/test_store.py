@@ -26,6 +26,7 @@ from cubecrawl import (
     top_down_crawl,
 )
 from cubecrawl.cli import main
+from cubecrawl.core import NULL
 from cubecrawl.errors import SchemaError, StoreError
 
 from conftest import assert_values_match_view, random_table, t1_cube
@@ -177,6 +178,23 @@ class TestChunking:
         store = chunk_by_partition(cube, "date", ["Device"], tmp_path / "chunks")
         with pytest.raises(StoreError, match="re-aggregated"):
             store.view(EMPTY_REGION, FeatureRequest((), ("ids",)))
+
+    def test_partition_range_puts_null_last(self, tmp_path):
+        table = Table.from_rows(["Device", "date", "Revenue"], [
+            ("A", "d1", 1), ("A", "d2", 2), ("A", NULL, 4), ("B", "d1", 8)])
+        schema = DimensionSchema((Dimension("Device"), Dimension("date")),
+                                 (Measure.sum("Revenue"),))
+        chunked = chunk_by_partition(BaseTableGroupByCube(table, schema), "date", ["Device"],
+                                     tmp_path / "chunks")
+        sliced = rechunk(chunked, tmp_path / "slices")
+        assert chunked.partition_values() == ("d1", "d2", NULL)
+        request = FeatureRequest(("date",), ("Revenue",))
+        for window, want in (((None, None), ["d1", "d2", NULL]), (("d2", None), ["d2", NULL]),
+                             (("d1", "d2"), ["d1", "d2"]), ((NULL, NULL), [NULL]),
+                             ((None, "d1"), ["d1"])):
+            for store in (chunked, sliced):
+                frame = store.view(Region({"Device": "A"}), request, partition_range=window)
+                assert list(frame.attribute_column("date")) == want, (store, window)
 
 
 class TestRechunk:
