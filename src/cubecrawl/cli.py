@@ -441,7 +441,11 @@ def _load_result_csv(path, schema: DimensionSchema) -> ResultCube:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in utf8_rows(path, reader):
-            region = parse_region(_csv_cell(path, row, "region"), schema)
+            text = _csv_cell(path, row, "region")
+            try:
+                region = parse_region(text, schema)
+            except (RequestError, SchemaError, DataError) as exc:
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
             if region in entries:
                 raise DataError(f"{path}:{reader.line_num}: region {region!r} is listed twice")
             entries[region] = {s: _csv_number(path, reader.line_num, row, s)

@@ -625,7 +625,9 @@ class _TableCursor(RegionCursor):
 
 
 class CellsetCube(AbstractCube):
-    """Materialized cube: full-width cells (value or ANY per dimension) -> measure vector."""
+    """Materialized cube: full-width cells (value or ANY per dimension) -> measure vector.
+
+    Every view is a ``cells_at`` lookup, also for crawl results, GLOBAL joins and stores."""
 
     def __init__(self, schema: DimensionSchema, cells: Mapping[tuple, Mapping[str, Any]]):
         self._schema = schema
@@ -643,6 +645,7 @@ class CellsetCube(AbstractCube):
         for cell in norm:
             mask = frozenset(names[i] for i, v in enumerate(cell) if v is not ANY)
             self._by_mask.setdefault(mask, []).append(cell)
+        self._by_shape: dict[tuple, dict[tuple, list[tuple]]] = {}
 
     @property
     def schema(self) -> DimensionSchema:
@@ -655,24 +658,33 @@ class CellsetCube(AbstractCube):
     def to_cellset(self) -> "CellsetCube":
         return self
 
+    def cells_at(self, region: Region, attrs: Sequence[str]) -> list[tuple]:
+        """The cells of a view of ``region`` with attributes ``attrs``: a mask's cells are
+        grouped once per (bound, free) shape, by the cell with its free attributes ANY."""
+        names = self._schema.dimension_names
+        bound = frozenset(region.dims)
+        free = frozenset(attrs) - bound
+        groups = self._by_shape.get((bound, free))
+        if groups is None:
+            groups = self._by_shape[(bound, free)] = {}
+            for cell in self._by_mask.get(bound | free, ()):
+                key = tuple(ANY if d in free else v for d, v in zip(names, cell))
+                groups.setdefault(key, []).append(cell)
+        bindings = region.bindings()
+        return groups.get(tuple(bindings.get(d, ANY) for d in names), [])
+
     def view(self, region: Region, request: FeatureRequest) -> FeatureFrame:
         self._check(region, request)
-        names = self._schema.dimension_names
-        needed = frozenset(region.dims) | frozenset(request.attribute_features)
+        at = [self._schema.dim_index(a) for a in request.attribute_features]
         rows = []
-        bindings = region.bindings()
-        for cell in self._by_mask.get(needed, ()):
-            by_name = dict(zip(names, cell))
-            if any(by_name[d] != v for d, v in bindings.items()):
-                continue
-            attrs = tuple(by_name[a] for a in request.attribute_features)
+        for cell in self.cells_at(region, request.attribute_features):
             vals = self._cells[cell]
             measures = []
             for m in request.metric_features:
                 if m not in vals:
                     raise SchemaError(f"measure {m!r} not stored in cellset")
                 measures.append(vals[m])
-            rows.append((attrs, tuple(measures)))
+            rows.append((tuple(cell[i] for i in at), tuple(measures)))
         return FeatureFrame(request.attribute_features, request.metric_features, rows)
 
 

@@ -297,8 +297,11 @@ def _population_frames(cube, resolved, instr) -> dict[str, object]:
     return frames
 
 
-def _aggregate_sum(frame, measure: str) -> float:
-    return sum(frame.measure_column(measure))
+def _pushdown_passes(cursor: RegionCursor, model: RegionAnalysisModel) -> bool:
+    """True iff each of ``model``'s pushdown terms passes on its measure's SUM at ``cursor``."""
+    measures = tuple(dict.fromkeys(t.measure for t in model.pushdown))
+    frame = cursor.view(FeatureRequest((), measures))
+    return all(t.passes(sum(frame.measure_column(t.measure))) for t in model.pushdown)
 
 
 def _evaluate_region(cursor: RegionCursor, resolved: _Resolved, pop_frames: dict,
@@ -309,9 +312,7 @@ def _evaluate_region(cursor: RegionCursor, resolved: _Resolved, pop_frames: dict
     for model in resolved.models:
         if model.pushdown:
             instr.counters["pushdown_evaluations"] += 1
-            measures = tuple(dict.fromkeys(t.measure for t in model.pushdown))
-            frame = cursor.view(FeatureRequest((), measures))
-            if not all(t.passes(_aggregate_sum(frame, t.measure)) for t in model.pushdown):
+            if not _pushdown_passes(cursor, model):
                 instr.counters["pushdown_rejections"] += 1
                 passed = False
                 if any(t.op in PRUNING_OPS for t in model.pushdown):
@@ -382,9 +383,7 @@ def apply_pushdown(model: RegionAnalysisModel, cube: AbstractCube, region: Regio
     if not model.pushdown:
         raise SpecError(f"model {model.name!r} declares no pushdown predicate")
     model.validate_against(cube.schema)
-    measures = tuple(dict.fromkeys(t.measure for t in model.pushdown))
-    frame = cube.view(region, FeatureRequest((), measures))
-    return all(t.passes(_aggregate_sum(frame, t.measure)) for t in model.pushdown)
+    return _pushdown_passes(cube.bind(region), model)
 
 
 def _signal_names(resolved: _Resolved) -> tuple[str, ...]:

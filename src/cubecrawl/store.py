@@ -45,7 +45,7 @@ from .core import (
     schema_from_dict,
     schema_to_dict,
 )
-from .errors import SchemaError, SpecError, StoreError
+from .errors import RequestError, SchemaError, SpecError, StoreError
 
 MAGIC = b"CCSTORE1"
 FORMAT_VERSION = 1
@@ -278,8 +278,10 @@ def _read_manifest(path: Path) -> tuple[dict, DimensionSchema]:
 
     Each key the store's kind reads must be present with the shape it is read
     as, down to the part keys, whose values ``decode_value`` checks against
-    their dimensions' domains as the store decodes them; a part's file must
-    be a plain name inside the store.  Anything else is a ``StoreError``.
+    their dimensions' domains as the store decodes them (a key listed twice
+    fails there too); a part's file must be a plain name inside the store, and
+    a partitioned store's schema has exactly its partition and cell
+    dimensions.  Anything else is a ``StoreError``.
     """
     manifest_path = Path(path) / MANIFEST_NAME
     try:
@@ -311,11 +313,11 @@ def _read_manifest(path: Path) -> tuple[dict, DimensionSchema]:
         return payload, schema
     names = schema.dimension_names
     partition_dim, cell_dims = payload.get("partition_dim"), payload.get("cell_dims")
-    if not (isinstance(partition_dim, str) and partition_dim in names
-            and isinstance(cell_dims, list)
-            and all(isinstance(d, str) and d in names and d != partition_dim for d in cell_dims)):
-        raise StoreError("manifest 'cell_dims' must list dimensions of its schema other than "
-                         "'partition_dim', itself a dimension of the schema")
+    if not (isinstance(partition_dim, str) and isinstance(cell_dims, list)
+            and all(isinstance(d, str) for d in cell_dims)
+            and sorted([partition_dim, *cell_dims]) == sorted(names)):
+        raise StoreError("manifest 'partition_dim' and 'cell_dims' must name each dimension "
+                         "of its schema once")
     if any("key" not in part for part in parts):
         raise StoreError("manifest part lacks its 'key'")
     if kind == "rechunked" and not (
@@ -371,8 +373,8 @@ def chunk_by_partition(cube: BaseTableGroupByCube, partition_dim: str,
     root = cube.bind(Region())
     values = root.values(partition_dim)  # checks the partition dimension
     dims = tuple(dims)
-    if partition_dim in dims:
-        raise SpecError("partition dimension cannot also be a chunk dimension")
+    if partition_dim in dims or len(set(dims)) != len(dims):
+        raise SpecError("chunk dimensions must be distinct and exclude the partition dimension")
     for d in dims:
         schema.dimension(d)
     path = Path(path)
@@ -404,7 +406,13 @@ def chunk_by_partition(cube: BaseTableGroupByCube, partition_dim: str,
 
 
 class _PartitionedStore(AbstractCube):
-    """Shared view assembly for the chunked and re-chunked encodings."""
+    """Shared view assembly for the chunked and re-chunked encodings.
+
+    A view is a lookup: a decoded chunk is a ``CellsetCube`` over the cell
+    dimensions, and a re-chunked store finds the slices to read in a cellset of
+    its slice keys.  ``view`` selects partition values and merges the rows that
+    each kind's ``_partition_rows`` yields as (partition value, attributes, measures).
+    """
 
     def __init__(self, path, instrumentation: Instrumentation | None = None,
                  opened: tuple[dict, DimensionSchema] | None = None):
@@ -416,6 +424,8 @@ class _PartitionedStore(AbstractCube):
             )
         self.partition_dim = self.manifest["partition_dim"]
         self.cell_dims = tuple(self.manifest["cell_dims"])
+        self._cell_schema = DimensionSchema(
+            tuple(self._schema.dimension(d) for d in self.cell_dims), self._schema.measures)
         self.counters = (instrumentation or Instrumentation()).counters
 
     @property
@@ -425,54 +435,42 @@ class _PartitionedStore(AbstractCube):
     def partition_values(self) -> tuple:
         raise NotImplementedError
 
-    def _iter_matching(self, needed: frozenset, bindings: dict, values: Sequence):
-        """Yield (partition value, cell tuple, measure dict) for matching cells."""
-        raise NotImplementedError
-
-    def _read(self, part: dict) -> list[tuple[tuple, dict]]:
+    def _read(self, part: dict) -> dict[tuple, dict]:
         """Decode one part file, counting the read; its cells list ``_part_dims``."""
         rows = _read_part(self.path / part["file"], part["checksum"], self._part_dims,
                           self._schema.measure_names)
         self.counters[self._read_counter] += 1
+        cells = dict(rows)
+        if len(cells) != len(rows):
+            raise StoreError(f"{part['file']}: a cell is listed twice")
         # parts are written from base-table aggregates, which are never NULL
-        if any(None in measures.values() for _, measures in rows):
+        if any(None in measures.values() for measures in cells.values()):
             raise StoreError(f"{part['file']}: NULL measure in a partitioned store")
-        return rows
-
-    def _matches(self, cell: tuple, needed: frozenset, bindings: dict) -> bool:
-        """True iff ``cell`` is concrete on exactly ``needed`` and agrees with ``bindings``."""
-        by_name = dict(zip(self.cell_dims, cell))
-        return (frozenset(d for d, v in by_name.items() if v is not ANY) == needed
-                and all(by_name[d] == v for d, v in bindings.items()))
+        return cells
 
     def view(self, region: Region, request: FeatureRequest,
              partition_range: tuple | None = None) -> FeatureFrame:
         self._check(region, request)
         bindings = region.bindings()
         partition_binding = bindings.pop(self.partition_dim, None)
-        for d in bindings:
-            if d not in self.cell_dims:
-                raise SchemaError(f"dimension {d!r} is not materialized in this store")
-        for a in request.attribute_features:
-            if a != self.partition_dim and a not in self.cell_dims:
-                raise SchemaError(f"dimension {a!r} is not materialized in this store")
 
-        values = list(self.partition_values())
+        values = set(self.partition_values())
         if partition_binding is not None:
-            values = [v for v in values if v == partition_binding]
+            values = {v for v in values if v == partition_binding}
         if partition_range is not None:
             # bounds are inclusive, in sort-key order: NULL sorts after every value
             lo, hi = partition_range
+            domain = _DOMAIN_TAG[self._schema.dimension(self.partition_dim).domain][1]
+            for bound in (lo, hi):
+                if not (bound is None or bound is NULL or type(bound) is domain):
+                    raise RequestError(f"partition_range bound {bound!r} is not a value of "
+                                       f"{self.partition_dim!r}")
             key = _value_sort_key
-            values = [v for v in values if (lo is None or key(v) >= key(lo))
-                      and (hi is None or key(v) <= key(hi))]
+            values = {v for v in values if (lo is None or key(v) >= key(lo))
+                      and (hi is None or key(v) <= key(hi))}
 
         attrs = request.attribute_features
         timeseries = self.partition_dim in attrs
-        sub_attrs = tuple(a for a in attrs if a != self.partition_dim)
-        needed = frozenset(bindings) | frozenset(sub_attrs)
-        cell_names = self.cell_dims
-
         # merging rows across partitions is only sound for SUM; a single bound
         # partition value or a timeseries view never merges across partitions
         if not timeseries and partition_binding is None:
@@ -483,14 +481,13 @@ class _PartitionedStore(AbstractCube):
                         f"request {self.partition_dim!r} as an attribute instead"
                     )
 
+        at = attrs.index(self.partition_dim) if timeseries else None
+        cell_request = FeatureRequest(tuple(a for a in attrs if a != self.partition_dim),
+                                      request.metric_features)
         rows: dict[tuple, list] = {}
-        for value, cell, measures in self._iter_matching(needed, bindings, values):
-            by_name = dict(zip(cell_names, cell))
-            key_parts = []
-            for a in attrs:
-                key_parts.append(value if a == self.partition_dim else by_name[a])
-            key = tuple(key_parts)
-            picked = [measures[m] for m in request.metric_features]
+        for value, key, picked in self._partition_rows(Region(bindings), cell_request, values):
+            if at is not None:
+                key = key[:at] + (value,) + key[at:]
             if key in rows:
                 acc = rows[key]
                 for i, v in enumerate(picked):
@@ -514,18 +511,19 @@ class ChunkStore(_PartitionedStore):
         super().__init__(path, instrumentation, opened)
         partition = self._schema.dimension(self.partition_dim)
         self._parts = [(decode_value(p["key"], partition), p) for p in self.manifest["parts"]]
-        self._part_dims = tuple(self._schema.dimension(d) for d in self.cell_dims)
+        if len({v for v, _ in self._parts}) != len(self._parts):
+            raise StoreError("manifest lists a chunk key twice")
+        self._part_dims = self._cell_schema.dimensions
 
     def partition_values(self) -> tuple:
         return tuple(v for v, _ in self._parts)
 
-    def _iter_matching(self, needed, bindings, values):
-        wanted = set(values)
+    def _partition_rows(self, region, request, wanted):
         for value, part in self._parts:
             if value in wanted:
-                for cell, measures in self._read(part):
-                    if self._matches(cell, needed, bindings):
-                        yield value, cell, measures
+                chunk = CellsetCube(self._cell_schema, self._read(part))
+                for key, picked in chunk.view(region, request).iter_rows():
+                    yield value, key, picked
 
 
 def rechunk(store: ChunkStore, path) -> "RechunkedStore":
@@ -534,7 +532,7 @@ def rechunk(store: ChunkStore, path) -> "RechunkedStore":
     path.mkdir(parents=True, exist_ok=True)
     slices: dict[tuple, list] = {}
     for value, part in store._parts:
-        for cell, measures in store._read(part):
+        for cell, measures in store._read(part).items():
             slices.setdefault(cell, []).append((value, measures))
     partition_dimension = store.schema.dimension(store.partition_dim)
     parts = []
@@ -569,9 +567,12 @@ class RechunkedStore(_PartitionedStore):
     def __init__(self, path, instrumentation: Instrumentation | None = None,
                  opened: tuple[dict, DimensionSchema] | None = None):
         super().__init__(path, instrumentation, opened)
-        cell_dims = tuple(self._schema.dimension(d) for d in self.cell_dims)
-        self._parts = [(tuple(decode_value(v, d) for v, d in zip(p["key"], cell_dims)), p)
-                       for p in self.manifest["parts"]]
+        cell_dims = self._cell_schema.dimensions
+        self._slices = {tuple(decode_value(v, d) for v, d in zip(p["key"], cell_dims)): p
+                        for p in self.manifest["parts"]}
+        if len(self._slices) != len(self.manifest["parts"]):
+            raise StoreError("manifest lists a slice key twice")
+        self._keys = CellsetCube(DimensionSchema(cell_dims, ()), dict.fromkeys(self._slices, {}))
         self._part_dims = (self._schema.dimension(self.partition_dim),)
         self._values = tuple(decode_value(v, self._part_dims[0])
                              for v in self.manifest["partition_values"])
@@ -579,13 +580,13 @@ class RechunkedStore(_PartitionedStore):
     def partition_values(self) -> tuple:
         return self._values
 
-    def _iter_matching(self, needed, bindings, values):
-        wanted = set(values)
-        for cell, part in self._parts:
-            if self._matches(cell, needed, bindings):
-                for (value,), measures in self._read(part):
-                    if value in wanted:
-                        yield value, cell, measures
+    def _partition_rows(self, region, request, wanted):
+        at = [self.cell_dims.index(a) for a in request.attribute_features]
+        for cell in self._keys.cells_at(region, request.attribute_features):
+            key = tuple(cell[i] for i in at)
+            for (value,), measures in self._read(self._slices[cell]).items():
+                if value in wanted:
+                    yield value, key, tuple(measures[m] for m in request.metric_features)
 
 
 def load_store(path, instrumentation: Instrumentation | None = None) -> AbstractCube:

@@ -445,8 +445,10 @@ class TestMaterializeCommand:
     @pytest.mark.parametrize("body, code, error, message", [
         ("Device=Pixel,70.0\nDevice=Pixel,5.0\n", 4, "DataError",
          "{path}:4: region Region(Device=Pixel) is listed twice"),
-        ("Device=Pixel;Device=iPhone,70.0\n", 2, "RequestError",
-         "region 'Device=Pixel;Device=iPhone' binds 'Device' twice"),
+        ("Device=Pixel;Device=iPhone,70.0\n", 4, "DataError",
+         "{path}:3: region 'Device=Pixel;Device=iPhone' binds 'Device' twice"),
+        ("Color=red,70.0\n", 4, "DataError", "{path}:3: unknown dimension 'Color'"),
+        ("Device,70.0\n", 4, "DataError", "{path}:3: malformed region binding 'Device'"),
     ])
     def test_a_region_listed_or_bound_twice_is_one_error_record(self, tmp_path, capsys, body,
                                                                 code, error, message):

@@ -1,5 +1,9 @@
 """Property tests on random inputs: base-table cursors agree with the row
-oracle, and the pruned crawl agrees with the naive oracle."""
+oracle, the pruned crawl agrees with the naive oracle, and every materialized
+cube kind gives the base table's views."""
+
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +21,12 @@ from cubecrawl import (
     Measure,
     Region,
     Table,
+    build_cellset,
+    chunk_by_partition,
+    load_cellset,
+    materialize,
     naive_crawl,
+    rechunk,
     top_down_crawl,
 )
 
@@ -113,3 +122,37 @@ def test_cursors_match_the_row_oracle(data):
             frame = cursor.view(FeatureRequest(attrs, ("m0", "m1")))
             assert {a: dict(zip(("m0", "m1"), m)) for a, m in frame.iter_rows()} == \
                 group_by(matching, attrs, ("m0", "m1"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_materialized_cubes_give_the_base_tables_views(data):
+    """A cellset, its loaded store, a chunked store and its rechunked store give
+    the base table's frame, for observed, unobserved and NULL bindings, with the
+    partition dimension bound, free or requested, and attributes the region binds."""
+    cube = data.draw(cubes())
+    dims = cube.schema.dimension_names
+    partition = data.draw(st.sampled_from(dims))
+    others = [d for d in dims if d != partition]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        materialize(cube, dims, tmp / "cellset")
+        chunked = chunk_by_partition(cube, partition, others, tmp / "chunked")
+        kinds = {"cellset": build_cellset(cube, dims), "loaded": load_cellset(tmp / "cellset"),
+                 "chunked": chunked, "rechunked": rechunk(chunked, tmp / "rechunked")}
+        for _ in range(data.draw(st.integers(1, 4))):
+            names = st.lists(st.sampled_from(others), unique=True) if others else st.just([])
+            bound, attrs = list(data.draw(names)), list(data.draw(names))
+            role = data.draw(st.sampled_from(("bound", "free", "requested",
+                                              "bound and requested")))
+            if "bound" in role:
+                bound.append(partition)
+            if "requested" in role:
+                attrs.insert(data.draw(st.integers(0, len(attrs))), partition)
+            region = Region({d: data.draw(st.sampled_from(
+                DOMAIN_VALUES[cube.schema.dimension(d).domain] + (NULL,))) for d in bound})
+            metrics = data.draw(st.sampled_from(((), ("m0",), ("m1", "m0"), ("m0", "m1"))))
+            request = FeatureRequest(tuple(attrs), metrics)
+            want = cube.view(region, request)
+            for kind, materialized in kinds.items():
+                assert materialized.view(region, request) == want, (kind, region, request)

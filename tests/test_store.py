@@ -27,7 +27,7 @@ from cubecrawl import (
 )
 from cubecrawl.cli import main
 from cubecrawl.core import NULL
-from cubecrawl.errors import SchemaError, StoreError
+from cubecrawl.errors import RequestError, SchemaError, SpecError, StoreError
 
 from conftest import assert_values_match_view, random_table, t1_cube
 
@@ -195,6 +195,22 @@ class TestChunking:
             for store in (chunked, sliced):
                 frame = store.view(Region({"Device": "A"}), request, partition_range=window)
                 assert list(frame.attribute_column("date")) == want, (store, window)
+
+    def test_a_chunk_dimension_listed_twice_is_a_spec_error(self, tmp_path):
+        with pytest.raises(SpecError, match="distinct"):
+            chunk_by_partition(daily_cube(n_days=2), "date", ["Device", "Device"],
+                               tmp_path / "chunks")
+        assert not (tmp_path / "chunks").exists()
+
+    def test_partition_range_of_another_type_is_a_request_error(self, tmp_path):
+        chunked = chunk_by_partition(daily_cube(n_days=2, devices=("A",)), "date", ["Device"],
+                                     tmp_path / "chunks")
+        sliced = rechunk(chunked, tmp_path / "slices")
+        request = FeatureRequest(("date",), ("Revenue",))
+        for window, bad in (((1, None), "1"), (("d00", True), "True"), ((None, 2.5), "2.5")):
+            for store in (chunked, sliced):
+                with pytest.raises(RequestError, match=f"bound {bad} is not a value of 'date'"):
+                    store.view(Region({"Device": "A"}), request, partition_range=window)
 
 
 class TestRechunk:
@@ -404,6 +420,17 @@ class TestDecoderFuzz:
         with pytest.raises(StoreError, match="manifest schema"):
             self._read_all(stores["chunked"])
 
+    @pytest.mark.parametrize("kind, dim", [("chunked", "Device"), ("rechunked", "date")])
+    def test_part_listing_a_cell_twice(self, tmp_path, kind, dim):
+        from cubecrawl.store import _write_part
+
+        store_dir = self._stores(tmp_path)[kind]
+        _write_part(tmp_path / "twice.bin", (Dimension(dim),), ("Revenue", "ids"),
+                    [(("d00",), (1, 1))] * 2)
+        self._replace_part(store_dir, 0, (tmp_path / "twice.bin").read_bytes())
+        with pytest.raises(StoreError, match="a cell is listed twice"):
+            self._read_all(store_dir)
+
 
 def _drop(manifest: dict, key: str) -> dict:
     return {k: v for k, v in manifest.items() if k != key}
@@ -434,6 +461,8 @@ class TestManifestChecks:
         "cell_dim_not_in_schema": ("chunked", lambda m, d: dict(m, cell_dims=["Nope"])),
         "partition_dim_among_cell_dims": (
             "chunked", lambda m, d: dict(m, cell_dims=["Device", "date"])),
+        "schema_dimension_neither_partition_nor_cell": (
+            "chunked", lambda m, d: dict(m, cell_dims=[])),
         "parts_not_a_list": ("chunked", lambda m, d: dict(m, parts=m["parts"][0])),
         "cellset_with_two_parts": ("cellset", lambda m, d: dict(m, parts=m["parts"] * 2)),
         "part_not_an_object": ("chunked", lambda m, d: dict(m, parts=["chunk-00000.bin"])),
@@ -448,9 +477,12 @@ class TestManifestChecks:
         "chunk_key_malformed": ("chunked", lambda m, d: _part(m, key={"x": 1})),
         "chunk_key_two_tags": ("chunked", lambda m, d: _part(m, key={"s": "d00", "i": 0})),
         "chunk_key_of_another_domain": ("chunked", lambda m, d: _part(m, key={"i": 7})),
+        "chunk_key_listed_twice": ("chunked", lambda m, d: _part(m, key=m["parts"][1]["key"])),
         "slice_key_too_short": ("rechunked", lambda m, d: _part(m, key=[])),
         "slice_key_not_a_list": ("rechunked", lambda m, d: _part(m, key={"s": "A"})),
         "slice_key_of_another_domain": ("rechunked", lambda m, d: _part(m, key=[{"b": True}])),
+        "slice_key_listed_twice": (
+            "rechunked", lambda m, d: _part(m, key=m["parts"][1]["key"])),
         "no_partition_values": ("rechunked", lambda m, d: _drop(m, "partition_values")),
         "partition_value_malformed": ("rechunked", lambda m, d: dict(m, partition_values=[5])),
         "partition_value_of_another_domain": (
