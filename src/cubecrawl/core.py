@@ -660,18 +660,25 @@ class CellsetCube(AbstractCube):
 
     def cells_at(self, region: Region, attrs: Sequence[str]) -> list[tuple]:
         """The cells of a view of ``region`` with attributes ``attrs``: a mask's cells are
-        grouped once per (bound, free) shape, by the cell with its free attributes ANY."""
+        grouped once per (bound, free) shape, by the cell with its free attributes ANY.
+
+        Without free attributes the view is the region's one cell, found by a probe."""
         names = self._schema.dimension_names
         bound = frozenset(region.dims)
         free = frozenset(attrs) - bound
+        bindings = region.bindings()
+        probe = tuple(bindings.get(d, ANY) for d in names)
+        if not free:
+            # a cell's values are its mask's dimensions, so a region binding ANY has no cell
+            found = probe in self._cells and sum(v is not ANY for v in probe) == len(bound)
+            return [probe] if found else []
         groups = self._by_shape.get((bound, free))
         if groups is None:
             groups = self._by_shape[(bound, free)] = {}
             for cell in self._by_mask.get(bound | free, ()):
                 key = tuple(ANY if d in free else v for d, v in zip(names, cell))
                 groups.setdefault(key, []).append(cell)
-        bindings = region.bindings()
-        return groups.get(tuple(bindings.get(d, ANY) for d in names), [])
+        return groups.get(probe, [])
 
     def view(self, region: Region, request: FeatureRequest) -> FeatureFrame:
         self._check(region, request)

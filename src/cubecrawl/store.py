@@ -4,8 +4,11 @@ A store directory holds one binary columnar file per part plus a JSON
 manifest with per-part checksums.  Three kinds exist: a plain materialized
 cellset, a cellset chunked by a partition dimension (one chunk per partition
 value), and the re-chunked form where each region's rows across all partition
-values sit in one contiguous slice.  Reads verify checksums and are counted,
-so read-amplification claims are testable.
+values sit in one contiguous slice.  An opened partitioned store decodes a
+part on its first read only, verifying its checksum, and keeps the decoded
+form.  Reads are counted twice over: logical reads (``chunk_reads`` and
+``slice_reads``, one per part a view consults) keep read-amplification claims
+testable, and ``parts_decoded`` counts the physical decodes.
 
 Chunk file layout (little-endian, column-major)::
 
@@ -194,7 +197,10 @@ def _read_column(r: _Reader, path: Path, n_rows: int, role: int, col_type: int) 
     else:
         offsets = r.unpack(f"<{n_rows + 1}I")
         blob = r.take(offsets[-1])
-        raw = [_text(blob[offsets[i]:offsets[i + 1]], path) for i in range(n_rows)]
+        pieces = [blob[offsets[i]:offsets[i + 1]] for i in range(n_rows)]
+        # one str per distinct value, shared by the rows that hold it
+        texts = {piece: _text(piece, path) for piece in set(pieces)}
+        raw = [texts[piece] for piece in pieces]
     null = NULL if role == _ROLE_DIM else None
     return [v if m == _MARK_VALUE else ANY if m == _MARK_WILDCARD else null
             for m, v in zip(markers, raw)]
@@ -412,6 +418,9 @@ class _PartitionedStore(AbstractCube):
     dimensions, and a re-chunked store finds the slices to read in a cellset of
     its slice keys.  ``view`` selects partition values and merges the rows that
     each kind's ``_partition_rows`` yields as (partition value, attributes, measures).
+    Each part is decoded at most once per store: ``_read`` keeps the decoded
+    form of every part that decoded cleanly, so later views reuse it (a
+    chunk's ``CellsetCube`` with its lookup index, or a slice's cells).
     """
 
     def __init__(self, path, instrumentation: Instrumentation | None = None,
@@ -427,6 +436,7 @@ class _PartitionedStore(AbstractCube):
         self._cell_schema = DimensionSchema(
             tuple(self._schema.dimension(d) for d in self.cell_dims), self._schema.measures)
         self.counters = (instrumentation or Instrumentation()).counters
+        self._decoded: dict = {}
 
     @property
     def schema(self) -> DimensionSchema:
@@ -435,17 +445,28 @@ class _PartitionedStore(AbstractCube):
     def partition_values(self) -> tuple:
         raise NotImplementedError
 
-    def _read(self, part: dict) -> dict[tuple, dict]:
-        """Decode one part file, counting the read; its cells list ``_part_dims``."""
-        rows = _read_part(self.path / part["file"], part["checksum"], self._part_dims,
-                          self._schema.measure_names)
+    def _read(self, key, part: dict):
+        """The decoded form of the part at ``key``, counting one logical read.
+
+        The first read decodes and checks the part file into its cells, which
+        list ``_part_dims``, and keeps ``_form`` of them; a part that fails is
+        not kept, so every read of it fails again.
+        """
+        if key not in self._decoded:
+            rows = _read_part(self.path / part["file"], part["checksum"], self._part_dims,
+                              self._schema.measure_names)
+            cells = dict(rows)
+            if len(cells) != len(rows):
+                raise StoreError(f"{part['file']}: a cell is listed twice")
+            # parts are written from base-table aggregates, which are never NULL
+            if any(None in measures.values() for measures in cells.values()):
+                raise StoreError(f"{part['file']}: NULL measure in a partitioned store")
+            self._decoded[key] = self._form(cells)
+            self.counters["parts_decoded"] += 1
         self.counters[self._read_counter] += 1
-        cells = dict(rows)
-        if len(cells) != len(rows):
-            raise StoreError(f"{part['file']}: a cell is listed twice")
-        # parts are written from base-table aggregates, which are never NULL
-        if any(None in measures.values() for measures in cells.values()):
-            raise StoreError(f"{part['file']}: NULL measure in a partitioned store")
+        return self._decoded[key]
+
+    def _form(self, cells: dict[tuple, dict]):
         return cells
 
     def view(self, region: Region, request: FeatureRequest,
@@ -458,6 +479,8 @@ class _PartitionedStore(AbstractCube):
         if partition_binding is not None:
             values = {v for v in values if v == partition_binding}
         if partition_range is not None:
+            if not (isinstance(partition_range, (tuple, list)) and len(partition_range) == 2):
+                raise RequestError(f"partition_range {partition_range!r} is not a (lo, hi) pair")
             # bounds are inclusive, in sort-key order: NULL sorts after every value
             lo, hi = partition_range
             domain = _DOMAIN_TAG[self._schema.dimension(self.partition_dim).domain][1]
@@ -518,11 +541,13 @@ class ChunkStore(_PartitionedStore):
     def partition_values(self) -> tuple:
         return tuple(v for v, _ in self._parts)
 
+    def _form(self, cells: dict[tuple, dict]) -> CellsetCube:
+        return CellsetCube(self._cell_schema, cells)
+
     def _partition_rows(self, region, request, wanted):
         for value, part in self._parts:
             if value in wanted:
-                chunk = CellsetCube(self._cell_schema, self._read(part))
-                for key, picked in chunk.view(region, request).iter_rows():
+                for key, picked in self._read(value, part).view(region, request).iter_rows():
                     yield value, key, picked
 
 
@@ -532,7 +557,7 @@ def rechunk(store: ChunkStore, path) -> "RechunkedStore":
     path.mkdir(parents=True, exist_ok=True)
     slices: dict[tuple, list] = {}
     for value, part in store._parts:
-        for cell, measures in store._read(part).items():
+        for cell, measures in store._read(value, part).cells.items():
             slices.setdefault(cell, []).append((value, measures))
     partition_dimension = store.schema.dimension(store.partition_dim)
     parts = []
@@ -584,7 +609,7 @@ class RechunkedStore(_PartitionedStore):
         at = [self.cell_dims.index(a) for a in request.attribute_features]
         for cell in self._keys.cells_at(region, request.attribute_features):
             key = tuple(cell[i] for i in at)
-            for (value,), measures in self._read(self._slices[cell]).items():
+            for (value,), measures in self._read(cell, self._slices[cell]).items():
                 if value in wanted:
                     yield value, key, tuple(measures[m] for m in request.metric_features)
 

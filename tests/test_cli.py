@@ -552,15 +552,18 @@ class TestInstrumentReport:
         report = self.run(tmp_path, "materialize", {"materialize": {
             "action": "materialize", "source": self.chunked_store(tmp_path)}},
             tmp_path / "cells")
-        # one view per mask of (Device, date), each reading all 8 chunks
-        assert report == {"counters": {"chunk_reads": 4 * 8}, "model_invocations": {}}
+        # one view per mask of (Device, date), each reading all 8 chunks, each decoded once
+        assert report == {"counters": {"chunk_reads": 4 * 8, "parts_decoded": 8},
+                          "model_invocations": {}}
 
     def test_local_join_with_a_chunked_side_counts_reads_and_joins(self, tmp_path):
         report = self.run(tmp_path, "join", {"join": {
             "left": self.chunked_store(tmp_path), "right": daily_source(tmp_path),
             "on": ["Device", "date"], "strategy": "local"}}, tmp_path / "joined")
-        # one LOCAL view join per mask of (Device, date), each reading all 8 chunks
-        assert report == {"counters": {"chunk_reads": 4 * 8, "local_view_joins": 4},
+        # one LOCAL view join per mask of (Device, date), each reading all 8 chunks,
+        # each decoded once
+        assert report == {"counters": {"chunk_reads": 4 * 8, "local_view_joins": 4,
+                                       "parts_decoded": 8},
                           "model_invocations": {}}
 
     def test_outputs_are_byte_identical_with_and_without_a_report(self, tmp_path):

@@ -223,6 +223,19 @@ class TestCellset:
                 assert_values_match_view(cellset, region, dims)
         assert absent
 
+    def test_a_view_without_free_attributes_is_one_probe(self, sales_cube):
+        cellset = build_cellset(sales_cube, ["Device", "Browser"])
+        assert cellset.cells_at(EMPTY_REGION, ()) == [(ANY, ANY)]
+        assert cellset.cells_at(Region({"Device": "Pixel"}), ("Device",)) == [("Pixel", ANY)]
+        assert cellset.cells_at(Region({"Device": "Nokia"}), ()) == []
+        # a region may bind ANY, which names the aggregated cell but is no value of it
+        request = FeatureRequest((), ("Revenue",))
+        for region in (Region({"Device": ANY}), Region({"Device": "Pixel", "Browser": ANY})):
+            assert cellset.cells_at(region, ()) == []
+            assert cellset.view(region, request) == sales_cube.view(region, request)
+            assert cellset.view(region, request).n_rows == 0
+        assert cellset._by_shape == {}
+
     def test_region_values(self, sales_cube):
         cellset = build_cellset(sales_cube, ["Device", "Browser"])
         assert cellset.region_values(Region({"Device": "iPhone"}), "Browser") == ("Safari",)

@@ -24,6 +24,7 @@ from cubecrawl import (
     build_cellset,
     chunk_by_partition,
     load_cellset,
+    load_store,
     materialize,
     naive_crawl,
     rechunk,
@@ -129,18 +130,23 @@ def test_cursors_match_the_row_oracle(data):
 def test_materialized_cubes_give_the_base_tables_views(data):
     """A cellset, its loaded store, a chunked store and its rechunked store give
     the base table's frame, for observed, unobserved and NULL bindings, with the
-    partition dimension bound, free or requested, and attributes the region binds."""
+    partition dimension bound, free or requested, and attributes the region binds.
+    Each store serves several views, so later views read parts it decoded already;
+    a partitioned store, given a partition range, gives the frame of the rows in it."""
     cube = data.draw(cubes())
     dims = cube.schema.dimension_names
     partition = data.draw(st.sampled_from(dims))
     others = [d for d in dims if d != partition]
+    partition_values = DOMAIN_VALUES[cube.schema.dimension(partition).domain] + (NULL,)
+    column = cube.table.column(partition)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         materialize(cube, dims, tmp / "cellset")
-        chunked = chunk_by_partition(cube, partition, others, tmp / "chunked")
+        rechunk(chunk_by_partition(cube, partition, others, tmp / "chunked"), tmp / "rechunked")
         kinds = {"cellset": build_cellset(cube, dims), "loaded": load_cellset(tmp / "cellset"),
-                 "chunked": chunked, "rechunked": rechunk(chunked, tmp / "rechunked")}
-        for _ in range(data.draw(st.integers(1, 4))):
+                 "chunked": load_store(tmp / "chunked"),
+                 "rechunked": load_store(tmp / "rechunked")}
+        for _ in range(data.draw(st.integers(1, 8))):
             names = st.lists(st.sampled_from(others), unique=True) if others else st.just([])
             bound, attrs = list(data.draw(names)), list(data.draw(names))
             role = data.draw(st.sampled_from(("bound", "free", "requested",
@@ -156,3 +162,16 @@ def test_materialized_cubes_give_the_base_tables_views(data):
             want = cube.view(region, request)
             for kind, materialized in kinds.items():
                 assert materialized.view(region, request) == want, (kind, region, request)
+            bound_value = st.one_of(st.none(), st.sampled_from(partition_values))
+            lo, hi = data.draw(bound_value), data.draw(bound_value)
+            in_range = [i for i, v in enumerate(column)
+                        if (lo is None or _null_last(v) >= _null_last(lo))
+                        and (hi is None or _null_last(v) <= _null_last(hi))]
+            want = BaseTableGroupByCube(cube.table.subset(in_range), cube.schema).view(
+                region, request)
+            for kind in ("chunked", "rechunked"):
+                assert kinds[kind].view(region, request, partition_range=(lo, hi)) == want, \
+                    (kind, region, request, (lo, hi))
+        for kind in ("chunked", "rechunked"):
+            store = kinds[kind]
+            assert store.counters["parts_decoded"] <= len(store.manifest["parts"]), kind

@@ -1,4 +1,5 @@
-"""Byte-output pins: CLI outputs on a fixed-seed table hash to recorded values.
+"""Byte-output pins: CLI outputs on a fixed-seed table, and a crawl over a
+date-chunked store written by the CLI's writer, hash to recorded values.
 
 The table mixes string, integer, boolean and NULL dimension values with a
 float measure, so both the order of regions and the left-to-right order of
@@ -12,7 +13,8 @@ import json
 import random
 from pathlib import Path
 
-from cubecrawl.cli import main
+from cubecrawl import CrawlSpec, WindowOutlierModel, load_store, top_down_crawl
+from cubecrawl.cli import main, result_records, write_records
 
 SCHEMA = {
     "dimensions": [{"name": "Device"}, {"name": "Country"},
@@ -27,6 +29,10 @@ MODELS = [
     {"model": "attribution", "params": {"numerator": "Revenue", "denominator": "Clicks"}},
 ]
 DIMS = ["Device", "Country", "Hour"]
+DAILY_SCHEMA = {
+    "dimensions": [{"name": "Device"}, {"name": "Country"}, {"name": "date"}],
+    "measures": [{"name": "Revenue", "agg": "sum", "sources": ["Revenue"]}],
+}
 
 # sha256 of each output, recorded before the base table found a region's rows
 # by partitioning its parent's rows
@@ -55,6 +61,9 @@ EXPECTED = {
         "7fed559391f25ce96f8b9556be0e498197e586262a5d242c1ba73c8ef4c735bd",
     "chunks/manifest.json":
         "185f220c2f9716157944fc6cdd58a5da940eabbecb4ceb59f69bdf5fc3c758cf",
+    # recorded before a store decoded each part once per opened store
+    "outlier.jsonl":
+        "b0232ab04cc11ce6fb6c1e8b748c4f4e4c18aea4a31c61d65e49085a83ebc629",
 }
 
 
@@ -72,6 +81,18 @@ def write_table(path: Path, seed: int = 11, n_rows: int = 400) -> None:
                 repr(rng.uniform(0.0, 50.0)),
                 rng.randint(1, 9),
             ])
+
+
+def write_daily_table(path: Path, seed: int = 5, n_rows: int = 600) -> None:
+    """Revenue by Device and Country over ten dates, for a date-chunked store."""
+    rng = random.Random(seed)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["Device", "Country", "date", "Revenue"])
+        for _ in range(n_rows):
+            writer.writerow([rng.choice(["Pixel", "iPhone", "Galaxy"]),
+                             rng.choice(["US", "DE", "JP", "BR"]),
+                             f"2024-03-{rng.randint(1, 10):02d}", rng.randint(1, 99)])
 
 
 def write_config(path: Path, payload: dict) -> str:
@@ -107,6 +128,19 @@ def run_outputs(work: Path) -> dict:
         for f in files:
             key = str(f.relative_to(work))
             hashes[key] = hashlib.sha256(f.read_bytes()).hexdigest()
+    # a window-outlier crawl over a date-chunked store, written as the CLI writes a crawl
+    write_daily_table(work / "daily.csv")
+    config = write_config(work / "daily_chunks.json", {"materialize": {
+        "action": "chunk", "source": {"kind": "base_table", "csv": str(work / "daily.csv"),
+                                      "schema": DAILY_SCHEMA},
+        "partition_dim": "date", "dims": ["Device", "Country"]}})
+    assert main(["materialize", "--config", config, "--output", str(work / "daily_chunks")]) == 0
+    spec = CrawlSpec(models=[WindowOutlierModel("date", "Revenue", 3)],
+                     dimensions=["Device", "Country"], thresholds={"region_share": 0.05})
+    result = top_down_crawl(load_store(work / "daily_chunks"), spec)
+    write_records(result_records(result, False), result.signal_names, "jsonl",
+                  work / "outlier.jsonl")
+    hashes["outlier.jsonl"] = hashlib.sha256((work / "outlier.jsonl").read_bytes()).hexdigest()
     return hashes
 
 

@@ -212,6 +212,16 @@ class TestChunking:
                 with pytest.raises(RequestError, match=f"bound {bad} is not a value of 'date'"):
                     store.view(Region({"Device": "A"}), request, partition_range=window)
 
+    def test_a_partition_range_that_is_not_a_pair_is_a_request_error(self, tmp_path):
+        chunked = chunk_by_partition(daily_cube(n_days=2, devices=("A",)), "date", ["Device"],
+                                     tmp_path / "chunks")
+        sliced = rechunk(chunked, tmp_path / "slices")
+        request = FeatureRequest(("date",), ("Revenue",))
+        for window in ("d1", ("d00",), ("d00", "d01", "d01"), {"d00", "d01"}):
+            for store in (chunked, sliced):
+                with pytest.raises(RequestError, match="partition_range .* is not a"):
+                    store.view(Region({"Device": "A"}), request, partition_range=window)
+
 
 class TestRechunk:
     def test_region_series_is_one_slice_read(self, tmp_path):
@@ -294,6 +304,61 @@ class TestEncodingInvariance:
             sliced.view(Region({"Device": "B"}), request, partition_range=window)
             assert (sliced.counters["slice_reads"] - s0) <= \
                 (chunked.counters["chunk_reads"] - c0)
+
+
+class TestDecodeOnce:
+    """A store decodes each part at most once; chunk and slice reads stay one per part a
+    view consults."""
+
+    def test_window_views_read_seven_chunks_and_decode_each_chunk_once(self, tmp_path):
+        chunk_by_partition(daily_cube(n_days=10), "date", ["Device"], tmp_path / "chunks")
+        store = load_store(tmp_path / "chunks")
+        dates = store.partition_values()
+        request = FeatureRequest(("date",), ("Revenue",))
+        windows = [(dates[end - 6], dates[end]) for end in range(6, 10)] * 3
+        for i, window in enumerate(windows, 1):
+            frame = store.view(Region({"Device": "B"}), request, partition_range=window)
+            assert list(frame.attribute_column("date")) == \
+                [d for d in dates if window[0] <= d <= window[1]]
+            assert store.counters["chunk_reads"] == 7 * i
+        assert store.counters["parts_decoded"] == len(dates) == 10
+
+    def test_a_slice_viewed_twice_is_decoded_once(self, tmp_path):
+        chunked = chunk_by_partition(daily_cube(n_days=5), "date", ["Device"],
+                                     tmp_path / "chunks")
+        rechunk(chunked, tmp_path / "slices")
+        sliced = load_store(tmp_path / "slices")
+        request = FeatureRequest(("date",), ("Revenue",))
+        frames = [sliced.view(Region({"Device": "A"}), request) for _ in range(2)]
+        assert frames[0] == frames[1] == chunked.view(Region({"Device": "A"}), request)
+        assert sliced.counters["slice_reads"] == 2
+        assert sliced.counters["parts_decoded"] == 1
+
+    def test_rechunk_reads_through_the_decoded_chunks(self, tmp_path):
+        chunked = chunk_by_partition(daily_cube(n_days=4), "date", ["Device"],
+                                     tmp_path / "chunks")
+        chunked.view(EMPTY_REGION, FeatureRequest(("date",), ("Revenue",)))
+        rechunk(chunked, tmp_path / "slices")
+        assert chunked.counters["chunk_reads"] == 8
+        assert chunked.counters["parts_decoded"] == 4
+
+    @pytest.mark.parametrize("kind", ["chunked", "rechunked"])
+    def test_a_part_that_fails_to_decode_is_not_kept(self, tmp_path, kind):
+        chunked = chunk_by_partition(daily_cube(n_days=3), "date", ["Device"],
+                                     tmp_path / "chunked")
+        rechunk(chunked, tmp_path / "rechunked")
+        store = load_store(tmp_path / kind)
+        part = tmp_path / kind / store.manifest["parts"][0]["file"]
+        original = part.read_bytes()
+        part.write_bytes(original[:-1] + bytes([original[-1] ^ 0xFF]))
+        request = FeatureRequest(("date",), ("Revenue",))
+        for _ in range(2):
+            with pytest.raises(StoreError, match="checksum"):
+                store.view(EMPTY_REGION, request)
+        part.write_bytes(original)
+        assert store.view(EMPTY_REGION, request) == chunked.view(EMPTY_REGION, request)
+        # the view consults every chunk, or the one slice of the empty region
+        assert store.counters["parts_decoded"] == {"chunked": 3, "rechunked": 1}[kind]
 
 
 class TestManifestScan:
