@@ -53,8 +53,8 @@ print(f"{pixel} precedes {fine}: {region_precedes(pixel, fine)}")
 
 print("\n== the same cube, materialized as a cellset ==")
 cellset = build_cellset(cube, ["Device", "Browser"])
-for cell in sorted(cellset.cells, key=str):
-    print(f"  cell {cell}: {cellset.cells[cell]}")
+for cell, measures in sorted(cellset.cells.items(), key=lambda item: str(item[0])):
+    print(f"  cell {cell}: {measures}")
 print("cellset view at (Device=Pixel) equals the live view:",
       cellset.view(pixel, FeatureRequest((), ("Revenue",)))
       == cube.view(pixel, FeatureRequest((), ("Revenue",))))

@@ -625,19 +625,22 @@ class _TableCursor(RegionCursor):
 
 
 class CellsetCube(AbstractCube):
-    """Materialized cube: full-width cells (value or ANY per dimension) -> measure vector.
+    """Materialized cube: full-width cells (value or ANY per dimension) -> measure
+    tuple in ``schema.measure_names`` order; ``cells`` is the by-name view.
 
     Every view is a ``cells_at`` lookup, also for crawl results, GLOBAL joins and stores."""
 
-    def __init__(self, schema: DimensionSchema, cells: Mapping[tuple, Mapping[str, Any]]):
+    def __init__(self, schema: DimensionSchema, cells: Mapping[tuple, Sequence]):
         self._schema = schema
-        width = len(schema.dimensions)
-        norm: dict[tuple, dict[str, Any]] = {}
+        width, n_measures = len(schema.dimensions), len(schema.measures)
+        norm: dict[tuple, tuple] = {}
         for cell, values in cells.items():
-            cell = tuple(cell)
+            cell, values = tuple(cell), tuple(values)
             if len(cell) != width:
                 raise SchemaError(f"cell {cell!r} width != {width}")
-            norm[cell] = dict(values)
+            if len(values) != n_measures:
+                raise SchemaError(f"cell {cell!r} holds {len(values)} measures, not {n_measures}")
+            norm[cell] = values
         self._cells = norm
         # mask index: frozenset of concrete dimension names -> cells
         self._by_mask: dict[frozenset, list[tuple]] = {}
@@ -652,8 +655,10 @@ class CellsetCube(AbstractCube):
         return self._schema
 
     @property
-    def cells(self) -> dict:
-        return self._cells
+    def cells(self) -> dict[tuple, dict]:
+        """Each cell's measures by name, built on access."""
+        names = self._schema.measure_names
+        return {cell: dict(zip(names, values)) for cell, values in self._cells.items()}
 
     def to_cellset(self) -> "CellsetCube":
         return self
@@ -683,15 +688,12 @@ class CellsetCube(AbstractCube):
     def view(self, region: Region, request: FeatureRequest) -> FeatureFrame:
         self._check(region, request)
         at = [self._schema.dim_index(a) for a in request.attribute_features]
+        names = self._schema.measure_names
+        picks = [names.index(m) for m in request.metric_features]
         rows = []
         for cell in self.cells_at(region, request.attribute_features):
-            vals = self._cells[cell]
-            measures = []
-            for m in request.metric_features:
-                if m not in vals:
-                    raise SchemaError(f"measure {m!r} not stored in cellset")
-                measures.append(vals[m])
-            rows.append((tuple(cell[i] for i in at), tuple(measures)))
+            values = self._cells[cell]
+            rows.append((tuple(cell[i] for i in at), tuple(values[j] for j in picks)))
         return FeatureFrame(request.attribute_features, request.metric_features, rows)
 
 
@@ -712,14 +714,14 @@ def build_cellset(cube: AbstractCube, dims: Sequence[str]) -> CellsetCube:
     )
     ordered = sub_schema.dimension_names
     measure_names = sub_schema.measure_names
-    cells: dict[tuple, dict[str, Any]] = {}
+    cells: dict[tuple, tuple] = {}
     for k in range(len(ordered) + 1):
         for subset in itertools.combinations(ordered, k):
             frame = cube.view(EMPTY_REGION, FeatureRequest(subset, measure_names))
             for attrs, measures in frame.iter_rows():
                 by_name = dict(zip(subset, attrs))
                 cell = tuple(by_name.get(d, ANY) for d in ordered)
-                cells[cell] = dict(zip(measure_names, measures))
+                cells[cell] = measures
     return CellsetCube(sub_schema, cells)
 
 

@@ -34,7 +34,7 @@ from .core import (
     RegionCursor,
     Table,
 )
-from .errors import AprioriViolationError, ConfigError, RefusalError, SpecError
+from .errors import AprioriViolationError, ConfigError, RefusalError, SchemaError, SpecError
 from .models import (
     PRUNING_OPS,
     EntityMeasureModel,
@@ -103,7 +103,10 @@ class ResultCube(AbstractCube):
             for region, signals in self.entries.items():
                 bindings = region.bindings()
                 cell = tuple(bindings.get(d, ANY) for d in names)
-                cells[cell] = dict(signals)
+                try:
+                    cells[cell] = tuple(signals[s] for s in self.signal_names)
+                except KeyError as exc:
+                    raise SchemaError(f"measure {exc.args[0]!r} not stored in cellset") from None
             self._cellset = CellsetCube(self._schema, cells)
         return self._cellset
 

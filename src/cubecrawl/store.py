@@ -207,12 +207,13 @@ def _read_column(r: _Reader, path: Path, n_rows: int, role: int, col_type: int) 
 
 
 def _read_part(path: Path, expected_checksum: str, dims: Sequence[Dimension],
-               measure_names: Sequence[str]) -> list[tuple[tuple, dict]]:
-    """Read, verify and decode one part file into (cell, measures) rows.
+               measure_names: Sequence[str]) -> dict[tuple, tuple]:
+    """Read, verify and decode one part file into its cells -> measure tuples.
 
     The part must hold exactly the columns ``dims`` and ``measure_names``, with
-    the role and type the manifest implies for each; a cell lists its values
-    in the order of ``dims``.  Anything else is a ``StoreError``.
+    the role and type the manifest implies for each, and list each cell once; a
+    cell lists its values in the order of ``dims``, its measures in the order of
+    ``measure_names``.  Anything else is a ``StoreError``.
     """
     try:
         data = path.read_bytes()
@@ -242,9 +243,12 @@ def _read_part(path: Path, expected_checksum: str, dims: Sequence[Dimension],
         columns[name] = _read_column(r, path, n_rows, role, col_type)
     if r.pos != len(data):
         raise StoreError(f"{path.name}: trailing bytes after the last column")
-    cells = list(zip(*(columns[d.name] for d in dims))) if dims else [()] * n_rows
+    cells = zip(*(columns[d.name] for d in dims)) if dims else [()] * n_rows
     measures = zip(*(columns[m] for m in measure_names)) if measure_names else [()] * n_rows
-    return [(cell, dict(zip(measure_names, values))) for cell, values in zip(cells, measures)]
+    out = dict(zip(cells, measures))
+    if len(out) != n_rows:
+        raise StoreError(f"{path.name}: a cell is listed twice")
+    return out
 
 
 def _cell_sort_key(cell: tuple) -> tuple:
@@ -257,16 +261,6 @@ def _cell_sort_key(cell: tuple) -> tuple:
         else:
             out.append((2, format_value(v)))
     return tuple(out)
-
-
-def _rows_from_cells(cells: Mapping[tuple, Mapping[str, object]],
-                     measure_names: Sequence[str]) -> list[tuple[tuple, tuple]]:
-    try:
-        rows = [(cell, tuple(values[m] for m in measure_names)) for cell, values in cells.items()]
-    except KeyError as exc:
-        raise SchemaError(f"measure {exc.args[0]!r} not stored in cellset") from None
-    rows.sort(key=lambda r: _cell_sort_key(r[0]))
-    return rows
 
 
 def _write_manifest(path: Path, payload: dict) -> None:
@@ -341,7 +335,7 @@ def materialize(cube: AbstractCube, dims: Sequence[str], path) -> None:
     path.mkdir(parents=True, exist_ok=True)
     whole = set(dims) == set(cube.schema.dimension_names)
     cellset = cube.to_cellset() if whole else build_cellset(cube, dims)
-    rows = _rows_from_cells(cellset.cells, cellset.schema.measure_names)
+    rows = sorted(cellset._cells.items(), key=lambda r: _cell_sort_key(r[0]))
     entry = _write_part(path / "cells.bin", cellset.schema.dimensions,
                         cellset.schema.measure_names, rows)
     _write_manifest(path, {
@@ -365,9 +359,8 @@ def load_cellset(path, opened: tuple[dict, DimensionSchema] | None = None) -> Ce
     if manifest["kind"] != "cellset":
         raise StoreError(f"store at {path} is kind {manifest['kind']!r}, not a plain cellset")
     (part,) = manifest["parts"]
-    rows = _read_part(path / part["file"], part["checksum"], schema.dimensions,
-                      schema.measure_names)
-    return CellsetCube(schema, dict(rows))
+    return CellsetCube(schema, _read_part(path / part["file"], part["checksum"],
+                                          schema.dimensions, schema.measure_names))
 
 
 def chunk_by_partition(cube: BaseTableGroupByCube, partition_dim: str,
@@ -391,7 +384,7 @@ def chunk_by_partition(cube: BaseTableGroupByCube, partition_dim: str,
         sub_table = cube.table.subset(root.child(partition_dim, value).row_ids)
         sub_cube = BaseTableGroupByCube(sub_table, schema)
         cellset = build_cellset(sub_cube, dims)
-        rows = _rows_from_cells(cellset.cells, schema.measure_names)
+        rows = sorted(cellset._cells.items(), key=lambda r: _cell_sort_key(r[0]))
         entry = _write_part(path / f"chunk-{i:05d}.bin", cell_dims, schema.measure_names, rows)
         parts.append(dict(entry, key=encode_value(value)))
     view_schema = DimensionSchema(
@@ -420,7 +413,8 @@ class _PartitionedStore(AbstractCube):
     each kind's ``_partition_rows`` yields as (partition value, attributes, measures).
     Each part is decoded at most once per store: ``_read`` keeps the decoded
     form of every part that decoded cleanly, so later views reuse it (a
-    chunk's ``CellsetCube`` with its lookup index, or a slice's cells).
+    chunk's ``CellsetCube`` with its lookup index, or a slice's cells, each
+    cell -> its measure tuple in ``measure_names`` order).
     """
 
     def __init__(self, path, instrumentation: Instrumentation | None = None,
@@ -449,24 +443,21 @@ class _PartitionedStore(AbstractCube):
         """The decoded form of the part at ``key``, counting one logical read.
 
         The first read decodes and checks the part file into its cells, which
-        list ``_part_dims``, and keeps ``_form`` of them; a part that fails is
-        not kept, so every read of it fails again.
+        list ``_part_dims``, each -> its measure tuple, and keeps ``_form`` of
+        them; a part that fails is not kept, so every read of it fails again.
         """
         if key not in self._decoded:
-            rows = _read_part(self.path / part["file"], part["checksum"], self._part_dims,
-                              self._schema.measure_names)
-            cells = dict(rows)
-            if len(cells) != len(rows):
-                raise StoreError(f"{part['file']}: a cell is listed twice")
+            cells = _read_part(self.path / part["file"], part["checksum"], self._part_dims,
+                               self._schema.measure_names)
             # parts are written from base-table aggregates, which are never NULL
-            if any(None in measures.values() for measures in cells.values()):
+            if any(None in measures for measures in cells.values()):
                 raise StoreError(f"{part['file']}: NULL measure in a partitioned store")
             self._decoded[key] = self._form(cells)
             self.counters["parts_decoded"] += 1
         self.counters[self._read_counter] += 1
         return self._decoded[key]
 
-    def _form(self, cells: dict[tuple, dict]):
+    def _form(self, cells: dict[tuple, tuple]):
         return cells
 
     def view(self, region: Region, request: FeatureRequest,
@@ -541,7 +532,7 @@ class ChunkStore(_PartitionedStore):
     def partition_values(self) -> tuple:
         return tuple(v for v, _ in self._parts)
 
-    def _form(self, cells: dict[tuple, dict]) -> CellsetCube:
+    def _form(self, cells: dict[tuple, tuple]) -> CellsetCube:
         return CellsetCube(self._cell_schema, cells)
 
     def _partition_rows(self, region, request, wanted):
@@ -557,15 +548,12 @@ def rechunk(store: ChunkStore, path) -> "RechunkedStore":
     path.mkdir(parents=True, exist_ok=True)
     slices: dict[tuple, list] = {}
     for value, part in store._parts:
-        for cell, measures in store._read(value, part).cells.items():
-            slices.setdefault(cell, []).append((value, measures))
+        for cell, measures in store._read(value, part)._cells.items():
+            slices.setdefault(cell, []).append(((value,), measures))
     partition_dimension = store.schema.dimension(store.partition_dim)
     parts = []
     for i, cell in enumerate(sorted(slices, key=_cell_sort_key)):
-        rows = [
-            ((value,), tuple(measures[m] for m in store.schema.measure_names))
-            for value, measures in sorted(slices[cell], key=lambda r: _value_sort_key(r[0]))
-        ]
+        rows = sorted(slices[cell], key=lambda r: _value_sort_key(r[0][0]))
         entry = _write_part(path / f"slice-{i:05d}.bin", (partition_dimension,),
                             store.schema.measure_names, rows)
         parts.append(dict(entry, key=[encode_value(v) for v in cell]))
@@ -597,7 +585,7 @@ class RechunkedStore(_PartitionedStore):
                         for p in self.manifest["parts"]}
         if len(self._slices) != len(self.manifest["parts"]):
             raise StoreError("manifest lists a slice key twice")
-        self._keys = CellsetCube(DimensionSchema(cell_dims, ()), dict.fromkeys(self._slices, {}))
+        self._keys = CellsetCube(DimensionSchema(cell_dims, ()), dict.fromkeys(self._slices, ()))
         self._part_dims = (self._schema.dimension(self.partition_dim),)
         self._values = tuple(decode_value(v, self._part_dims[0])
                              for v in self.manifest["partition_values"])
@@ -607,11 +595,13 @@ class RechunkedStore(_PartitionedStore):
 
     def _partition_rows(self, region, request, wanted):
         at = [self.cell_dims.index(a) for a in request.attribute_features]
+        names = self._schema.measure_names
+        picks = [names.index(m) for m in request.metric_features]
         for cell in self._keys.cells_at(region, request.attribute_features):
             key = tuple(cell[i] for i in at)
             for (value,), measures in self._read(cell, self._slices[cell]).items():
                 if value in wanted:
-                    yield value, key, tuple(measures[m] for m in request.metric_features)
+                    yield value, key, tuple(measures[j] for j in picks)
 
 
 def load_store(path, instrumentation: Instrumentation | None = None) -> AbstractCube:

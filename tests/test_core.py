@@ -236,6 +236,14 @@ class TestCellset:
             assert cellset.view(region, request).n_rows == 0
         assert cellset._by_shape == {}
 
+    def test_a_measure_tuple_of_the_wrong_width_is_a_schema_error(self, sales_cube):
+        schema = build_cellset(sales_cube, ["Device"]).schema
+        assert CellsetCube(schema, {("Pixel",): (70, 5)}).cells == \
+            {("Pixel",): {"Revenue": 70, "Clicks": 5}}
+        for values in ((70,), (70, 5, 1), ()):
+            with pytest.raises(SchemaError, match=f"holds {len(values)} measures, not 2"):
+                CellsetCube(schema, {(ANY,): (125, 9), ("Pixel",): values})
+
     def test_region_values(self, sales_cube):
         cellset = build_cellset(sales_cube, ["Device", "Browser"])
         assert cellset.region_values(Region({"Device": "iPhone"}), "Browser") == ("Safari",)

@@ -1,6 +1,6 @@
 """Property tests on random inputs: base-table cursors agree with the row
 oracle, the pruned crawl agrees with the naive oracle, and every materialized
-cube kind gives the base table's views."""
+cube kind gives the base table's views and crawls."""
 
 import tempfile
 from pathlib import Path
@@ -18,11 +18,13 @@ from cubecrawl import (
     EntityWeightModel,
     FeatureRequest,
     IdModel,
+    JoinSpec,
     Measure,
     Region,
     Table,
     build_cellset,
     chunk_by_partition,
+    join_cubes,
     load_cellset,
     load_store,
     materialize,
@@ -57,23 +59,35 @@ def cubes(draw):
 
 
 @st.composite
-def specs(draw, dims):
-    """A crawl spec over ``dims``, with at most one hierarchy chain among them."""
+def spec_builders(draw, dims):
+    """A crawl spec over ``dims``, with at most one hierarchy chain among them, as a
+    function of the prefix of the measure names its models read."""
     chain = draw(st.permutations(dims))[:draw(st.integers(0, len(dims)))]
-    models = [EntityWeightModel("m0", gate=draw(st.booleans()),
-                                min_weight_pushdown=draw(st.sampled_from([None, 5.0])))]
-    if draw(st.booleans()):
-        models.append(IdModel(["m1"]))
-    thresholds = {}
-    if draw(st.booleans()):
-        thresholds["total_weight"] = float(draw(st.integers(0, 60)))
-    if len(models) > 1 and draw(st.booleans()):
-        thresholds["m1"] = float(draw(st.integers(-10, 30)))
+    gate, pushdown = draw(st.booleans()), draw(st.sampled_from([None, 5.0]))
+    with_id = draw(st.booleans())
+    weight_threshold = float(draw(st.integers(0, 60))) if draw(st.booleans()) else None
+    id_threshold = float(draw(st.integers(-10, 30))) if with_id and draw(st.booleans()) else None
     top_n = draw(st.one_of(st.none(), st.tuples(st.just("total_weight"), st.integers(1, 10))))
-    return CrawlSpec(models=models, thresholds=thresholds, top_n=top_n,
-                     hierarchies=[chain] if len(chain) > 1 else [],
-                     exploration=draw(st.sampled_from(["bfs", "dfs"])),
-                     batch_size=draw(st.sampled_from([1, 2, 64])))
+    exploration = draw(st.sampled_from(["bfs", "dfs"]))
+    batch_size = draw(st.sampled_from([1, 2, 64]))
+
+    def build(prefix=""):
+        models = [EntityWeightModel(prefix + "m0", gate=gate, min_weight_pushdown=pushdown)]
+        if with_id:
+            models.append(IdModel([prefix + "m1"]))
+        thresholds = {}
+        if weight_threshold is not None:
+            thresholds["total_weight"] = weight_threshold
+        if id_threshold is not None:
+            thresholds[prefix + "m1"] = id_threshold
+        return CrawlSpec(models=models, thresholds=thresholds, top_n=top_n,
+                         hierarchies=[chain] if len(chain) > 1 else [],
+                         exploration=exploration, batch_size=batch_size)
+    return build
+
+
+def specs(dims):
+    return spec_builders(dims).map(lambda build: build())
 
 
 @settings(max_examples=300, deadline=None)
@@ -123,6 +137,40 @@ def test_cursors_match_the_row_oracle(data):
             frame = cursor.view(FeatureRequest(attrs, ("m0", "m1")))
             assert {a: dict(zip(("m0", "m1"), m)) for a, m in frame.iter_rows()} == \
                 group_by(matching, attrs, ("m0", "m1"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_crawl_gives_the_same_entries_over_every_cube_kind(data):
+    """A crawl over a cellset, its loaded store, a chunked store, its rechunked
+    store, a crawl result holding every region, and a LOCAL and a GLOBAL join
+    whose right side matches each left row once gives the base table's entries,
+    in the same order."""
+    cube = data.draw(cubes())
+    dims = cube.schema.dimension_names
+    build = data.draw(spec_builders(dims))
+    partition = data.draw(st.sampled_from(dims))
+    domain = cube.schema.dimension(partition).domain
+    right = BaseTableGroupByCube(
+        Table.from_rows([partition, "r"], [(v, 1) for v in DOMAIN_VALUES[domain] + (NULL,)]),
+        DimensionSchema((Dimension(partition, domain),), (Measure.sum("r"),)))
+    want = list(top_down_crawl(cube, build()).entries.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        materialize(cube, dims, tmp / "cellset")
+        chunked = chunk_by_partition(cube, partition, [d for d in dims if d != partition],
+                                     tmp / "chunked")
+        kinds = {"cellset": build_cellset(cube, dims), "loaded": load_cellset(tmp / "cellset"),
+                 "chunked": load_store(tmp / "chunked"),
+                 "rechunked": rechunk(chunked, tmp / "rechunked"),
+                 "result": top_down_crawl(cube, CrawlSpec(models=[IdModel(["m0", "m1"])]))}
+        for kind, other in kinds.items():
+            assert list(top_down_crawl(other, build()).entries.items()) == want, kind
+    for strategy in ("local", "global"):
+        joined = join_cubes(cube, right, JoinSpec(on=(partition,)), strategy)
+        got = [(region, {s.removeprefix("left."): v for s, v in signals.items()})
+               for region, signals in top_down_crawl(joined, build("left.")).entries.items()]
+        assert got == want, strategy
 
 
 @settings(max_examples=200, deadline=None)

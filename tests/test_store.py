@@ -485,13 +485,15 @@ class TestDecoderFuzz:
         with pytest.raises(StoreError, match="manifest schema"):
             self._read_all(stores["chunked"])
 
-    @pytest.mark.parametrize("kind, dim", [("chunked", "Device"), ("rechunked", "date")])
-    def test_part_listing_a_cell_twice(self, tmp_path, kind, dim):
+    @pytest.mark.parametrize("kind, dims", [("chunked", ("Device",)), ("rechunked", ("date",)),
+                                            ("cellset", ("Device", "date"))],
+                             ids=["chunked-Device", "rechunked-date", "cellset-Device-date"])
+    def test_part_listing_a_cell_twice(self, tmp_path, kind, dims):
         from cubecrawl.store import _write_part
 
         store_dir = self._stores(tmp_path)[kind]
-        _write_part(tmp_path / "twice.bin", (Dimension(dim),), ("Revenue", "ids"),
-                    [(("d00",), (1, 1))] * 2)
+        _write_part(tmp_path / "twice.bin", tuple(Dimension(d) for d in dims), ("Revenue", "ids"),
+                    [(("d00",) * len(dims), (1, 1))] * 2)
         self._replace_part(store_dir, 0, (tmp_path / "twice.bin").read_bytes())
         with pytest.raises(StoreError, match="a cell is listed twice"):
             self._read_all(store_dir)
