@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import store as store_mod
 from .attribution import SegmentedMetrics, attribute_density, summable_ras
@@ -32,6 +33,7 @@ from .core import (
     Table,
     format_value,
     schema_from_dict,
+    unique_header,
     utf8_rows,
 )
 from .crawler import CrawlSpec, ResultCube, naive_crawl, top_down_crawl
@@ -430,26 +432,39 @@ def _csv_cell(path, row: Mapping, column: str) -> str:
 def _csv_number(path, line: int, row: Mapping, column: str) -> float:
     text = _csv_cell(path, row, column)
     try:
-        return float(text)
+        number = float(text)
     except (TypeError, ValueError):
         raise DataError(f"{path}:{line}: column {column!r}: {text!r} is not a number") from None
+    if not math.isfinite(number):
+        raise DataError(f"{path}:{line}: column {column!r}: {text!r} is not a finite number")
+    return number
+
+
+def _csv_records(path, fh) -> Iterator[tuple[int, dict]]:
+    """(line number, row by column name) of a CSV file with a header.  Text that is not
+    UTF-8 and a header naming a column twice are DataErrors."""
+    reader = csv.DictReader(fh)
+
+    def records():
+        unique_header(path, reader.fieldnames or ())
+        for row in reader:
+            yield reader.line_num, row
+    return utf8_rows(path, records())
 
 
 def _load_result_csv(path, schema: DimensionSchema) -> ResultCube:
     """Read a crawl output CSV back as a crawl result over its region dimensions."""
     entries = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in utf8_rows(path, reader):
+        for line, row in _csv_records(path, fh):
             text = _csv_cell(path, row, "region")
             try:
                 region = parse_region(text, schema)
             except (RequestError, SchemaError, DataError) as exc:
-                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+                raise DataError(f"{path}:{line}: {exc}") from None
             if region in entries:
-                raise DataError(f"{path}:{reader.line_num}: region {region!r} is listed twice")
-            entries[region] = {s: _csv_number(path, reader.line_num, row, s)
-                               for s in schema.measure_names}
+                raise DataError(f"{path}:{line}: region {region!r} is listed twice")
+            entries[region] = {s: _csv_number(path, line, row, s) for s in schema.measure_names}
     return ResultCube(schema.dimension_names, schema.measure_names, entries, schema)
 
 
@@ -480,8 +495,7 @@ def cmd_attribute(config: RunConfig, args, instr: Instrumentation) -> int:
     path = cfg.metrics_csv
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            rows = [(reader.line_num, row) for row in utf8_rows(path, reader)]
+            rows = list(_csv_records(path, fh))
     except OSError as exc:
         raise StoreError(f"cannot read metrics CSV: {exc}") from None
 

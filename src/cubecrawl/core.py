@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
@@ -378,6 +379,8 @@ class Table:
     def from_rows(cls, names: Sequence[str], rows: Iterable[Sequence]) -> "Table":
         names = list(names)
         cols = {n: [] for n in names}
+        if len(cols) != len(names):
+            raise SchemaError(f"column {_repeated(names)!r} is named twice")
         for row in rows:
             if len(row) != len(names):
                 raise SchemaError("row width does not match column names")
@@ -398,7 +401,7 @@ class Table:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = utf8_rows(path, csv.reader(fh))
             try:
-                header = next(reader)
+                header = unique_header(path, next(reader))
             except StopIteration:
                 raise DataError(f"{path}: empty CSV") from None
             cols = {name: [] for name in header}
@@ -426,6 +429,24 @@ def utf8_rows(path, rows: Iterable) -> Iterator:
         raise DataError(f"{path}: not UTF-8 text") from None
 
 
+def _repeated(names: Iterable[str]):
+    """The first name that ``names`` repeats, or None."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
+
+
+def unique_header(path, header: Sequence[str]) -> Sequence[str]:
+    """``header``, the column names of a CSV over ``path``; naming one twice is a DataError."""
+    name = _repeated(header)
+    if name is not None:
+        raise DataError(f"{path}: column {name!r} is named twice in the header")
+    return header
+
+
 def _parse_number(name: str, text: str):
     if text == "":
         raise DataError(f"measure source {name!r}: empty cell")
@@ -433,7 +454,11 @@ def _parse_number(name: str, text: str):
         f = float(text)
     except ValueError:
         raise DataError(f"measure source {name!r}: {text!r} is not a number") from None
-    return int(f) if f.is_integer() and "." not in text and "e" not in text.lower() else f
+    if f.is_integer() and "." not in text and "e" not in text.lower():
+        return int(f)
+    if not math.isfinite(f):
+        raise DataError(f"measure source {name!r}: {text!r} is not a finite number")
+    return f
 
 
 def filter_by_region(table: Table, region: Region) -> Table:
@@ -542,33 +567,22 @@ class BaseTableGroupByCube(AbstractCube):
     def table(self) -> Table:
         return self._table
 
-    def _aggregate(self, row_ids: Sequence[int], request: FeatureRequest,
-                   grand_total: bool) -> FeatureFrame:
-        attrs = request.attribute_features
+    def _aggregate(self, groups: Mapping[tuple, Sequence[int]],
+                   request: FeatureRequest) -> FeatureFrame:
+        """One row per group: each measure over the group's ascending row ids."""
         measures = [self._schema.measure(m) for m in request.metric_features]
-        attr_cols = [self._table.column(a) for a in attrs]
-        groups: dict[tuple, list[int]] = {}
-        if not attrs:
-            # the root's grand total always exists (zero aggregates on an empty
-            # table); a nonempty region filtered to zero rows has no groups
-            if grand_total or row_ids:
-                groups[()] = list(row_ids)
-        else:
-            for i in row_ids:
-                key = tuple(col[i] for col in attr_cols)
-                groups.setdefault(key, []).append(i)
+        sources = [(m.agg, [self._table.column(s) for s in m.sources]) for m in measures]
         rows = []
         for key, ids in groups.items():
             vals = []
-            for m in measures:
-                if m.agg == "sum":
-                    src = self._table.column(m.sources[0])
-                    vals.append(sum(src[i] for i in ids))
+            for agg, cols in sources:
+                if agg == "sum":
+                    # left to right in table order, so float sums keep their bytes
+                    vals.append(sum(map(cols[0].__getitem__, ids)))
                 else:
-                    src_cols = [self._table.column(s) for s in m.sources]
-                    vals.append(len({tuple(col[i] for col in src_cols) for i in ids}))
+                    vals.append(len({tuple(col[i] for col in cols) for i in ids}))
             rows.append((key, tuple(vals)))
-        return FeatureFrame(attrs, request.metric_features, rows)
+        return FeatureFrame(request.attribute_features, request.metric_features, rows)
 
     def view(self, region: Region, request: FeatureRequest) -> FeatureFrame:
         return self.bind(region).view(request)
@@ -588,11 +602,21 @@ class BaseTableGroupByCube(AbstractCube):
         return _TableCursor(self, region, rows, {})
 
 
+def _split(col: Sequence, row_ids: Iterable[int]) -> dict[Any, list[int]]:
+    """BUC's partition step: ``row_ids`` by their value in ``col``, in one pass that keeps
+    their order within each value."""
+    parts: dict[Any, list[int]] = {}
+    for i in row_ids:
+        parts.setdefault(col[i], []).append(i)
+    return parts
+
+
 class _TableCursor(RegionCursor):
     """A base-table region's row ids, ascending so that sums add in table order.
 
-    ``_partition(dim)`` splits them by value in one memoised pass (BUC's
-    partition step): ``values`` is its sorted keys, ``child`` a lookup in it.
+    ``_split`` is the one partition step.  ``_partition(dim)`` memoises its split
+    of the rows by ``dim``: ``values`` is its sorted keys, ``child`` a lookup in
+    it.  A view splits its rows by each requested attribute in turn, unmemoised.
     """
 
     def __init__(self, cube: BaseTableGroupByCube, region: Region, row_ids: Sequence[int],
@@ -605,16 +629,24 @@ class _TableCursor(RegionCursor):
         part = self._partitions.get(dim)
         if part is None:
             self.cube.schema.dimension(dim)
-            col = self.cube.table.column(dim)
-            part = self._partitions[dim] = {}
-            for i in self.row_ids:
-                part.setdefault(col[i], []).append(i)
+            part = self._partitions[dim] = _split(self.cube.table.column(dim), self.row_ids)
         return part
+
+    def _groups(self, attrs: Sequence[str]) -> dict[tuple, Sequence[int]]:
+        """The rows grouped by ``attrs``, keyed in request order: each group is split by
+        each attribute in turn.  The root's grand total always exists (zero aggregates on
+        an empty table); a nonempty region filtered to zero rows has no groups."""
+        groups = {(): self.row_ids} if self.row_ids or not self.region.degree else {}
+        for attr in attrs:
+            col = self.cube.table.column(attr)
+            groups = {key + (v,): ids for key, rows in groups.items()
+                      for v, ids in _split(col, rows).items()}
+        return groups
 
     def view(self, request):
         # ``bind`` and ``child`` have checked the region's dimensions
         request.validate(self.cube.schema)
-        return self.cube._aggregate(self.row_ids, request, self.region.degree == 0)
+        return self.cube._aggregate(self._groups(request.attribute_features), request)
 
     def values(self, dim):
         return tuple(sorted(self._partition(dim), key=_value_sort_key))

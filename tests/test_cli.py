@@ -347,6 +347,9 @@ class TestAttributeCommand:
     @pytest.mark.parametrize("header, cell, code, error", [
         (("region", "w_control", "w_test", "s_control", "s_test"), "x", 4, "DataError"),
         (("region", "w_control", "w_test_typo", "s_control", "s_test"), "5", 2, "SchemaError"),
+        (("region", "w_control", "w_test", "s_control", "s_test"), "nan", 4, "DataError"),
+        (("region", "w_control", "w_test", "s_control", "s_test"), "inf", 4, "DataError"),
+        (("region", "w_control", "w_test", "s_control", "s_test"), "1e999", 4, "DataError"),
     ])
     def test_bad_metrics_csv_is_one_error_record(self, tmp_path, capsys, header, cell, code,
                                                  error):
@@ -363,6 +366,21 @@ class TestAttributeCommand:
         assert record["type"] == error and str(metrics) in record["message"]
         if error == "DataError":
             assert f"{metrics}:3: column 's_test'" in record["message"]
+
+    def test_a_metrics_header_naming_a_column_twice_is_one_error_record(self, tmp_path,
+                                                                         capsys):
+        metrics = tmp_path / "m.csv"
+        self.write_metrics(metrics, [("", 60, 65, 65), ("r1", 10, 15, 15)],
+                           header=("region", "w_control", "w_test", "w_test"))
+        config = write_config(tmp_path / "attr.json", {
+            "spec_version": 1, "attribute": {"metrics_csv": str(metrics), "kind": "summable"}})
+        out = tmp_path / "attr.jsonl"
+        assert main(["attribute", "--config", str(config), "--output", str(out)]) == 4
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)["error"]
+        assert record["type"] == "DataError"
+        assert record["message"] == f"{metrics}: column 'w_test' is named twice in the header"
 
 
 class TestJoinCommand:
@@ -419,6 +437,9 @@ class TestJoinCommand:
     @pytest.mark.parametrize("signal, cell, code, error", [
         ("total_weight", "x", 4, "DataError"),
         ("missing_signal", "70.0", 2, "SchemaError"),
+        ("total_weight", "nan", 4, "DataError"),
+        ("total_weight", "inf", 4, "DataError"),
+        ("total_weight", "1e999", 4, "DataError"),
     ])
     def test_bad_result_csv_is_one_error_record(self, tmp_path, capsys, signal, cell, code,
                                                 error):
@@ -465,6 +486,39 @@ class TestMaterializeCommand:
         record = json.loads(line)["error"]
         assert (record["type"], record["exit_code"]) == (error, code)
         assert record["message"] == message.format(path=crawl_out)
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e999", "-Infinity"])
+    def test_a_base_table_number_that_is_not_finite_is_one_error_record(self, tmp_path, capsys,
+                                                                         cell):
+        (tmp_path / "t.csv").write_text(f"d0,Revenue\na,1\nb,{cell}\n")
+        schema = {"dimensions": [{"name": "d0"}],
+                  "measures": [{"name": "Revenue", "agg": "sum", "sources": ["Revenue"]}]}
+        source = {"kind": "base_table", "csv": str(tmp_path / "t.csv"), "schema": schema}
+        config = write_config(tmp_path / "mat.json", {
+            "spec_version": 1, "materialize": {"action": "materialize", "source": source}})
+        store_dir = tmp_path / "store"
+        assert main(["materialize", "--config", str(config), "--output", str(store_dir)]) == 4
+        assert not store_dir.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)["error"]
+        assert (record["type"], record["exit_code"]) == ("DataError", 4)
+        assert record["message"] == f"measure source 'Revenue': {cell!r} is not a finite number"
+
+    def test_a_result_header_naming_a_column_twice_is_one_error_record(self, tmp_path, capsys):
+        crawl_out = tmp_path / "crawl.csv"
+        crawl_out.write_text("region,total_weight,total_weight\n,125.0,1.0\n")
+        source = {"kind": "result_csv", "path": str(crawl_out),
+                  "dimensions": [{"name": "Device"}], "signals": ["total_weight"]}
+        config = write_config(tmp_path / "mat.json", {
+            "spec_version": 1, "materialize": {"action": "materialize", "source": source}})
+        store_dir = tmp_path / "store"
+        assert main(["materialize", "--config", str(config), "--output", str(store_dir)]) == 4
+        assert not store_dir.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)["error"]
+        assert (record["type"], record["exit_code"]) == ("DataError", 4)
+        assert record["message"] == \
+            f"{crawl_out}: column 'total_weight' is named twice in the header"
 
     def test_materialize_load_crawl_equals_live(self, tmp_path):
         config_path = t1_crawl_config(tmp_path)

@@ -1,4 +1,7 @@
+import functools
 import gc
+import math
+import operator
 import random
 import weakref
 
@@ -20,7 +23,7 @@ from cubecrawl import (
     region_precedes,
 )
 from cubecrawl.core import ANY, NULL
-from cubecrawl.errors import SchemaError
+from cubecrawl.errors import DataError, SchemaError
 
 from conftest import (T1_COLUMNS, T1_ROWS, assert_values_match_view, random_table, t1_cube,
                       t1_row_dicts, t1_schema)
@@ -118,6 +121,27 @@ class TestCubeView:
         frame = cube.view(EMPTY_REGION, FeatureRequest(("X",), ("m",)))
         assert list(frame.iter_rows()) == [(("a",), (1,)), ((NULL,), (5,))]
         assert cube.view(Region({"X": NULL}), FeatureRequest((), ("m",))).value() == 5
+
+    def test_a_float_sum_adds_in_table_order_in_every_group(self):
+        # 1e16 + 1.0 rounds back to 1e16, so each sum depends on its addition order
+        rows = [("a", "p", 1e16), ("a", "q", 1.0), ("a", "p", -1e16), ("a", "q", 1.0),
+                ("b", "p", 1.0), ("b", "q", 2.0)]
+        schema = DimensionSchema((Dimension("X"), Dimension("Y")), (Measure.sum("v"),))
+        cube = BaseTableGroupByCube(Table.from_rows(["X", "Y", "v"], rows), schema)
+        root = cube.bind(EMPTY_REGION)
+        named = [dict(zip("XYv", r)) for r in rows]
+        for cursor in (root, root.child("X", "a"), cube.bind(Region({"X": "a"}))):
+            in_region = [r for r in named if all(r[d] == v for d, v in cursor.region.items())]
+            for attrs in [(), ("X",), ("Y",), ("X", "Y"), ("Y", "X")]:
+                groups = {}
+                for r in in_region:
+                    groups.setdefault(tuple(r[a] for a in attrs), []).append(r["v"])
+                frame = cursor.view(FeatureRequest(attrs, ("v",)))
+                assert {a: m[0] for a, m in frame.iter_rows()} == \
+                    {key: functools.reduce(operator.add, vs) for key, vs in groups.items()}
+        assert root.view(FeatureRequest((), ("v",))).value() == 4.0
+        assert math.fsum(r[2] for r in rows) == 5.0
+        assert root.child("X", "a").view(FeatureRequest((), ("v",))).value() == 1.0
 
 
 class TestTableCursor:
@@ -270,6 +294,19 @@ class TestSchema:
     def test_hierarchy_must_reference_dimensions(self):
         with pytest.raises(SchemaError):
             DimensionSchema((Dimension("Country"),), (), (("Country", "State"),))
+
+    def test_a_column_named_twice_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match="column 'd0' is named twice"):
+            Table.from_rows(["d0", "d0", "m"], [("a", "b", 1)])
+
+    @pytest.mark.parametrize("text", ["d0,m,d0,m\na,1,b,2\n", "d0,d0,m\na,b,1\n"])
+    def test_a_csv_header_naming_a_column_twice_is_a_data_error(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        schema = DimensionSchema((Dimension("d0"),), (Measure.sum("m"),))
+        with pytest.raises(DataError) as info:
+            Table.from_csv(path, schema)
+        assert str(info.value) == f"{path}: column 'd0' is named twice in the header"
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "t1.csv"

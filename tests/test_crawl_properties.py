@@ -111,9 +111,14 @@ def _null_last(value):
 @given(st.data())
 def test_cursors_match_the_row_oracle(data):
     """``bind``, ``child`` chains in any order and ``values`` read the rows the
-    region matches, for observed and unobserved values up to full degree."""
-    cube = data.draw(cubes())
-    dims = cube.schema.dimension_names
+    region matches, for observed and unobserved values up to full degree, and
+    views group them by any ordered selection of the dimensions, with SUM and
+    COUNT_DISTINCT measures."""
+    drawn = data.draw(cubes())
+    dims = drawn.schema.dimension_names
+    distinct = Measure.count_distinct("n", data.draw(st.sampled_from(dims)), "m1")
+    cube = BaseTableGroupByCube(drawn.table, DimensionSchema(
+        drawn.schema.dimensions, drawn.schema.measures + (distinct,)))
     columns = cube.table.columns
     rows = [dict(zip(columns, r)) for r in zip(*columns.values())]
     order = data.draw(st.permutations(dims))[:data.draw(st.integers(0, len(dims)))]
@@ -121,6 +126,7 @@ def test_cursors_match_the_row_oracle(data):
                                                + (NULL,)))) for d in order]
     region = Region(bindings)
     matching = rows_matching(rows, dict(bindings))
+    selection = data.draw(st.permutations(dims))[:data.draw(st.integers(0, len(dims)))]
 
     split = data.draw(st.integers(0, len(bindings)))
     chained = cube.bind(Region(bindings[:split]))
@@ -129,14 +135,15 @@ def test_cursors_match_the_row_oracle(data):
     from_root = cube.bind(EMPTY_REGION)
     for d, v in bindings:
         from_root = from_root.child(d, v)
+    measures = ("m0", "m1", "n")
     for cursor in (cube.bind(region), chained, from_root):
         assert cursor.region == region
         for d in dims:
             assert cursor.values(d) == tuple(sorted({r[d] for r in matching}, key=_null_last))
-        for attrs in [()] + [(d,) for d in dims] + [dims]:
-            frame = cursor.view(FeatureRequest(attrs, ("m0", "m1")))
-            assert {a: dict(zip(("m0", "m1"), m)) for a, m in frame.iter_rows()} == \
-                group_by(matching, attrs, ("m0", "m1"))
+        for attrs in [()] + [(d,) for d in dims] + [tuple(selection)]:
+            frame = cursor.view(FeatureRequest(attrs, measures))
+            assert {a: dict(zip(measures, m)) for a, m in frame.iter_rows()} == \
+                group_by(matching, attrs, ("m0", "m1"), (("n", distinct.sources),))
 
 
 @settings(max_examples=100, deadline=None)
