@@ -394,27 +394,34 @@ class Table:
 
         Dimension columns are parsed per their domain (empty cell -> NULL).
         SUM sources are parsed as numbers (int when integral).  Any other
-        column is kept as raw text so COUNT_DISTINCT can reference it.
+        column is kept as raw text so COUNT_DISTINCT can reference it.  A row
+        that does not parse is a DataError naming its file and line.
         """
         dim_by_name = {d.name: d for d in schema.dimensions}
         sum_sources = {m.sources[0] for m in schema.measures if m.agg == "sum"}
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = utf8_rows(path, csv.reader(fh))
-            try:
-                header = unique_header(path, next(reader))
-            except StopIteration:
-                raise DataError(f"{path}: empty CSV") from None
-            cols = {name: [] for name in header}
-            for line_no, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise DataError(f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}")
-                for name, text in zip(header, row):
-                    if name in dim_by_name:
-                        cols[name].append(dim_by_name[name].parse(text))
-                    elif name in sum_sources:
-                        cols[name].append(_parse_number(name, text))
-                    else:
-                        cols[name].append(text)
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                try:
+                    header = unique_header(path, next(reader))
+                except StopIteration:
+                    raise DataError(f"{path}: empty CSV") from None
+                cols = {name: [] for name in header}
+                try:
+                    for row in reader:
+                        if len(row) != len(header):
+                            raise DataError(f"expected {len(header)} cells, got {len(row)}")
+                        for name, text in zip(header, row):
+                            if name in dim_by_name:
+                                cols[name].append(dim_by_name[name].parse(text))
+                            elif name in sum_sources:
+                                cols[name].append(_parse_number(name, text))
+                            else:
+                                cols[name].append(text)
+                except DataError as exc:
+                    raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
         table = cls(cols)
         for name, value in (constants or {}).items():
             table = table.with_constant(name, value)
@@ -450,12 +457,16 @@ def unique_header(path, header: Sequence[str]) -> Sequence[str]:
 def _parse_number(name: str, text: str):
     if text == "":
         raise DataError(f"measure source {name!r}: empty cell")
+    if "." not in text and "e" not in text and "E" not in text:
+        try:
+            # integral text is parsed once, and stays exact beyond 2**53
+            return int(text)
+        except ValueError:
+            pass  # "inf", "nan" or not a number: the float parse tells which
     try:
         f = float(text)
     except ValueError:
         raise DataError(f"measure source {name!r}: {text!r} is not a number") from None
-    if f.is_integer() and "." not in text and "e" not in text.lower():
-        return int(f)
     if not math.isfinite(f):
         raise DataError(f"measure source {name!r}: {text!r} is not a finite number")
     return f
@@ -558,6 +569,7 @@ class BaseTableGroupByCube(AbstractCube):
         # a root cursor's state; holding the cursor would make a reference cycle
         self._all_rows = tuple(range(table.n_rows))
         self._root_partitions: dict[str, dict[Any, list[int]]] = {}
+        self._codes: dict[str, tuple[list[int], list]] = {}
 
     @property
     def schema(self) -> DimensionSchema:
@@ -566,6 +578,17 @@ class BaseTableGroupByCube(AbstractCube):
     @property
     def table(self) -> Table:
         return self._table
+
+    def _coded(self, dim: str) -> tuple[list[int], list]:
+        """``dim``'s column dictionary-encoded on first use: one int code per row, codes
+        assigned in ``_value_sort_key`` order, and the code -> value list."""
+        coded = self._codes.get(dim)
+        if coded is None:
+            col = self._table.column(dim)
+            values = sorted(dict.fromkeys(col), key=_value_sort_key)
+            code = {v: c for c, v in enumerate(values)}
+            coded = self._codes[dim] = (list(map(code.__getitem__, col)), values)
+        return coded
 
     def _aggregate(self, groups: Mapping[tuple, Sequence[int]],
                    request: FeatureRequest) -> FeatureFrame:
@@ -602,21 +625,37 @@ class BaseTableGroupByCube(AbstractCube):
         return _TableCursor(self, region, rows, {})
 
 
-def _split(col: Sequence, row_ids: Iterable[int]) -> dict[Any, list[int]]:
-    """BUC's partition step: ``row_ids`` by their value in ``col``, in one pass that keeps
-    their order within each value."""
-    parts: dict[Any, list[int]] = {}
+def _split(coded: tuple[list[int], list], row_ids: Sequence[int]) -> dict[Any, list[int]]:
+    """BUC's partition step: ``row_ids`` by their code in ``coded``, in one pass that keeps
+    their order within each value; the result is in value order.
+
+    A split with fewer rows than the dimension has values gathers the codes it meets and
+    sorts them, so a small region of a wide dimension makes no list per value."""
+    codes, values = coded
+    if len(row_ids) < len(values):
+        parts: dict[int, list[int]] = {}
+        for i in row_ids:
+            c = codes[i]
+            if c in parts:
+                parts[c].append(i)
+            else:
+                parts[c] = [i]
+        return {values[c]: parts[c] for c in sorted(parts)}
+    buckets: list[list[int]] = [[] for _ in values]
+    appends = [b.append for b in buckets]
     for i in row_ids:
-        parts.setdefault(col[i], []).append(i)
-    return parts
+        appends[codes[i]](i)
+    return {v: ids for v, ids in zip(values, buckets) if ids}
 
 
 class _TableCursor(RegionCursor):
     """A base-table region's row ids, ascending so that sums add in table order.
 
-    ``_split`` is the one partition step.  ``_partition(dim)`` memoises its split
-    of the rows by ``dim``: ``values`` is its sorted keys, ``child`` a lookup in
-    it.  A view splits its rows by each requested attribute in turn, unmemoised.
+    ``_split`` is the one partition step, over the cube's coded columns.
+    ``_partition(dim)`` memoises its split of the rows by ``dim``, in value order:
+    ``values`` is its keys, ``child`` a lookup in it.  A view splits its rows by each
+    requested attribute in turn; the first split is the memoised one if it exists, and
+    no view adds to the memo.
     """
 
     def __init__(self, cube: BaseTableGroupByCube, region: Region, row_ids: Sequence[int],
@@ -629,18 +668,25 @@ class _TableCursor(RegionCursor):
         part = self._partitions.get(dim)
         if part is None:
             self.cube.schema.dimension(dim)
-            part = self._partitions[dim] = _split(self.cube.table.column(dim), self.row_ids)
+            part = self._partitions[dim] = _split(self.cube._coded(dim), self.row_ids)
         return part
 
     def _groups(self, attrs: Sequence[str]) -> dict[tuple, Sequence[int]]:
         """The rows grouped by ``attrs``, keyed in request order: each group is split by
         each attribute in turn.  The root's grand total always exists (zero aggregates on
         an empty table); a nonempty region filtered to zero rows has no groups."""
-        groups = {(): self.row_ids} if self.row_ids or not self.region.degree else {}
-        for attr in attrs:
-            col = self.cube.table.column(attr)
+        if not self.row_ids and self.region.degree:
+            return {}
+        if not attrs:
+            return {(): self.row_ids}
+        first = self._partitions.get(attrs[0])
+        if first is None:
+            first = _split(self.cube._coded(attrs[0]), self.row_ids)
+        groups = {(v,): ids for v, ids in first.items()}
+        for attr in attrs[1:]:
+            coded = self.cube._coded(attr)
             groups = {key + (v,): ids for key, rows in groups.items()
-                      for v, ids in _split(col, rows).items()}
+                      for v, ids in _split(coded, rows).items()}
         return groups
 
     def view(self, request):
@@ -649,7 +695,7 @@ class _TableCursor(RegionCursor):
         return self.cube._aggregate(self._groups(request.attribute_features), request)
 
     def values(self, dim):
-        return tuple(sorted(self._partition(dim), key=_value_sort_key))
+        return tuple(self._partition(dim))
 
     def child(self, dim, value):
         rows = self._partition(dim).get(value, ())

@@ -410,7 +410,11 @@ def naive_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
                 instrumentation: Instrumentation | None = None) -> ResultCube:
     """Evaluate every observed region of every grouping set (plus the root).
 
-    With ``spec.top_n`` set, the passing regions are ranked by
+    The regions of a grouping set are the rows of one view of it, so the crawl is
+    exact over a partial cube too.  Each region's cursor is its prefix cursor's
+    child, the prefix binding the region's dimensions but the last in crawl order;
+    prefix cursors are kept for the crawl, so a grouping set's regions share their
+    prefixes' splits.  With ``spec.top_n`` set, the passing regions are ranked by
     ``exhaustive_top_n``.  ``workers`` is ignored.
     """
     instr = instrumentation or Instrumentation()
@@ -421,23 +425,37 @@ def naive_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
         (g for g in resolved.grouping_sets if g),
         key=lambda g: (len(g), tuple(sorted(resolved.order_index[d] for d in g))),
     )
-    regions: list[Region] = [EMPTY_REGION]
+    # each region as its bindings in crawl order
+    regions: list[tuple] = [()]
     for g in ordered_sets:
         dims = tuple(sorted(g, key=resolved.order_index.get))
         frame = cube.view(EMPTY_REGION, FeatureRequest(dims, ()))
         for attrs, _ in frame.iter_rows():
             if all(resolved.value_allowed(d, v) for d, v in zip(dims, attrs)):
-                regions.append(Region(zip(dims, attrs)))
+                regions.append(tuple(zip(dims, attrs)))
     if len(regions) > cap:
         raise RefusalError(
             f"naive enumeration of {len(regions)} regions exceeds the safety cap "
             f"of {cap} (set {SAFETY_CAP_ENV} to raise it)"
         )
 
+    prefixes: dict[tuple, RegionCursor] = {(): cube.bind(EMPTY_REGION)}
+
+    def prefix_cursor(bindings: tuple) -> RegionCursor:
+        cursor = prefixes.get(bindings)
+        if cursor is None:
+            cursor = prefixes[bindings] = prefix_cursor(bindings[:-1]).child(*bindings[-1])
+        return cursor
+
     pop_frames = _population_frames(cube, resolved, instr)
     entries: dict[Region, dict[str, float]] = {}
-    for region in regions:
-        entry = _evaluate_region(cube.bind(region), resolved, pop_frames, instr)
+    for bindings in regions:
+        if bindings:
+            cursor = prefix_cursor(bindings[:-1]).child(*bindings[-1])
+        else:
+            cursor = prefixes[()]
+        region = cursor.region
+        entry = _evaluate_region(cursor, resolved, pop_frames, instr)
         instr.counters["regions_evaluated"] += 1
         if entry.passed and resolved.emits(region):
             entries[region] = entry.signals

@@ -180,6 +180,19 @@ class TestConfigHandling:
         error = json.loads(line)["error"]
         assert error["type"] == "ConfigError" and "HOCA_SAFETY_CAP" in error["message"]
 
+    def test_a_naive_crawl_over_the_safety_cap_is_one_refusal(self, tmp_path, capsys,
+                                                              monkeypatch):
+        monkeypatch.setenv("HOCA_SAFETY_CAP", "3")
+        config_path = t1_crawl_config(tmp_path)
+        out = tmp_path / "naive.jsonl"
+        assert main(["crawl", "--config", str(config_path), "--output", str(out),
+                     "--oracle", "naive"]) == 5
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        error = json.loads(line)["error"]
+        assert (error["type"], error["exit_code"]) == ("RefusalError", 5)
+        assert "safety cap of 3" in error["message"]
+
     @pytest.mark.parametrize("where, command, code, error", [
         ("config", "crawl", 2, "ConfigError"), ("input", "crawl", 4, "DataError"),
         ("metrics", "attribute", 4, "DataError"), ("result", "join", 4, "DataError"),
@@ -502,7 +515,8 @@ class TestMaterializeCommand:
         (line,) = capsys.readouterr().err.splitlines()
         record = json.loads(line)["error"]
         assert (record["type"], record["exit_code"]) == ("DataError", 4)
-        assert record["message"] == f"measure source 'Revenue': {cell!r} is not a finite number"
+        assert record["message"] == \
+            f"{tmp_path / 't.csv'}:3: measure source 'Revenue': {cell!r} is not a finite number"
 
     def test_a_result_header_naming_a_column_twice_is_one_error_record(self, tmp_path, capsys):
         crawl_out = tmp_path / "crawl.csv"

@@ -308,6 +308,30 @@ class TestSchema:
             Table.from_csv(path, schema)
         assert str(info.value) == f"{path}: column 'd0' is named twice in the header"
 
+    def test_an_integer_measure_beyond_2_to_the_53_loads_exactly(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("d0,m\na,9007199254740993\na,12345678901234567891\nb,-9007199254740993\n")
+        schema = DimensionSchema((Dimension("d0"),), (Measure.sum("m"),))
+        cube = BaseTableGroupByCube(Table.from_csv(path, schema), schema)
+        frame = cube.view(EMPTY_REGION, FeatureRequest(("d0",), ("m",)))
+        assert list(frame.iter_rows()) == [(("a",), (9007199254740993 + 12345678901234567891,)),
+                                           (("b",), (-9007199254740993,))]
+
+    @pytest.mark.parametrize("text, message", [
+        ("d0,m\n1,2\nx,3\n", "{path}:3: dimension 'd0': 'x' is not an integer"),
+        # a quoted cell spans lines 3 and 4; the record is named by its last line
+        ('d0,m\n1,2\n"\n2",y\n', "{path}:4: measure source 'm': 'y' is not a number"),
+        ("d0,m\n1,2\n2,3,4\n", "{path}:3: expected 2 cells, got 3"),
+    ])
+    def test_a_csv_cell_that_does_not_parse_names_its_file_and_line(self, tmp_path, text,
+                                                                    message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        schema = DimensionSchema((Dimension("d0", "integer"),), (Measure.sum("m"),))
+        with pytest.raises(DataError) as info:
+            Table.from_csv(path, schema)
+        assert str(info.value) == message.format(path=path)
+
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "t1.csv"
         lines = ["Device,Browser,is_test,Revenue,Clicks"]

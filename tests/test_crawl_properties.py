@@ -37,7 +37,8 @@ from oracles import group_by, rows_matching
 
 DOMAIN_VALUES = {
     "string": ("a", "b", "c"),
-    "integer": (-1, 0, 7),
+    # 10 sorts before 7 as text, so value order is checked against numeric order
+    "integer": (-1, 0, 7, 10),
     "boolean": (True, False),
 }
 
@@ -152,7 +153,7 @@ def test_a_crawl_gives_the_same_entries_over_every_cube_kind(data):
     """A crawl over a cellset, its loaded store, a chunked store, its rechunked
     store, a crawl result holding every region, and a LOCAL and a GLOBAL join
     whose right side matches each left row once gives the base table's entries,
-    in the same order."""
+    in the same order; so does the naive crawl."""
     cube = data.draw(cubes())
     dims = cube.schema.dimension_names
     build = data.draw(spec_builders(dims))
@@ -162,6 +163,7 @@ def test_a_crawl_gives_the_same_entries_over_every_cube_kind(data):
         Table.from_rows([partition, "r"], [(v, 1) for v in DOMAIN_VALUES[domain] + (NULL,)]),
         DimensionSchema((Dimension(partition, domain),), (Measure.sum("r"),)))
     want = list(top_down_crawl(cube, build()).entries.items())
+    want_naive = list(naive_crawl(cube, build()).entries.items())
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         materialize(cube, dims, tmp / "cellset")
@@ -173,11 +175,13 @@ def test_a_crawl_gives_the_same_entries_over_every_cube_kind(data):
                  "result": top_down_crawl(cube, CrawlSpec(models=[IdModel(["m0", "m1"])]))}
         for kind, other in kinds.items():
             assert list(top_down_crawl(other, build()).entries.items()) == want, kind
+            assert list(naive_crawl(other, build()).entries.items()) == want_naive, kind
     for strategy in ("local", "global"):
         joined = join_cubes(cube, right, JoinSpec(on=(partition,)), strategy)
-        got = [(region, {s.removeprefix("left."): v for s, v in signals.items()})
-               for region, signals in top_down_crawl(joined, build("left.")).entries.items()]
-        assert got == want, strategy
+        for crawl, expected in ((top_down_crawl, want), (naive_crawl, want_naive)):
+            got = [(region, {s.removeprefix("left."): v for s, v in signals.items()})
+                   for region, signals in crawl(joined, build("left.")).entries.items()]
+            assert got == expected, (strategy, crawl.__name__)
 
 
 @settings(max_examples=200, deadline=None)

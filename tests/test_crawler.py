@@ -14,6 +14,7 @@ from cubecrawl import (
     Instrumentation,
     Measure,
     Region,
+    ResultCube,
     Table,
     WindowOutlierModel,
     apply_pushdown,
@@ -61,6 +62,18 @@ class TestNaiveCrawl:
         spec.naive_cap = 3
         with pytest.raises(RefusalError):
             naive_crawl(sales_cube, spec)
+
+    def test_a_partial_cube_is_crawled_exactly(self):
+        # {d0=a,d1=b} is held without its parent {d0=a}, so no value of d0 is
+        # observed at the root; the crawl must still evaluate and emit it
+        schema = DimensionSchema((Dimension("d0"), Dimension("d1")), ())
+        deep = Region({"d0": "a", "d1": "b"})
+        partial = ResultCube(("d0", "d1"), ("s",),
+                             {EMPTY_REGION: {"s": 1.0}, deep: {"s": 2.0}}, schema)
+        instr = Instrumentation()
+        result = naive_crawl(partial, CrawlSpec(models=[IdModel(["s"])]), instrumentation=instr)
+        assert result.entries == {EMPTY_REGION: {"s": 1.0}, deep: {"s": 2.0}}
+        assert instr.get("regions_evaluated") == 2
 
     def test_threshold_on_undeclared_signal(self, sales_cube):
         spec = CrawlSpec(models=[EntityWeightModel("Revenue")],
