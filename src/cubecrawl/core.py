@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import sys
 from abc import ABC, abstractmethod
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -460,9 +461,13 @@ def _parse_number(name: str, text: str):
     if "." not in text and "e" not in text and "E" not in text:
         try:
             # integral text is parsed once, and stays exact beyond 2**53
-            return int(text)
+            n = int(text)
         except ValueError:
             pass  # "inf", "nan" or not a number: the float parse tells which
+        else:
+            if abs(n) > sys.float_info.max:
+                raise DataError(f"measure source {name!r}: {text!r} is not a finite number")
+            return n
     try:
         f = float(text)
     except ValueError:
@@ -629,23 +634,13 @@ def _split(coded: tuple[list[int], list], row_ids: Sequence[int]) -> dict[Any, l
     """BUC's partition step: ``row_ids`` by their code in ``coded``, in one pass that keeps
     their order within each value; the result is in value order.
 
-    A split with fewer rows than the dimension has values gathers the codes it meets and
-    sorts them, so a small region of a wide dimension makes no list per value."""
+    Only the codes the rows hold get a list, so a small region of a wide dimension makes
+    no list per value."""
     codes, values = coded
-    if len(row_ids) < len(values):
-        parts: dict[int, list[int]] = {}
-        for i in row_ids:
-            c = codes[i]
-            if c in parts:
-                parts[c].append(i)
-            else:
-                parts[c] = [i]
-        return {values[c]: parts[c] for c in sorted(parts)}
-    buckets: list[list[int]] = [[] for _ in values]
-    appends = [b.append for b in buckets]
+    parts: defaultdict[int, list[int]] = defaultdict(list)
     for i in row_ids:
-        appends[codes[i]](i)
-    return {v: ids for v, ids in zip(values, buckets) if ids}
+        parts[codes[i]].append(i)
+    return {values[c]: parts[c] for c in sorted(parts)}
 
 
 class _TableCursor(RegionCursor):
@@ -654,8 +649,7 @@ class _TableCursor(RegionCursor):
     ``_split`` is the one partition step, over the cube's coded columns.
     ``_partition(dim)`` memoises its split of the rows by ``dim``, in value order:
     ``values`` is its keys, ``child`` a lookup in it.  A view splits its rows by each
-    requested attribute in turn; the first split is the memoised one if it exists, and
-    no view adds to the memo.
+    requested attribute in turn and adds nothing to the memo.
     """
 
     def __init__(self, cube: BaseTableGroupByCube, region: Region, row_ids: Sequence[int],
@@ -675,15 +669,8 @@ class _TableCursor(RegionCursor):
         """The rows grouped by ``attrs``, keyed in request order: each group is split by
         each attribute in turn.  The root's grand total always exists (zero aggregates on
         an empty table); a nonempty region filtered to zero rows has no groups."""
-        if not self.row_ids and self.region.degree:
-            return {}
-        if not attrs:
-            return {(): self.row_ids}
-        first = self._partitions.get(attrs[0])
-        if first is None:
-            first = _split(self.cube._coded(attrs[0]), self.row_ids)
-        groups = {(v,): ids for v, ids in first.items()}
-        for attr in attrs[1:]:
+        groups = {(): self.row_ids} if self.row_ids or not self.region.degree else {}
+        for attr in attrs:
             coded = self.cube._coded(attr)
             groups = {key + (v,): ids for key, rows in groups.items()
                       for v, ids in _split(coded, rows).items()}

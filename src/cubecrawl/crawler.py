@@ -412,10 +412,11 @@ def naive_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
 
     The regions of a grouping set are the rows of one view of it, so the crawl is
     exact over a partial cube too.  Each region's cursor is its prefix cursor's
-    child, the prefix binding the region's dimensions but the last in crawl order;
-    prefix cursors are kept for the crawl, so a grouping set's regions share their
-    prefixes' splits.  With ``spec.top_n`` set, the passing regions are ranked by
-    ``exhaustive_top_n``.  ``workers`` is ignored.
+    child, the prefix binding the region's dimensions but the last in crawl order.
+    Cursors are kept while their dimensions lead the grouping set in hand, so a
+    grouping set's regions share their prefixes' splits and a crawl holds one chain
+    of prefixes, not the lattice.  With ``spec.top_n`` set, the passing regions are
+    ranked by ``exhaustive_top_n``.  ``workers`` is ignored.
     """
     instr = instrumentation or Instrumentation()
     resolved = _Resolved(spec, cube)
@@ -425,41 +426,45 @@ def naive_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
         (g for g in resolved.grouping_sets if g),
         key=lambda g: (len(g), tuple(sorted(resolved.order_index[d] for d in g))),
     )
-    # each region as its bindings in crawl order
-    regions: list[tuple] = [()]
+    # each grouping set's dimensions in crawl order, with its regions as bindings
+    by_set: list[tuple[tuple, list[tuple]]] = [((), [()])]
     for g in ordered_sets:
         dims = tuple(sorted(g, key=resolved.order_index.get))
         frame = cube.view(EMPTY_REGION, FeatureRequest(dims, ()))
-        for attrs, _ in frame.iter_rows():
-            if all(resolved.value_allowed(d, v) for d, v in zip(dims, attrs)):
-                regions.append(tuple(zip(dims, attrs)))
-    if len(regions) > cap:
+        by_set.append((dims, [
+            tuple(zip(dims, attrs)) for attrs, _ in frame.iter_rows()
+            if all(resolved.value_allowed(d, v) for d, v in zip(dims, attrs))
+        ]))
+    n_regions = sum(len(regions) for _, regions in by_set)
+    if n_regions > cap:
         raise RefusalError(
-            f"naive enumeration of {len(regions)} regions exceeds the safety cap "
+            f"naive enumeration of {n_regions} regions exceeds the safety cap "
             f"of {cap} (set {SAFETY_CAP_ENV} to raise it)"
         )
 
-    prefixes: dict[tuple, RegionCursor] = {(): cube.bind(EMPTY_REGION)}
+    cursors: dict[tuple, RegionCursor] = {(): cube.bind(EMPTY_REGION)}
 
-    def prefix_cursor(bindings: tuple) -> RegionCursor:
-        cursor = prefixes.get(bindings)
+    def cursor_of(bindings: tuple) -> RegionCursor:
+        cursor = cursors.get(bindings)
         if cursor is None:
-            cursor = prefixes[bindings] = prefix_cursor(bindings[:-1]).child(*bindings[-1])
+            cursor = cursors[bindings] = cursor_of(bindings[:-1]).child(*bindings[-1])
         return cursor
 
     pop_frames = _population_frames(cube, resolved, instr)
     entries: dict[Region, dict[str, float]] = {}
-    for bindings in regions:
-        if bindings:
-            cursor = prefix_cursor(bindings[:-1]).child(*bindings[-1])
-        else:
-            cursor = prefixes[()]
-        region = cursor.region
-        entry = _evaluate_region(cursor, resolved, pop_frames, instr)
-        instr.counters["regions_evaluated"] += 1
-        if entry.passed and resolved.emits(region):
-            entries[region] = entry.signals
-            instr.counters["regions_emitted"] += 1
+    for dims, regions in by_set:
+        # keep the cursors on this set's chain of prefixes; the sets of one degree
+        # that share a prefix are adjacent
+        cursors = {b: c for b, c in cursors.items()
+                   if tuple(d for d, _ in b) == dims[:len(b)]}
+        for bindings in regions:
+            cursor = cursor_of(bindings)
+            region = cursor.region
+            entry = _evaluate_region(cursor, resolved, pop_frames, instr)
+            instr.counters["regions_evaluated"] += 1
+            if entry.passed and resolved.emits(region):
+                entries[region] = entry.signals
+                instr.counters["regions_emitted"] += 1
     result = ResultCube(resolved.dims, _signal_names(resolved), entries, resolved.schema)
     if resolved.top_n is not None:
         result = exhaustive_top_n(result, *resolved.top_n)

@@ -500,7 +500,12 @@ class TestMaterializeCommand:
         assert (record["type"], record["exit_code"]) == (error, code)
         assert record["message"] == message.format(path=crawl_out)
 
-    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e999", "-Infinity"])
+    @pytest.mark.parametrize("cell", [
+        "nan", "-inf", "1e999", "-Infinity",
+        # integers from 309 digits overflow a float; above 4300 digits int() refuses them
+        pytest.param("9" * 400, id="400-digit-integer"),
+        pytest.param("-" + "9" * 5000, id="5000-digit-integer"),
+    ])
     def test_a_base_table_number_that_is_not_finite_is_one_error_record(self, tmp_path, capsys,
                                                                          cell):
         (tmp_path / "t.csv").write_text(f"d0,Revenue\na,1\nb,{cell}\n")
