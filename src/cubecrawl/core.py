@@ -16,6 +16,8 @@ import sys
 from abc import ABC, abstractmethod
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import reduce, total_ordering
+from operator import add, itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, SchemaError
@@ -31,8 +33,9 @@ class _Singleton:
         return (self.__class__, ())
 
 
+@total_ordering
 class _Null(_Singleton):
-    """Sentinel for a missing dimension value; it participates in grouping."""
+    """Sentinel for a missing dimension value; it groups like a value and sorts after all."""
 
     _name = "NULL"
     _instance = None
@@ -41,6 +44,9 @@ class _Null(_Singleton):
         if cls._instance is None:
             cls._instance = super().__new__(cls)
         return cls._instance
+
+    def __gt__(self, other):
+        return other is not self
 
 
 class _Any(_Singleton):
@@ -65,17 +71,10 @@ _TRUE_WORDS = {"true", "t", "1", "yes", "y"}
 _FALSE_WORDS = {"false", "f", "0", "no", "n"}
 
 
-def _value_sort_key(value):
-    # NULL groups last; within a column values share one concrete type.
-    if value is NULL:
-        return (2, "")
-    if isinstance(value, bool):
-        return (0, int(value))
-    return (0, value)
-
-
-def _row_sort_key(values):
-    return tuple(_value_sort_key(v) for v in values)
+def sum_in_order(values):
+    """``values`` added left to right, also on Python 3.12 and later, whose ``sum``
+    compensates float rounding; float sums keep their bytes on every Python."""
+    return reduce(add, values, 0)
 
 
 def format_value(value) -> str:
@@ -211,7 +210,8 @@ class Region:
             pairs = bindings.items()
         else:
             pairs = tuple(bindings)
-        items = tuple(sorted(pairs))
+        # by dimension alone: two values of one dimension need not compare
+        items = tuple(sorted(pairs, key=itemgetter(0)))
         if len({d for d, _ in items}) != len(items):
             raise SchemaError("region binds a dimension more than once")
         self._items = items
@@ -298,7 +298,7 @@ class FeatureFrame:
         self.attribute_names = tuple(attribute_names)
         self.measure_names = tuple(measure_names)
         rows = [(tuple(a), tuple(m)) for a, m in rows]
-        rows.sort(key=lambda r: _row_sort_key(r[0]))
+        rows.sort(key=itemgetter(0))
         if len({r[0] for r in rows}) != len(rows):
             raise SchemaError("feature frame attribute tuples are not distinct")
         for a, m in rows:
@@ -575,6 +575,7 @@ class BaseTableGroupByCube(AbstractCube):
         self._all_rows = tuple(range(table.n_rows))
         self._root_partitions: dict[str, dict[Any, list[int]]] = {}
         self._codes: dict[str, tuple[list[int], list]] = {}
+        self._sums: dict[str, Any] = {}  # SUM source -> how ``_aggregate`` adds it up
 
     @property
     def schema(self) -> DimensionSchema:
@@ -586,11 +587,11 @@ class BaseTableGroupByCube(AbstractCube):
 
     def _coded(self, dim: str) -> tuple[list[int], list]:
         """``dim``'s column dictionary-encoded on first use: one int code per row, codes
-        assigned in ``_value_sort_key`` order, and the code -> value list."""
+        assigned in value order, and the code -> value list."""
         coded = self._codes.get(dim)
         if coded is None:
             col = self._table.column(dim)
-            values = sorted(dict.fromkeys(col), key=_value_sort_key)
+            values = sorted(dict.fromkeys(col))
             code = {v: c for c, v in enumerate(values)}
             coded = self._codes[dim] = (list(map(code.__getitem__, col)), values)
         return coded
@@ -599,14 +600,20 @@ class BaseTableGroupByCube(AbstractCube):
                    request: FeatureRequest) -> FeatureFrame:
         """One row per group: each measure over the group's ascending row ids."""
         measures = [self._schema.measure(m) for m in request.metric_features]
+        for m in measures:
+            # on first use: ``sum`` compensates only exact floats, so other sources keep it
+            if m.agg == "sum" and m.sources[0] not in self._sums:
+                col = self._table.column(m.sources[0])
+                self._sums[m.sources[0]] = sum_in_order if float in map(type, col) else sum
         sources = [(m.agg, [self._table.column(s) for s in m.sources]) for m in measures]
+        adders = [self._sums.get(m.sources[0]) for m in measures]
         rows = []
         for key, ids in groups.items():
             vals = []
-            for agg, cols in sources:
+            for (agg, cols), add in zip(sources, adders):
                 if agg == "sum":
                     # left to right in table order, so float sums keep their bytes
-                    vals.append(sum(map(cols[0].__getitem__, ids)))
+                    vals.append(add(map(cols[0].__getitem__, ids)))
                 else:
                     vals.append(len({tuple(col[i] for col in cols) for i in ids}))
             rows.append((key, tuple(vals)))
@@ -707,12 +714,8 @@ class CellsetCube(AbstractCube):
                 raise SchemaError(f"cell {cell!r} holds {len(values)} measures, not {n_measures}")
             norm[cell] = values
         self._cells = norm
-        # mask index: frozenset of concrete dimension names -> cells
-        self._by_mask: dict[frozenset, list[tuple]] = {}
-        names = schema.dimension_names
-        for cell in norm:
-            mask = frozenset(names[i] for i, v in enumerate(cell) if v is not ANY)
-            self._by_mask.setdefault(mask, []).append(cell)
+        # mask index, built by the first view that groups: concrete dimension names -> cells
+        self._by_mask: dict[frozenset, list[tuple]] | None = None
         self._by_shape: dict[tuple, dict[tuple, list[tuple]]] = {}
 
     @property
@@ -744,6 +747,11 @@ class CellsetCube(AbstractCube):
             return [probe] if found else []
         groups = self._by_shape.get((bound, free))
         if groups is None:
+            if self._by_mask is None:
+                self._by_mask = {}
+                for cell in self._cells:
+                    mask = frozenset(d for d, v in zip(names, cell) if v is not ANY)
+                    self._by_mask.setdefault(mask, []).append(cell)
             groups = self._by_shape[(bound, free)] = {}
             for cell in self._by_mask.get(bound | free, ()):
                 key = tuple(ANY if d in free else v for d, v in zip(names, cell))

@@ -33,6 +33,7 @@ from .core import (
     Region,
     RegionCursor,
     Table,
+    sum_in_order,
 )
 from .errors import AprioriViolationError, ConfigError, RefusalError, SchemaError, SpecError
 from .models import (
@@ -304,7 +305,7 @@ def _pushdown_passes(cursor: RegionCursor, model: RegionAnalysisModel) -> bool:
     """True iff each of ``model``'s pushdown terms passes on its measure's SUM at ``cursor``."""
     measures = tuple(dict.fromkeys(t.measure for t in model.pushdown))
     frame = cursor.view(FeatureRequest((), measures))
-    return all(t.passes(sum(frame.measure_column(t.measure))) for t in model.pushdown)
+    return all(t.passes(sum_in_order(frame.measure_column(t.measure))) for t in model.pushdown)
 
 
 def _evaluate_region(cursor: RegionCursor, resolved: _Resolved, pop_frames: dict,

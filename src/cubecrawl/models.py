@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .attribution import SegmentedMetrics, attribute_density, summable_ras
-from .core import DimensionSchema, FeatureFrame, FeatureRequest, Region
+from .core import DimensionSchema, FeatureFrame, FeatureRequest, Region, sum_in_order
 from .errors import ContractError, DataError, ModelError, SchemaError, SpecError
 
 PUSHDOWN_OPS = (">=", ">", "<=", "<")
@@ -77,15 +77,21 @@ class RegionAnalysisModel:
         self.name = name
         self.request = request
         self.population_request = population_request
-        self.signals = tuple(signals)
+        self.signals = signals
         self.gate = bool(gate)
         self.pushdown = tuple(pushdown)
         if len({s.name for s in self.signals}) != len(self.signals):
             raise SpecError(f"model {name!r} declares duplicate signal names")
 
     @property
-    def signal_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.signals)
+    def signals(self) -> tuple[SignalSpec, ...]:
+        return self._signals
+
+    @signals.setter
+    def signals(self, specs: Sequence[SignalSpec]) -> None:
+        # a crawl reads ``signal_names`` per region, so it is kept beside the specs
+        self._signals = tuple(specs)
+        self.signal_names = tuple(s.name for s in self._signals)
 
     def is_apriori(self, signal: str) -> bool:
         for s in self.signals:
@@ -105,7 +111,10 @@ class RegionAnalysisModel:
         raise NotImplementedError
 
     def run(self, ctx: EvaluationContext) -> dict[str, float]:
-        """Evaluate with the full contract enforced: matching frames, exact finite signals."""
+        """Evaluate with the full contract enforced: matching frames, exact finite signals.
+
+        A signal beyond the float range, or arithmetic that overflows on the way
+        there (a SUM of large integers), is a ModelError."""
         self._check_frame(ctx.region_frame, self.request, "region")
         if self.population_request is not None:
             if ctx.population_frame is None:
@@ -113,7 +122,10 @@ class RegionAnalysisModel:
             self._check_frame(ctx.population_frame, self.population_request, "population")
         elif ctx.population_frame is not None:
             raise ContractError(f"model {self.name!r} declared no population request")
-        out = self.evaluate(ctx)
+        try:
+            out = self.evaluate(ctx)
+        except OverflowError as exc:
+            raise ModelError(f"model {self.name!r} overflowed the float range: {exc}") from None
         if set(out) != set(self.signal_names):
             raise ModelError(
                 f"model {self.name!r} returned signals {sorted(out)}, declared {sorted(self.signal_names)}"
@@ -121,7 +133,9 @@ class RegionAnalysisModel:
         clean = {}
         for k in self.signal_names:
             v = out[k]
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            # compared, not converted: an integer past the float range is no float
+            if not isinstance(v, (int, float)) or isinstance(v, bool) \
+                    or not abs(v) <= sys.float_info.max:
                 raise ModelError(f"model {self.name!r} signal {k!r} is not a finite number: {v!r}")
             clean[k] = float(v)
         return clean
@@ -146,7 +160,7 @@ def _sum_column(frame: FeatureFrame, measure: str) -> float:
         if v is None:
             raise ModelError(f"measure {measure!r} carries an absent-side sentinel; "
                              "this model does not opt into joined-null handling")
-    return sum(col)
+    return sum_in_order(col)
 
 
 def _segment_totals(frame: FeatureFrame, measure: str, test_value,
@@ -342,12 +356,12 @@ class WindowOutlierModel(RegionAnalysisModel):
         series = [by_date.get(d, 0) for d in pop_dates]
         last = series[-1]
         window_vals = series[-1 - self.window:-1]
-        mean = sum(window_vals) / self.window
-        var = sum((v - mean) ** 2 for v in window_vals) / self.window
+        mean = sum_in_order(window_vals) / self.window
+        var = sum_in_order((v - mean) ** 2 for v in window_vals) / self.window
         std = math.sqrt(var)
         dev = last - mean
         z = 0.0 if dev == 0 else dev / max(std, self.STD_FLOOR)
-        region_total = sum(series)
+        region_total = sum_in_order(series)
         share = region_total / pop_total if pop_total != 0 else 0.0
         return {"z_score": z, "region_share": share, "hybrid_score": abs(z) * share}
 

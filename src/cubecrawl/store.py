@@ -27,6 +27,8 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -42,7 +44,6 @@ from .core import (
     FeatureRequest,
     Instrumentation,
     Region,
-    _value_sort_key,
     build_cellset,
     format_value,
     schema_from_dict,
@@ -251,16 +252,21 @@ def _read_part(path: Path, expected_checksum: str, dims: Sequence[Dimension],
     return out
 
 
-def _cell_sort_key(cell: tuple) -> tuple:
-    out = []
-    for v in cell:
-        if v is ANY:
-            out.append((0, ""))
-        elif v is NULL:
-            out.append((1, ""))
-        else:
-            out.append((2, format_value(v)))
-    return tuple(out)
+def _value_key(value) -> tuple:
+    return (0, "") if value is ANY else (1, "") if value is NULL else (2, format_value(value))
+
+
+def _canonical_items(cells: Mapping[tuple, object]) -> list[tuple]:
+    """The items of ``cells`` in canonical-cell-key order: each dimension sorts ANY,
+    then NULL, then values by their text.  Each distinct value of a dimension is
+    ranked once, values of one text sharing a rank, and the cells sort by rank."""
+    ranked = []
+    for column in zip(*cells):
+        by_key = groupby(sorted(set(column), key=_value_key), key=_value_key)
+        rank = {v: r for r, (_, values) in enumerate(by_key) for v in values}
+        ranked.append(map(rank.__getitem__, column))
+    keys = zip(*ranked) if ranked else [()] * len(cells)
+    return [item for _, item in sorted(zip(keys, cells.items()), key=itemgetter(0))]
 
 
 def _write_manifest(path: Path, payload: dict) -> None:
@@ -335,9 +341,8 @@ def materialize(cube: AbstractCube, dims: Sequence[str], path) -> None:
     path.mkdir(parents=True, exist_ok=True)
     whole = set(dims) == set(cube.schema.dimension_names)
     cellset = cube.to_cellset() if whole else build_cellset(cube, dims)
-    rows = sorted(cellset._cells.items(), key=lambda r: _cell_sort_key(r[0]))
     entry = _write_part(path / "cells.bin", cellset.schema.dimensions,
-                        cellset.schema.measure_names, rows)
+                        cellset.schema.measure_names, _canonical_items(cellset._cells))
     _write_manifest(path, {
         "format": "cube-store",
         "version": FORMAT_VERSION,
@@ -383,9 +388,9 @@ def chunk_by_partition(cube: BaseTableGroupByCube, partition_dim: str,
     for i, value in enumerate(values):
         sub_table = cube.table.subset(root.child(partition_dim, value).row_ids)
         sub_cube = BaseTableGroupByCube(sub_table, schema)
-        cellset = build_cellset(sub_cube, dims)
-        rows = sorted(cellset._cells.items(), key=lambda r: _cell_sort_key(r[0]))
-        entry = _write_part(path / f"chunk-{i:05d}.bin", cell_dims, schema.measure_names, rows)
+        cells = build_cellset(sub_cube, dims)._cells
+        entry = _write_part(path / f"chunk-{i:05d}.bin", cell_dims, schema.measure_names,
+                            _canonical_items(cells))
         parts.append(dict(entry, key=encode_value(value)))
     view_schema = DimensionSchema(
         tuple(d for d in schema.dimensions if d.name in dims or d.name == partition_dim),
@@ -408,9 +413,9 @@ class _PartitionedStore(AbstractCube):
     """Shared view assembly for the chunked and re-chunked encodings.
 
     A view is a lookup: a decoded chunk is a ``CellsetCube`` over the cell
-    dimensions, and a re-chunked store finds the slices to read in a cellset of
-    its slice keys.  ``view`` selects partition values and merges the rows that
-    each kind's ``_partition_rows`` yields as (partition value, attributes, measures).
+    dimensions, and a re-chunked store finds the slices to read in a cellset of its
+    slice keys, both through ``cells_at``.  ``view`` merges the (partition value, cell,
+    measures) rows that each kind's ``_partition_rows`` yields for its partition values.
     Each part is decoded at most once per store: ``_read`` keeps the decoded
     form of every part that decoded cleanly, so later views reuse it (a
     chunk's ``CellsetCube`` with its lookup index, or a slice's cells, each
@@ -472,16 +477,14 @@ class _PartitionedStore(AbstractCube):
         if partition_range is not None:
             if not (isinstance(partition_range, (tuple, list)) and len(partition_range) == 2):
                 raise RequestError(f"partition_range {partition_range!r} is not a (lo, hi) pair")
-            # bounds are inclusive, in sort-key order: NULL sorts after every value
+            # bounds are inclusive: NULL sorts after every value
             lo, hi = partition_range
             domain = _DOMAIN_TAG[self._schema.dimension(self.partition_dim).domain][1]
             for bound in (lo, hi):
                 if not (bound is None or bound is NULL or type(bound) is domain):
                     raise RequestError(f"partition_range bound {bound!r} is not a value of "
                                        f"{self.partition_dim!r}")
-            key = _value_sort_key
-            values = {v for v in values if (lo is None or key(v) >= key(lo))
-                      and (hi is None or key(v) <= key(hi))}
+            values = {v for v in values if (lo is None or v >= lo) and (hi is None or v <= hi)}
 
         attrs = request.attribute_features
         timeseries = self.partition_dim in attrs
@@ -495,19 +498,22 @@ class _PartitionedStore(AbstractCube):
                         f"request {self.partition_dim!r} as an attribute instead"
                     )
 
-        at = attrs.index(self.partition_dim) if timeseries else None
-        cell_request = FeatureRequest(tuple(a for a in attrs if a != self.partition_dim),
-                                      request.metric_features)
+        cell_attrs = tuple(a for a in attrs if a != self.partition_dim)
+        at = [self.cell_dims.index(a) for a in cell_attrs]
+        names = self._schema.measure_names
+        picks = [names.index(m) for m in request.metric_features]
+        where = attrs.index(self.partition_dim) if timeseries else None
         rows: dict[tuple, list] = {}
-        for value, key, picked in self._partition_rows(Region(bindings), cell_request, values):
-            if at is not None:
-                key = key[:at] + (value,) + key[at:]
+        for value, cell, measures in self._partition_rows(Region(bindings), cell_attrs, values):
+            key = tuple(cell[i] for i in at)
+            if where is not None:
+                key = key[:where] + (value,) + key[where:]
             if key in rows:
                 acc = rows[key]
-                for i, v in enumerate(picked):
-                    acc[i] += v
+                for i, j in enumerate(picks):
+                    acc[i] += measures[j]
             else:
-                rows[key] = list(picked)
+                rows[key] = [measures[j] for j in picks]
         if not rows and not attrs and region.degree == 0:
             rows[()] = [0 for _ in request.metric_features]
         return FeatureFrame(attrs, request.metric_features,
@@ -535,11 +541,12 @@ class ChunkStore(_PartitionedStore):
     def _form(self, cells: dict[tuple, tuple]) -> CellsetCube:
         return CellsetCube(self._cell_schema, cells)
 
-    def _partition_rows(self, region, request, wanted):
+    def _partition_rows(self, region, attrs, wanted):
         for value, part in self._parts:
             if value in wanted:
-                for key, picked in self._read(value, part).view(region, request).iter_rows():
-                    yield value, key, picked
+                chunk = self._read(value, part)
+                for cell in chunk.cells_at(region, attrs):
+                    yield value, cell, chunk._cells[cell]
 
 
 def rechunk(store: ChunkStore, path) -> "RechunkedStore":
@@ -552,8 +559,8 @@ def rechunk(store: ChunkStore, path) -> "RechunkedStore":
             slices.setdefault(cell, []).append(((value,), measures))
     partition_dimension = store.schema.dimension(store.partition_dim)
     parts = []
-    for i, cell in enumerate(sorted(slices, key=_cell_sort_key)):
-        rows = sorted(slices[cell], key=lambda r: _value_sort_key(r[0][0]))
+    for i, (cell, rows) in enumerate(_canonical_items(slices)):
+        rows.sort(key=itemgetter(0))
         entry = _write_part(path / f"slice-{i:05d}.bin", (partition_dimension,),
                             store.schema.measure_names, rows)
         parts.append(dict(entry, key=[encode_value(v) for v in cell]))
@@ -593,15 +600,11 @@ class RechunkedStore(_PartitionedStore):
     def partition_values(self) -> tuple:
         return self._values
 
-    def _partition_rows(self, region, request, wanted):
-        at = [self.cell_dims.index(a) for a in request.attribute_features]
-        names = self._schema.measure_names
-        picks = [names.index(m) for m in request.metric_features]
-        for cell in self._keys.cells_at(region, request.attribute_features):
-            key = tuple(cell[i] for i in at)
+    def _partition_rows(self, region, attrs, wanted):
+        for cell in self._keys.cells_at(region, attrs):
             for (value,), measures in self._read(cell, self._slices[cell]).items():
                 if value in wanted:
-                    yield value, key, tuple(measures[j] for j in picks)
+                    yield value, cell, measures
 
 
 def load_store(path, instrumentation: Instrumentation | None = None) -> AbstractCube:

@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 import math
 
+from cubecrawl.core import ANY, NULL
+
 
 def rows_matching(rows, bindings):
     return [r for r in rows if all(r[d] == v for d, v in bindings.items())]
@@ -125,3 +127,27 @@ def join_view(left_rows, right_rows, on, region, attrs, left_measures, right_mea
             out[tuple(l_vals[a] for a in attrs)] = (
                 tuple(l_agg[m] for m in left_measures) + (None,) * len(right_measures))
     return out
+
+
+def value_sort_key(value):
+    """The sort key a dimension value had before NULL ordered itself: within a
+    column values share one type, booleans order as integers, NULL sorts last."""
+    if value is NULL:
+        return (2, "")
+    if isinstance(value, bool):
+        return (0, int(value))
+    return (0, value)
+
+
+def cell_sort_key(cell):
+    """The store writers' canonical cell key, one item per dimension: ANY, then
+    NULL, then values by their text (so integer 10 sorts before 9)."""
+    out = []
+    for v in cell:
+        if v is ANY:
+            out.append((0, ""))
+        elif v is NULL:
+            out.append((1, ""))
+        else:
+            out.append((2, ("true" if v else "false") if isinstance(v, bool) else str(v)))
+    return tuple(out)

@@ -279,6 +279,24 @@ class TestCrawlCommand:
         assert main(["crawl", "--config", str(config_path), "--output", str(out)]) == 0
         assert out.read_text() == ""
 
+    @pytest.mark.parametrize("flags", [(), ("--oracle", "naive")])
+    def test_a_sum_past_the_float_range_is_one_model_error_record(self, tmp_path, capsys, flags):
+        big = "1" + "0" * 308  # 10**308 loads; two of them sum past the float range
+        (tmp_path / "t.csv").write_text(f"d0,Revenue\na,{big}\nb,{big}\n")
+        schema = {"dimensions": [{"name": "d0"}],
+                  "measures": [{"name": "Revenue", "agg": "sum", "sources": ["Revenue"]}]}
+        config = write_config(tmp_path / "run.json", {
+            "spec_version": 1, "input": {"csv": str(tmp_path / "t.csv"), "schema": schema},
+            "crawl": {"models": [{"model": "entity_weight", "params": {"metric": "Revenue"}}],
+                      "dimensions": ["d0"], "thresholds": {"total_weight": 1}}})
+        output = tmp_path / "out.jsonl"
+        assert main(["crawl", "--config", str(config), "--output", str(output), *flags]) == 4
+        assert not output.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)["error"]
+        assert (record["type"], record["exit_code"]) == ("ModelError", 4)
+        assert "overflowed the float range" in record["message"]
+
     def test_records_validate_against_schema(self, tmp_path):
         config_path = t1_crawl_config(tmp_path)
         out = tmp_path / "out.jsonl"

@@ -6,6 +6,8 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubecrawl import (
     EMPTY_REGION,
@@ -22,7 +24,7 @@ from cubecrawl import (
     filter_by_region,
     region_precedes,
 )
-from cubecrawl.core import ANY, NULL
+from cubecrawl.core import ANY, NULL, sum_in_order
 from cubecrawl.errors import DataError, SchemaError
 
 from conftest import (T1_COLUMNS, T1_ROWS, assert_values_match_view, random_table, t1_cube,
@@ -143,6 +145,13 @@ class TestCubeView:
         assert math.fsum(r[2] for r in rows) == 5.0
         assert root.child("X", "a").view(FeatureRequest((), ("v",))).value() == 1.0
 
+    def test_sum_in_order_adds_left_to_right_without_compensation(self):
+        values = [1e16, 1.0, -1e16, 1.0]
+        assert sum_in_order(values) == functools.reduce(operator.add, values) == 1.0
+        assert math.fsum(values) == 2.0
+        assert sum_in_order([]) == 0 and sum_in_order(iter([2, 3])) == 5
+        assert sum_in_order([10 ** 400, 1]) == 10 ** 400 + 1
+
 
 class TestTableCursor:
     def test_a_refined_cube_is_freed_by_reference_counting(self):
@@ -205,6 +214,36 @@ class TestRegionPrecedes:
         b = Region([("y", 2), ("x", 1)])
         assert a == b and hash(a) == hash(b)
 
+    @pytest.mark.parametrize("pairs", [
+        [("d", 1), ("d", "a")],
+        [("d", "a"), ("e", 1), ("d", 2)],
+        [("d", NULL), ("d", "a")],
+        [("d", 1), ("d", 1)],
+    ])
+    def test_binding_a_dimension_twice_is_a_schema_error_whatever_its_values(self, pairs):
+        with pytest.raises(SchemaError, match="more than once"):
+            Region(pairs)
+
+
+class TestValueOrder:
+    """NULL orders itself after every value, as the retired sort key ordered it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([st.text(max_size=3), st.integers(-5, 5), st.booleans()]).flatmap(
+        lambda values: st.lists(st.tuples(st.one_of(st.just(NULL), values),
+                                          st.one_of(st.just(NULL), values)), max_size=12)))
+    def test_the_natural_order_is_the_retired_key_order(self, rows):
+        assert sorted(rows) == sorted(rows, key=lambda r: tuple(map(oracles.value_sort_key, r)))
+        column = [a for a, _ in rows]
+        assert sorted(column) == sorted(column, key=oracles.value_sort_key)
+
+    def test_null_compares_after_every_value_and_equal_to_itself(self):
+        for value in ("", "zzz", -(10 ** 30), 10 ** 30, True, False, None):
+            assert value < NULL and value <= NULL and not value >= NULL
+            assert NULL > value and NULL >= value and not NULL <= value
+        assert NULL <= NULL and NULL >= NULL and not NULL < NULL and not NULL > NULL
+        assert max(["b", NULL, "a"]) is NULL
+
 
 class TestCellset:
     def test_device_cells(self, sales_cube):
@@ -259,6 +298,15 @@ class TestCellset:
             assert cellset.view(region, request) == sales_cube.view(region, request)
             assert cellset.view(region, request).n_rows == 0
         assert cellset._by_shape == {}
+
+    def test_the_mask_index_is_built_by_the_first_grouping_view(self, sales_cube):
+        cellset = build_cellset(sales_cube, ["Device", "Browser"])
+        assert cellset._by_mask is None
+        assert cellset.cells_at(EMPTY_REGION, ()) == [(ANY, ANY)]
+        assert cellset._by_mask is None  # a probe needs no index
+        request = FeatureRequest(("Device",), ("Revenue",))
+        assert cellset.view(EMPTY_REGION, request) == sales_cube.view(EMPTY_REGION, request)
+        assert frozenset({"Device"}) in cellset._by_mask
 
     def test_a_measure_tuple_of_the_wrong_width_is_a_schema_error(self, sales_cube):
         schema = build_cellset(sales_cube, ["Device"]).schema

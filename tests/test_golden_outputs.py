@@ -1,5 +1,6 @@
-"""Byte-output pins: CLI outputs on a fixed-seed table, and a crawl over a
-date-chunked store written by the CLI's writer, hash to recorded values.
+"""Byte-output pins: CLI outputs on a fixed-seed table (crawls, stores, GLOBAL
+joins and a re-chunked store), and a crawl over a date-chunked store written
+by the CLI's writer, hash to recorded values.
 
 The table mixes string, integer, boolean and NULL dimension values with a
 float measure, so both the order of regions and the left-to-right order of
@@ -29,6 +30,11 @@ MODELS = [
     {"model": "attribution", "params": {"numerator": "Revenue", "denominator": "Clicks"}},
 ]
 DIMS = ["Device", "Country", "Hour"]
+RIGHT_SCHEMA = {
+    "dimensions": [{"name": "Country"}, {"name": "Channel"}],
+    "measures": [{"name": "Budget", "agg": "sum", "sources": ["Budget"]},
+                 {"name": "Visits", "agg": "sum", "sources": ["Visits"]}],
+}
 DAILY_SCHEMA = {
     "dimensions": [{"name": "Device"}, {"name": "Country"}, {"name": "date"}],
     "measures": [{"name": "Revenue", "agg": "sum", "sources": ["Revenue"]}],
@@ -64,6 +70,47 @@ EXPECTED = {
     # recorded before a store decoded each part once per opened store
     "outlier.jsonl":
         "b0232ab04cc11ce6fb6c1e8b748c4f4e4c18aea4a31c61d65e49085a83ebc629",
+    # recorded before NULL ordered itself and the writers sorted cells by rank
+    "join_inner/cells.bin":
+        "a8009af467104d2ad4794db6081531f723eb6d634a851bf276a3213b96d36cee",
+    "join_inner/manifest.json":
+        "a7747560ebd0e9c3f5e6b315567a1fbfcbfcc6037e8fd24dd13951b0ff909890",
+    "join_left/cells.bin":
+        "3f8bef2385e9e88a56cd0566cd5ee1fd5807e1455c79f899f0847caa357d54dd",
+    "join_left/manifest.json":
+        "5f172fdbaacfdcf31e6cfcc466b6fdb5440f6a9b4b9904c090e5794b2eca911d",
+    "rechunked/manifest.json":
+        "89af3b62bb2f9559e0835484e6140afbce84b4c2965109363cbe48e6cf87158a",
+    "rechunked/slice-00000.bin":
+        "227b485b57388b44d470e7338e1b17779fb1518f20ba9f27ba0339ac72c64413",
+    "rechunked/slice-00001.bin":
+        "e5b60faa7ca351f9742d64de17c92f82a9715581d5d52d0b6e43903e72fef4e0",
+    "rechunked/slice-00002.bin":
+        "39404e6ba782ed1f48ebc74b931102f61ca6b7c79e57c1f2b86d0435b6842b6e",
+    "rechunked/slice-00003.bin":
+        "82e79aa35771a206957bc8eb2461479ef434998192c901e41f8de98f2e186155",
+    "rechunked/slice-00004.bin":
+        "1c7fda5a592171bb93cd8db26a6822583f78a3e05e6d25e69347af1fec8d694d",
+    "rechunked/slice-00005.bin":
+        "d33466f45fe082dcd15f76f3d05ae547b5de2dcd0e46472569b10f6fb1990727",
+    "rechunked/slice-00006.bin":
+        "8bdcec3ee69d98b002a69d73248a2868814e6a197e325c082f741a4909806b5b",
+    "rechunked/slice-00007.bin":
+        "aca6c889520a0b4c5640ce0f91581696e59dee76dc17ae982b826d61342fb73e",
+    "rechunked/slice-00008.bin":
+        "50731e0a6b4e5cc30e15fad8c4eede4fd6070c3033ae3baf4e7e3187135572a8",
+    "rechunked/slice-00009.bin":
+        "8ce96a35516a8574aab2d80b483934a91145768e583a68d99e1b9faf68c6ffd0",
+    "rechunked/slice-00010.bin":
+        "fb21b4ca593b8bed81cb08da226a735fe195c0ba25adfd85716d451b65d94f87",
+    "rechunked/slice-00011.bin":
+        "e0f13ddcc645fb2d2c96d841e4e660ee1783c384985a0cee04e15fd134ecab10",
+    "rechunked/slice-00012.bin":
+        "a45844376e2aaa2b3b5d8fce4145ac4e95e6a70e51f229298d1706e3e65c740f",
+    "rechunked/slice-00013.bin":
+        "d8cc76a4c8190cfa910fa233acad5a7fcac4b4cba44335a5cfed4ffbb49c5d32",
+    "rechunked/slice-00014.bin":
+        "678664dcd49655469fe4fc65aa3e5f8439d854a822db76cf3bcb32fecb87bc71",
 }
 
 
@@ -81,6 +128,18 @@ def write_table(path: Path, seed: int = 11, n_rows: int = 400) -> None:
                 repr(rng.uniform(0.0, 50.0)),
                 rng.randint(1, 9),
             ])
+
+
+def write_right_table(path: Path, seed: int = 7, n_rows: int = 120) -> None:
+    """Budget by Country and Channel; BR and IN never occur, FR and NULL only here."""
+    rng = random.Random(seed)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["Country", "Channel", "Budget", "Visits"])
+        for _ in range(n_rows):
+            writer.writerow([rng.choice(["US", "DE", "JP", "FR", ""]),
+                             rng.choice(["web", "app", "store"]),
+                             repr(rng.uniform(0.0, 20.0)), rng.randint(0, 30)])
 
 
 def write_daily_table(path: Path, seed: int = 5, n_rows: int = 600) -> None:
@@ -103,7 +162,9 @@ def write_config(path: Path, payload: dict) -> str:
 def run_outputs(work: Path) -> dict:
     """Run every pinned command in ``work``; map each output file to its sha256."""
     write_table(work / "table.csv")
+    write_right_table(work / "right.csv")
     source = {"csv": str(work / "table.csv"), "schema": SCHEMA}
+    right = {"kind": "base_table", "csv": str(work / "right.csv"), "schema": RIGHT_SCHEMA}
     crawl = {"models": MODELS, "dimensions": DIMS, "thresholds": {"total_weight": 150.0}}
     topn = {"models": MODELS[:1], "dimensions": DIMS + ["is_test"],
             "top_n": {"signal": "total_weight", "n": 25}}
@@ -118,6 +179,13 @@ def run_outputs(work: Path) -> dict:
         "chunks": ("materialize", {"materialize": {
             "action": "chunk", "source": {"kind": "base_table", **source},
             "partition_dim": "Hour", "dims": ["Device", "is_test"]}}, ()),
+        # GLOBAL joins, written by the CLI's materialize of the joined cellset
+        **{f"join_{kind}": ("join", {"join": {
+            "left": {"kind": "base_table", **source}, "right": right, "on": ["Country"],
+            "kind": kind, "strategy": "global"}}, ()) for kind in ("inner", "left")},
+        # the Hour chunks re-chunked: integer and NULL partition values, NULL cells
+        "rechunked": ("materialize", {"materialize": {
+            "action": "rechunk", "source": {"kind": "store", "path": str(work / "chunks")}}}, ()),
     }
     hashes = {}
     for name, (command, payload, flags) in runs.items():

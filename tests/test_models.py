@@ -87,6 +87,38 @@ class TestEvaluateContract:
         with pytest.raises(ModelError):
             model.run(EvaluationContext(EMPTY_REGION, frame))
 
+    @pytest.mark.parametrize("model, signal", [(EntityWeightModel("m"), "total_weight"),
+                                               (IdModel(["m"]), "m")])
+    def test_a_sum_past_the_float_range_is_a_model_error(self, model, signal):
+        # each cell is a finite number; their sum is not
+        table = Table.from_rows(["X", "m"], [("a", 10 ** 308), ("b", 10 ** 308)])
+        cube = BaseTableGroupByCube(table, DimensionSchema((Dimension("X"),), (Measure.sum("m"),)))
+        spec = CrawlSpec(models=[model], dimensions=["X"], thresholds={signal: 0})
+        with pytest.raises(ModelError, match="overflowed the float range"):
+            naive_crawl(cube, spec)
+
+    def test_an_integer_signal_past_the_float_range_is_a_model_error(self, sales_cube):
+        from cubecrawl import LambdaModel, SignalSpec
+
+        model = LambdaModel("big", FeatureRequest((), ("Revenue",)),
+                            (SignalSpec("x"),), lambda ctx: {"x": 10 ** 400})
+        model.validate_against(sales_cube.schema)
+        frame = sales_cube.view(EMPTY_REGION, model.request)
+        with pytest.raises(ModelError, match="not a finite number"):
+            model.run(EvaluationContext(EMPTY_REGION, frame))
+
+    def test_signal_names_are_kept_and_follow_a_reassignment(self, sales_cube):
+        from cubecrawl import SignalSpec
+
+        model = IdModel(["Revenue", "Clicks"])
+        assert model.signal_names == ("Revenue", "Clicks")
+        assert model.signal_names is model.signal_names
+        model.validate_against(sales_cube.schema)
+        assert model.signal_names == ("Revenue", "Clicks")
+        model.signals = [SignalSpec("x"), SignalSpec("y", apriori=True)]
+        assert model.signals == (SignalSpec("x"), SignalSpec("y", apriori=True))
+        assert model.signal_names == ("x", "y") and model.is_apriori("y")
+
     def test_purity(self, sales_cube):
         model = DiffModel("Revenue")
         r = Region({"Device": "iPhone"})

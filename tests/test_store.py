@@ -3,10 +3,13 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubecrawl import (
     EMPTY_REGION,
     BaseTableGroupByCube,
+    CellsetCube,
     CrawlSpec,
     Dimension,
     DimensionSchema,
@@ -26,10 +29,12 @@ from cubecrawl import (
     top_down_crawl,
 )
 from cubecrawl.cli import main
-from cubecrawl.core import NULL
+from cubecrawl.core import ANY, NULL
 from cubecrawl.errors import RequestError, SchemaError, SpecError, StoreError
+from cubecrawl.store import _canonical_items
 
 from conftest import assert_values_match_view, random_table, t1_cube
+import oracles
 
 
 def daily_cube(n_days=10, devices=("A", "B", "C"), seed=0):
@@ -223,6 +228,22 @@ class TestChunking:
                     store.view(Region({"Device": "A"}), request, partition_range=window)
 
 
+class TestCanonicalOrder:
+    """The writers sort cells by per-dimension ranks; the order is the canonical cell key's."""
+
+    # 9 and 10 sort as text; "9" and 9, "true" and True share a text and so a rank
+    VALUES = (ANY, NULL, 9, 10, True, False, "9", "true")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 3).flatmap(
+        lambda width: st.lists(st.tuples(*[st.sampled_from(TestCanonicalOrder.VALUES)] * width),
+                               max_size=20)))
+    def test_rank_order_is_the_canonical_cell_key_order(self, cells):
+        cells = {cell: (i,) for i, cell in enumerate(cells)}
+        assert _canonical_items(cells) == \
+            sorted(cells.items(), key=lambda item: oracles.cell_sort_key(item[0]))
+
+
 class TestRechunk:
     def test_region_series_is_one_slice_read(self, tmp_path):
         cube = daily_cube(n_days=7)
@@ -333,6 +354,19 @@ class TestDecodeOnce:
         assert frames[0] == frames[1] == chunked.view(Region({"Device": "A"}), request)
         assert sliced.counters["slice_reads"] == 2
         assert sliced.counters["parts_decoded"] == 1
+
+    def test_a_chunked_view_reads_cells_without_a_cellset_view(self, tmp_path, monkeypatch):
+        cube = daily_cube(n_days=4)
+        chunked = chunk_by_partition(cube, "date", ["Device"], tmp_path / "chunks")
+
+        def refuse(*args):
+            raise AssertionError("a chunk read went through CellsetCube.view")
+
+        monkeypatch.setattr(CellsetCube, "view", refuse)
+        for region in (EMPTY_REGION, Region({"Device": "B"}), Region({"date": "d01"})):
+            for attrs in ((), ("date",), ("Device",), ("Device", "date")):
+                request = FeatureRequest(attrs, ("Revenue",))
+                assert chunked.view(region, request) == cube.view(region, request)
 
     def test_rechunk_reads_through_the_decoded_chunks(self, tmp_path):
         chunked = chunk_by_partition(daily_cube(n_days=4), "date", ["Device"],
