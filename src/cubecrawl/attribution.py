@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .core import sum_in_order
 from .errors import ConsistencyError, DegenerateMetricsError, DomainError, NumericError
 
 #: relative spread below which population denominators count as equal
@@ -250,7 +251,7 @@ def numeric_path_ras(
             totals[c] += weight * partial * deltas[c]
     per_coordinate = tuple(totals[c] for c in coords)
     components = tuple(per_coordinate) if len(coords) == 2 else None
-    return AttributionResult(sum(per_coordinate), components, per_coordinate)
+    return AttributionResult(sum_in_order(per_coordinate), components, per_coordinate)
 
 
 @dataclass(frozen=True)

@@ -575,7 +575,6 @@ class BaseTableGroupByCube(AbstractCube):
         self._all_rows = tuple(range(table.n_rows))
         self._root_partitions: dict[str, dict[Any, list[int]]] = {}
         self._codes: dict[str, tuple[list[int], list]] = {}
-        self._sums: dict[str, Any] = {}  # SUM source -> how ``_aggregate`` adds it up
 
     @property
     def schema(self) -> DimensionSchema:
@@ -600,20 +599,18 @@ class BaseTableGroupByCube(AbstractCube):
                    request: FeatureRequest) -> FeatureFrame:
         """One row per group: each measure over the group's ascending row ids."""
         measures = [self._schema.measure(m) for m in request.metric_features]
-        for m in measures:
-            # on first use: ``sum`` compensates only exact floats, so other sources keep it
-            if m.agg == "sum" and m.sources[0] not in self._sums:
-                col = self._table.column(m.sources[0])
-                self._sums[m.sources[0]] = sum_in_order if float in map(type, col) else sum
         sources = [(m.agg, [self._table.column(s) for s in m.sources]) for m in measures]
-        adders = [self._sums.get(m.sources[0]) for m in measures]
         rows = []
         for key, ids in groups.items():
             vals = []
-            for (agg, cols), add in zip(sources, adders):
+            for agg, cols in sources:
                 if agg == "sum":
-                    # left to right in table order, so float sums keep their bytes
-                    vals.append(add(map(cols[0].__getitem__, ids)))
+                    total = sum(map(cols[0].__getitem__, ids))
+                    if type(total) is float:
+                        # ``sum`` compensates floats from Python 3.12: add them again
+                        # left to right in table order, so float sums keep their bytes
+                        total = sum_in_order(map(cols[0].__getitem__, ids))
+                    vals.append(total)
                 else:
                     vals.append(len({tuple(col[i] for col in cols) for i in ids}))
             rows.append((key, tuple(vals)))

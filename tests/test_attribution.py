@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 
 import pytest
@@ -192,6 +194,15 @@ class TestNumericPath:
             result = numeric_path_ras(model)
             expected = model.f(*model.p1) - model.f(*model.p0)
             assert result.ras == pytest.approx(expected, rel=1e-10, abs=1e-13)
+
+    def test_coordinates_add_left_to_right(self):
+        # 1e16 + 1.0 rounds, so the total depends on its addition order; Python
+        # 3.12+ ``sum`` would compensate and give about 1.0
+        model = RegionAmbientModel(f=lambda a, b, c: a + b + c, p0=(0, 0, 0),
+                                   p1=(1e16, 1.0, -1e16), partials=(lambda a, b, c: 1.0,) * 3)
+        result = numeric_path_ras(model)
+        assert result.ras == functools.reduce(operator.add, result.per_coordinate)
+        assert math.fsum(result.per_coordinate) != result.ras
 
     def test_finite_difference_fallback(self):
         m = SegmentedMetrics(w_r_c=8, w_r_t=11, s_r_c=4, s_r_t=5,
