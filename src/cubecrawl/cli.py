@@ -484,6 +484,12 @@ def cmd_crawl(config: RunConfig, args, instr: Instrumentation) -> int:
     use_naive = args.oracle == "naive" or config.crawl_mode == "naive"
     result = (naive_crawl if use_naive else top_down_crawl)(cube, spec, instrumentation=instr)
     records = result_records(result, spec.top_n is not None)
+    if args.format == "csv":  # a CSV region key must read back as its region: ``parse_region``
+        for rec in records:
+            if any("=" in d or ";" in d or isinstance(v, str) and (";" in v or v == "NULL")
+                   for d, v in rec["region"].items()):
+                raise DataError(f"region {rec['region']!r} has no CSV region key that reads "
+                                "back as itself; write it with --format jsonl")
     write_records(records, result.signal_names, args.format, args.output)
     return EXIT_OK
 

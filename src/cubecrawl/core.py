@@ -767,12 +767,14 @@ class CellsetCube(AbstractCube):
         return FeatureFrame(request.attribute_features, request.metric_features, rows)
 
 
-def build_cellset(cube: AbstractCube, dims: Sequence[str]) -> CellsetCube:
-    """Materialize every grouping set over ``dims`` into a cellset.
+def build_cellset(cube: AbstractCube, dims: Sequence[str],
+                  region: Region = EMPTY_REGION) -> CellsetCube:
+    """Materialize every grouping set over ``dims`` of the cube at ``region`` into a cellset.
 
     Only value combinations observed in the data are stored; for a group-by
-    cube the all-ANY cell always exists (zero aggregates for an empty base
-    table), while materializing a partial cellset preserves its holes.
+    cube the all-ANY cell of the whole cube always exists (zero aggregates for
+    an empty base table), a nonempty region with no rows has no cells, and
+    materializing a partial cellset preserves its holes.
     """
     dims = tuple(dims)
     for d in dims:
@@ -787,7 +789,7 @@ def build_cellset(cube: AbstractCube, dims: Sequence[str]) -> CellsetCube:
     cells: dict[tuple, tuple] = {}
     for k in range(len(ordered) + 1):
         for subset in itertools.combinations(ordered, k):
-            frame = cube.view(EMPTY_REGION, FeatureRequest(subset, measure_names))
+            frame = cube.view(region, FeatureRequest(subset, measure_names))
             for attrs, measures in frame.iter_rows():
                 by_name = dict(zip(subset, attrs))
                 cell = tuple(by_name.get(d, ANY) for d in ordered)

@@ -3,12 +3,16 @@
 A store directory holds one binary columnar file per part plus a JSON
 manifest with per-part checksums.  Three kinds exist: a plain materialized
 cellset, a cellset chunked by a partition dimension (one chunk per partition
-value), and the re-chunked form where each region's rows across all partition
-values sit in one contiguous slice.  An opened partitioned store decodes a
-part on its first read only, verifying its checksum, and keeps the decoded
-form.  Reads are counted twice over: logical reads (``chunk_reads`` and
-``slice_reads``, one per part a view consults) keep read-amplification claims
-testable, and ``parts_decoded`` counts the physical decodes.
+value, the cellset of the cube at that value), and the re-chunked form where
+each region's rows across all partition values sit in one contiguous slice.
+Each kind's writer only computes its parts; one writer, ``_write_store``,
+creates the directory once all that can fail on the input has run, so input
+that fails leaves no directory behind, then writes the parts and the manifest.
+An opened partitioned store decodes a part on its first read only, verifying
+its checksum, and keeps the decoded form.  Reads are counted twice over:
+logical reads (``chunk_reads`` and ``slice_reads``, one per part a view
+consults) keep read-amplification claims testable, and ``parts_decoded``
+counts the physical decodes.
 
 Chunk file layout (little-endian, column-major)::
 
@@ -27,13 +31,14 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from itertools import groupby
+from itertools import accumulate, chain, groupby, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     ANY,
+    EMPTY_REGION,
     NULL,
     AbstractCube,
     BaseTableGroupByCube,
@@ -56,8 +61,14 @@ FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
 _INT64, _FLOAT64, _STRING, _BOOL = 1, 2, 3, 4
+# the struct code of each fixed-width column type's payload slot
+_SLOT = {_INT64: "q", _FLOAT64: "d", _BOOL: "?"}
 _ROLE_DIM, _ROLE_MEASURE = 0, 1
 _MARK_VALUE, _MARK_WILDCARD, _MARK_NULL = 0, 1, 2
+# a row's marker: ANY is a wildcard, NULL or None a null, anything else a value
+_MARK_OF = {ANY: _MARK_WILDCARD, NULL: _MARK_NULL, None: _MARK_NULL}
+# the payload of a non-value row, per column type
+_ZERO = {_INT64: 0, _FLOAT64: 0.0, _STRING: "", _BOOL: False}
 # row markers each role may hold: a measure is never a wildcard
 _MARKERS = {_ROLE_DIM: bytes((_MARK_VALUE, _MARK_WILDCARD, _MARK_NULL)),
             _ROLE_MEASURE: bytes((_MARK_VALUE, _MARK_NULL))}
@@ -97,68 +108,51 @@ def decode_value(data: Mapping, dim: Dimension):
     raise StoreError(f"manifest holds {data!r} where a value of {dim.name!r} belongs")
 
 
-def _pack_column(name: str, role: int, col_type: int, markers: list[int], values: list) -> bytes:
-    out = [struct.pack("<H", len(name.encode()))]
-    out.append(name.encode())
-    out.append(struct.pack("<BB", role, col_type))
-    out.append(bytes(markers))
-    n = len(markers)
-    if col_type == _INT64:
-        out.append(struct.pack(f"<{n}q", *(int(v) for v in values)))
-    elif col_type == _FLOAT64:
-        out.append(struct.pack(f"<{n}d", *(float(v) for v in values)))
-    elif col_type == _BOOL:
-        out.append(bytes(1 if v else 0 for v in values))
-    else:
-        blobs = [str(v).encode() for v in values]
-        offsets = [0]
-        for b in blobs:
-            offsets.append(offsets[-1] + len(b))
-        out.append(struct.pack(f"<{n + 1}I", *offsets))
-        out.append(b"".join(blobs))
-    return b"".join(out)
+def _pack_column(name: str, role: int, col_type: int, column: Sequence) -> bytes:
+    """One column of a part: its header, a marker per row, then the payload, where each
+    non-value row holds its type's zero."""
+    markers = bytes(map(_MARK_OF.get, column, repeat(_MARK_VALUE)))
+    fill = dict.fromkeys(_MARK_OF, _ZERO[col_type])
+    values = list(map(fill.get, column, column))  # a value stands for itself
+    text = name.encode()
+    head = struct.pack(f"<H{len(text)}sBB", len(text), text, role, col_type)
+    if col_type != _STRING:
+        return b"".join([head, markers, struct.pack(f"<{len(values)}{_SLOT[col_type]}", *values)])
+    blobs = [str(v).encode() for v in values]
+    offsets = struct.pack(f"<{len(blobs) + 1}I", 0, *accumulate(map(len, blobs)))
+    return b"".join([head, markers, offsets, b"".join(blobs)])
 
 
 def _write_part(path: Path, dims: Sequence[Dimension], measure_names: Sequence[str],
                 rows: Sequence[tuple[tuple, Sequence]]) -> dict:
-    """Write one part file; returns its manifest entry fields."""
-    n = len(rows)
-    header = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(dims) + len(measure_names)),
-              struct.pack("<Q", n)]
-    body = []
-    for j, dim in enumerate(dims):
-        markers, values = [], []
-        zero = {"string": "", "integer": 0, "boolean": False}[dim.domain]
-        for cell, _ in rows:
-            v = cell[j]
-            if v is ANY:
-                markers.append(_MARK_WILDCARD)
-                values.append(zero)
-            elif v is NULL:
-                markers.append(_MARK_NULL)
-                values.append(zero)
-            else:
-                markers.append(_MARK_VALUE)
-                values.append(v)
-        body.append(_pack_column(dim.name, _ROLE_DIM, _DOMAIN_TYPE[dim.domain], markers, values))
-    for j, name in enumerate(measure_names):
-        markers, values = [], []
-        all_int = True
-        for _, measures in rows:
-            v = measures[j]
-            if v is None:
-                markers.append(_MARK_NULL)
-                values.append(0)
-            else:
-                markers.append(_MARK_VALUE)
-                values.append(v)
-                if not isinstance(v, int) or isinstance(v, bool):
-                    all_int = False
-        col_type = _INT64 if all_int else _FLOAT64
-        body.append(_pack_column(name, _ROLE_MEASURE, col_type, markers, values))
-    data = b"".join(header + body)
+    """Write one part file of (cell, measure tuple) rows, a column at a time; returns its entry."""
+    names = [d.name for d in dims] + list(measure_names)
+    cells, measures = [cell for cell, _ in rows], [values for _, values in rows]
+    columns = chain((list(map(itemgetter(j), cells)) for j in range(len(dims))),
+                    (list(map(itemgetter(j), measures)) for j in range(len(measure_names))))
+    roles = [_ROLE_DIM] * len(dims) + [_ROLE_MEASURE] * len(measure_names)
+    types = [_DOMAIN_TYPE[d.domain] for d in dims] + [
+        _INT64 if set(map(type, map(itemgetter(j), measures))) <= {int, type(None)} else _FLOAT64
+        for j in range(len(measure_names))]
+    data = b"".join([MAGIC, struct.pack("<IIQ", FORMAT_VERSION, len(names), len(rows)),
+                     *map(_pack_column, names, roles, types, columns)])
     path.write_bytes(data)
-    return {"file": path.name, "rows": n, "checksum": _checksum(data)}
+    return {"file": path.name, "rows": len(rows), "checksum": _checksum(data)}
+
+
+def _write_store(path, manifest: dict, dims: Sequence[Dimension], measure_names: Sequence[str],
+                 parts: Iterable[tuple[str, object, Sequence]]) -> None:
+    """Create the directory at ``path``, write each (file name, manifest key, rows) of
+    ``parts`` as a part over ``dims`` and ``measure_names``, then the manifest: ``manifest``
+    plus the keys every store shares.  Only a writer past all it can fail at passes lazy parts."""
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    entries = [dict(_write_part(path / name, dims, measure_names, rows), key=key)
+               for name, key, rows in parts]
+    payload = dict(manifest, format="cube-store", version=FORMAT_VERSION,
+                   sort="canonical-cell-key", parts=entries)
+    (path / MANIFEST_NAME).write_text(json.dumps(payload, indent=1, sort_keys=True),
+                                      encoding="utf-8")
 
 
 class _Reader:
@@ -189,12 +183,8 @@ def _read_column(r: _Reader, path: Path, n_rows: int, role: int, col_type: int) 
     markers = r.take(n_rows)
     if markers.translate(None, _MARKERS[role]):
         raise StoreError(f"{path.name}: bad row marker")
-    if col_type == _INT64:
-        raw = r.unpack(f"<{n_rows}q")
-    elif col_type == _FLOAT64:
-        raw = r.unpack(f"<{n_rows}d")
-    elif col_type == _BOOL:
-        raw = [b == 1 for b in r.take(n_rows)]
+    if col_type != _STRING:
+        raw = r.unpack(f"<{n_rows}{_SLOT[col_type]}")
     else:
         offsets = r.unpack(f"<{n_rows + 1}I")
         blob = r.take(offsets[-1])
@@ -269,10 +259,6 @@ def _canonical_items(cells: Mapping[tuple, object]) -> list[tuple]:
     return [item for _, item in sorted(zip(keys, cells.items()), key=itemgetter(0))]
 
 
-def _write_manifest(path: Path, payload: dict) -> None:
-    (path / MANIFEST_NAME).write_text(json.dumps(payload, indent=1, sort_keys=True), encoding="utf-8")
-
-
 def _plain_name(name) -> bool:
     """True iff ``name`` names a file directly inside the store directory."""
     return (isinstance(name, str) and name not in ("", "..") and "\0" not in name
@@ -337,20 +323,12 @@ def _read_manifest(path: Path) -> tuple[dict, DimensionSchema]:
 def materialize(cube: AbstractCube, dims: Sequence[str], path) -> None:
     """Persist the cellset of ``cube`` over ``dims`` as a loadable store; over all
     of its dimensions that is ``cube.to_cellset()``, a cellset it may hold already."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     whole = set(dims) == set(cube.schema.dimension_names)
     cellset = cube.to_cellset() if whole else build_cellset(cube, dims)
-    entry = _write_part(path / "cells.bin", cellset.schema.dimensions,
-                        cellset.schema.measure_names, _canonical_items(cellset._cells))
-    _write_manifest(path, {
-        "format": "cube-store",
-        "version": FORMAT_VERSION,
-        "kind": "cellset",
-        "schema": schema_to_dict(cellset.schema),
-        "sort": "canonical-cell-key",
-        "parts": [dict(entry, key=None)],
-    })
+    schema = cellset.schema
+    _write_store(path, {"kind": "cellset", "schema": schema_to_dict(schema)},
+                 schema.dimensions, schema.measure_names,
+                 [("cells.bin", None, _canonical_items(cellset._cells))])
 
 
 def load_cellset(path, opened: tuple[dict, DimensionSchema] | None = None) -> CellsetCube:
@@ -370,42 +348,28 @@ def load_cellset(path, opened: tuple[dict, DimensionSchema] | None = None) -> Ce
 
 def chunk_by_partition(cube: BaseTableGroupByCube, partition_dim: str,
                        dims: Sequence[str], path) -> "ChunkStore":
-    """Materialize one chunk of per-region aggregates per partition value."""
+    """Materialize one chunk per partition value: the cellset over ``dims`` of the
+    cube at that value."""
     if not isinstance(cube, BaseTableGroupByCube):
         raise SpecError("chunking needs a base-table cube to partition")
     schema = cube.schema
-    root = cube.bind(Region())
-    values = root.values(partition_dim)  # checks the partition dimension
+    values = cube.region_values(EMPTY_REGION, partition_dim)  # checks the partition dimension
     dims = tuple(dims)
     if partition_dim in dims or len(set(dims)) != len(dims):
         raise SpecError("chunk dimensions must be distinct and exclude the partition dimension")
     for d in dims:
         schema.dimension(d)
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    cell_dims = tuple(d for d in schema.dimensions if d.name in dims)
-    parts = []
-    for i, value in enumerate(values):
-        sub_table = cube.table.subset(root.child(partition_dim, value).row_ids)
-        sub_cube = BaseTableGroupByCube(sub_table, schema)
-        cells = build_cellset(sub_cube, dims)._cells
-        entry = _write_part(path / f"chunk-{i:05d}.bin", cell_dims, schema.measure_names,
-                            _canonical_items(cells))
-        parts.append(dict(entry, key=encode_value(value)))
     view_schema = DimensionSchema(
         tuple(d for d in schema.dimensions if d.name in dims or d.name == partition_dim),
-        schema.measures,
-    )
-    _write_manifest(path, {
-        "format": "cube-store",
-        "version": FORMAT_VERSION,
-        "kind": "chunked",
-        "schema": schema_to_dict(view_schema),
-        "partition_dim": partition_dim,
-        "cell_dims": list(dims),
-        "sort": "canonical-cell-key",
-        "parts": parts,
-    })
+        schema.measures)
+    # past the checks nothing fails, so each chunk is built as its part is written
+    parts = ((f"chunk-{i:05d}.bin", encode_value(value),
+              _canonical_items(build_cellset(cube, dims, Region({partition_dim: value}))._cells))
+             for i, value in enumerate(values))
+    _write_store(path, {"kind": "chunked", "schema": schema_to_dict(view_schema),
+                        "partition_dim": partition_dim, "cell_dims": list(dims)},
+                 tuple(d for d in schema.dimensions if d.name in dims), schema.measure_names,
+                 parts)
     return ChunkStore(path)
 
 
@@ -550,31 +514,18 @@ class ChunkStore(_PartitionedStore):
 
 
 def rechunk(store: ChunkStore, path) -> "RechunkedStore":
-    """Pivot a chunked store so each region's rows across partitions are one slice."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    """Pivot a chunked store so each region's rows, in partition value order, are one slice."""
     slices: dict[tuple, list] = {}
-    for value, part in store._parts:
+    for value, part in sorted(store._parts, key=itemgetter(0)):
         for cell, measures in store._read(value, part)._cells.items():
             slices.setdefault(cell, []).append(((value,), measures))
-    partition_dimension = store.schema.dimension(store.partition_dim)
-    parts = []
-    for i, (cell, rows) in enumerate(_canonical_items(slices)):
-        rows.sort(key=itemgetter(0))
-        entry = _write_part(path / f"slice-{i:05d}.bin", (partition_dimension,),
-                            store.schema.measure_names, rows)
-        parts.append(dict(entry, key=[encode_value(v) for v in cell]))
-    _write_manifest(path, {
-        "format": "cube-store",
-        "version": FORMAT_VERSION,
-        "kind": "rechunked",
-        "schema": schema_to_dict(store.schema),
-        "partition_dim": store.partition_dim,
-        "cell_dims": list(store.cell_dims),
-        "partition_values": [encode_value(v) for v in store.partition_values()],
-        "sort": "canonical-cell-key",
-        "parts": parts,
-    })
+    parts = ((f"slice-{i:05d}.bin", [encode_value(v) for v in cell], rows)
+             for i, (cell, rows) in enumerate(_canonical_items(slices)))
+    _write_store(path, {"kind": "rechunked", "schema": schema_to_dict(store.schema),
+                        "partition_dim": store.partition_dim, "cell_dims": list(store.cell_dims),
+                        "partition_values": [encode_value(v) for v in store.partition_values()]},
+                 (store.schema.dimension(store.partition_dim),), store.schema.measure_names,
+                 parts)
     return RechunkedStore(path)
 
 

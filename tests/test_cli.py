@@ -248,6 +248,30 @@ class TestCrawlCommand:
         assert {"Device=Pixel;Browser=Safari", "Device=iPhone;Browser=Safari"} <= \
             {r["region"] for r in rows}
 
+    @pytest.mark.parametrize("dim, value", [("d0", "x;b=y"), ("d0", "NULL"), ("d=0", "a"),
+                                            ("d;0", "a")])
+    def test_a_region_csv_cannot_read_back_is_refused(self, tmp_path, capsys, dim, value):
+        with open(tmp_path / "t.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([[dim, "Revenue"], [value, 1], ["z", 2]])
+        schema = {"dimensions": [{"name": dim}],
+                  "measures": [{"name": "Revenue", "agg": "sum", "sources": ["Revenue"]}]}
+        config = write_config(tmp_path / "run.json", {
+            "spec_version": 1, "input": {"csv": str(tmp_path / "t.csv"), "schema": schema},
+            "crawl": {"models": [{"model": "entity_weight", "params": {"metric": "Revenue"}}],
+                      "dimensions": [dim], "thresholds": {"total_weight": 1}}})
+        output = tmp_path / "out" / "crawl.csv"
+        assert main(["crawl", "--config", str(config), "--output", str(output),
+                     "--format", "csv"]) == 4
+        assert not output.parent.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)["error"]
+        assert (record["type"], record["exit_code"]) == ("DataError", 4)
+        assert record["message"] == (f"region {({dim: value})!r} has no CSV region key that "
+                                     "reads back as itself; write it with --format jsonl")
+        jsonl = tmp_path / "crawl.jsonl"
+        assert main(["crawl", "--config", str(config), "--output", str(jsonl)]) == 0
+        assert {dim: value} in [json.loads(line)["region"] for line in jsonl.open()]
+
     def test_topn_config(self, tmp_path):
         config_path = t1_crawl_config(tmp_path, thresholds={},
                                       top_n={"signal": "total_weight", "n": 3})

@@ -258,6 +258,25 @@ class TestCellset:
         assert cellset.cells == {(ANY,): {"Revenue": 0, "Clicks": 0}}
         frame = cellset.view(EMPTY_REGION, FeatureRequest((), ("Revenue",)))
         assert frame.value() == 0
+        # a nonempty region with no rows has no grand total, so no cells
+        assert build_cellset(cube, ["Device"], Region({"Browser": "Safari"})).cells == {}
+
+    def test_a_cellset_at_a_region_is_the_cellset_of_its_rows(self):
+        rng = random.Random(5)
+        rows = [(rng.choice(["a", "b", NULL]), rng.choice(["x", NULL]), rng.choice(["p", "q"]),
+                 rng.choice([0.1, 0.2, 0.7, 1e16]), rng.randint(0, 3)) for _ in range(40)]
+        table = Table.from_rows(["d0", "d1", "d2", "m", "tid"], rows)
+        schema = DimensionSchema((Dimension("d0"), Dimension("d1"), Dimension("d2")),
+                                 (Measure.sum("m"), Measure.count_distinct("ids", "tid")))
+        cube = BaseTableGroupByCube(table, schema)
+        for region, dims in ((Region({"d1": NULL}), ["d0", "d2"]),
+                             (Region({"d0": "a", "d1": NULL}), ["d2"]),
+                             (Region({"d0": NULL}), ["d0", "d1", "d2"])):
+            of_rows = BaseTableGroupByCube(table.subset(cube.bind(region).row_ids), schema)
+            cells = build_cellset(cube, dims, region).cells
+            assert cells == build_cellset(of_rows, dims).cells
+            assert any(type(m["m"]) is float for m in cells.values())
+        assert build_cellset(cube, ["d2"], Region({"d0": "a", "d2": "none"})).cells == {}
 
     def test_wildcard_view_matches_cube_view(self, sales_cube):
         cellset = build_cellset(sales_cube, ["Device", "Browser"])

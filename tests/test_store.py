@@ -131,6 +131,21 @@ class TestMaterialize:
             materialize(result, ["Device"], tmp_path / "cells")
 
 
+class TestFailedInput:
+    def test_a_writer_whose_input_fails_leaves_no_directory(self, tmp_path):
+        cube = daily_cube(n_days=3)
+        with pytest.raises(SchemaError):
+            materialize(cube, ["Device", "nope"], tmp_path / "cells")
+        with pytest.raises(SchemaError):
+            chunk_by_partition(cube, "nope", ["Device"], tmp_path / "chunks")
+        chunked = chunk_by_partition(cube, "date", ["Device"], tmp_path / "chunked")
+        part = tmp_path / "chunked" / chunked.manifest["parts"][1]["file"]
+        part.write_bytes(part.read_bytes()[:-1])
+        with pytest.raises(StoreError, match="checksum"):
+            rechunk(chunked, tmp_path / "slices")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chunked"]
+
+
 class TestChunking:
     def test_one_chunk_per_partition_value(self, tmp_path):
         cube = daily_cube(n_days=4)
