@@ -3,16 +3,20 @@
 ``naive_crawl`` enumerates every region of every grouping set and is the
 correctness oracle.  ``top_down_crawl`` explores the lattice from the empty
 region, skipping a region's children once an apriori-flagged signal fails its
-threshold.  With ``spec.top_n`` set the same loop finds the exact top-n
-regions by one apriori signal: the n-th best value found so far acts as an
-apriori threshold that tightens as the crawl runs.  ``topn_crawl`` is that
-crawl with ``top_n`` required.  Crawls run serially in the calling thread;
-the ``workers`` parameter is accepted for compatibility and ignored.
+threshold.  A region's children extend it by one dimension ordered after the
+ones it binds, and only where the extension is a crawl-order prefix of some
+grouping set, so each region is reached once.  With ``spec.top_n`` set the same
+loop finds the exact top-n regions by one apriori signal: the n-th best value
+found so far acts as an apriori threshold that tightens as the crawl runs.
+``topn_crawl`` is that crawl with ``top_n`` required.  Crawls run serially in
+the calling thread; the ``workers`` parameter is accepted for compatibility
+and ignored.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 import os
@@ -156,11 +160,14 @@ class _Resolved:
                                     f"{declared[s].name!r} and {model.name!r}")
                 declared[s] = model
         self.apriori_flags = {s: m.is_apriori(s) for s, m in declared.items()}
+        self.signal_names = tuple(declared)
 
-        self.min_thresholds: dict[str, float] = {}
-        self.neg_thresholds: dict[str, float] = {}
+        # signal -> [(sign, bound, prunes)]: a region fails iff sign * signal < bound,
+        # and only a failed minimum on an apriori signal prunes its children
+        self.thresholds: dict[str, list[tuple[int, float, bool]]] = {}
         for key, value in dict(spec.thresholds).items():
-            name = key[1:] if key.startswith("-") else key
+            negated = key.startswith("-")
+            name = key[1:] if negated else key
             if name not in declared:
                 raise SpecError(f"threshold on undeclared signal {name!r}")
             try:
@@ -169,21 +176,14 @@ class _Resolved:
                 number = math.nan
             if not math.isfinite(number):
                 raise SpecError(f"threshold {key!r} must be a finite number, got {value!r}")
-            if key.startswith("-"):
-                self.neg_thresholds[name] = number
-            else:
-                self.min_thresholds[name] = number
+            self.thresholds.setdefault(name, []).append(
+                (-1 if negated else 1, number, not negated and self.apriori_flags[name]))
 
         # crawl dimensions
         if spec.dimensions is not None:
             dims = tuple(spec.dimensions)
         elif spec.grouping_sets is not None:
-            seen: list[str] = []
-            for g in spec.grouping_sets:
-                for d in g:
-                    if d not in seen:
-                        seen.append(d)
-            dims = tuple(seen)
+            dims = tuple(dict.fromkeys(d for g in spec.grouping_sets for d in g))
         else:
             dims = schema.dimension_names
         for d in dims:
@@ -192,8 +192,8 @@ class _Resolved:
             raise SpecError("duplicate crawl dimension")
         self.dims = dims
 
-        self.max_degree = spec.max_degree if spec.max_degree is not None else len(dims)
-        if self.max_degree < 0:
+        max_degree = spec.max_degree if spec.max_degree is not None else len(dims)
+        if max_degree < 0:
             raise SpecError("max_degree must be nonnegative")
 
         self.hierarchies = tuple(
@@ -218,8 +218,16 @@ class _Resolved:
             raw = [frozenset(c) for k in range(len(dims) + 1)
                    for c in itertools.combinations(dims, k)]
         self.grouping_sets = {
-            g for g in raw if len(g) <= self.max_degree and self._hierarchy_consistent(g)
+            g for g in raw if len(g) <= max_degree and self._hierarchy_consistent(g)
         }
+        # each nonempty grouping set's dimensions in crawl order, by degree and then
+        # by those orders; a region is expanded only towards a prefix of one of them
+        self.ordered_sets = sorted(
+            (tuple(sorted(g, key=self.order_index.get)) for g in self.grouping_sets if g),
+            key=lambda dims: (len(dims), [self.order_index[d] for d in dims]),
+        )
+        self.prefixes = {frozenset(dims[:k]) for dims in self.ordered_sets
+                         for k in range(1, len(dims) + 1)}
 
         self.dimension_values = None
         if spec.dimension_values is not None:
@@ -292,11 +300,11 @@ class _Resolved:
         return allowed is None or value in allowed
 
 
-def _population_frames(cube, resolved, instr) -> dict[str, object]:
+def _population_frames(cube, resolved, instr) -> dict[RegionAnalysisModel, object]:
     frames = {}
     for model in resolved.models:
         if model.population_request is not None:
-            frames[model.name] = cube.view(EMPTY_REGION, model.population_request)
+            frames[model] = cube.view(EMPTY_REGION, model.population_request)
             instr.counters["population_frames"] += 1
     return frames
 
@@ -327,52 +335,32 @@ def _evaluate_region(cursor: RegionCursor, resolved: _Resolved, pop_frames: dict
         frame = cursor.view(model.request)
         instr.counters["frames_materialized"] += 1
         instr.model_invocations[model.name] += 1
-        ctx = EvaluationContext(cursor.region, frame, pop_frames.get(model.name))
+        ctx = EvaluationContext(cursor.region, frame, pop_frames.get(model))
         signals.update(model.run(ctx))
-        model_failed = False
-        for s in model.signal_names:
-            t = resolved.min_thresholds.get(s)
-            if t is not None and signals[s] < t:
-                passed = False
-                model_failed = True
-                if resolved.apriori_flags.get(s, False):
-                    prune = True
-            nt = resolved.neg_thresholds.get(s)
-            if nt is not None and -signals[s] < nt:
-                passed = False
-                model_failed = True
-        if model.gate and model_failed:
-            break
-    # thresholds on signals a gate or pushdown skipped can never pass
-    for s in itertools.chain(resolved.min_thresholds, resolved.neg_thresholds):
-        if s not in signals:
+        failed = [prunes for s in model.signal_names
+                  for sign, bound, prunes in resolved.thresholds.get(s, ())
+                  if sign * signals[s] < bound]
+        if failed:
             passed = False
+            prune = prune or any(failed)
+            if model.gate:
+                break
+    # thresholds on signals a gate or pushdown skipped can never pass
+    if not resolved.thresholds.keys() <= signals.keys():
+        passed = False
     return _Entry(cursor, signals, passed, prune)
 
 
 def _children(cursor: RegionCursor, resolved: _Resolved) -> list[RegionCursor]:
-    region = cursor.region
-    bound = frozenset(region.dims)
-    if len(bound) >= resolved.max_degree:
-        return []
+    bound = frozenset(cursor.region.dims)
     last = max((resolved.order_index[d] for d in bound), default=-1)
     out = []
-    for i in range(last + 1, len(resolved.order)):
-        dim = resolved.order[i]
-        extended = bound | {dim}
-        # a grouping set must remain reachable by adding only later-ordered dims;
-        # grouping sets are hierarchy-consistent and the order puts each chain
-        # coarse-to-fine, so this also requires dim's hierarchy parents bound
-        reachable = any(
-            extended <= g and all(resolved.order_index[x] > i for x in g - extended)
-            for g in resolved.grouping_sets
-        )
-        if not reachable:
-            continue
-        for value in cursor.values(dim):
-            if not resolved.value_allowed(dim, value):
-                continue
-            out.append(cursor.child(dim, value))
+    for dim in resolved.order[last + 1:]:
+        # every dim bound so far is ordered before dim, so a grouping set stays
+        # reachable iff the extension is one of its crawl-order prefixes
+        if bound | {dim} in resolved.prefixes:
+            out.extend(cursor.child(dim, value) for value in cursor.values(dim)
+                       if resolved.value_allowed(dim, value))
     return out
 
 
@@ -388,13 +376,6 @@ def apply_pushdown(model: RegionAnalysisModel, cube: AbstractCube, region: Regio
         raise SpecError(f"model {model.name!r} declares no pushdown predicate")
     model.validate_against(cube.schema)
     return _pushdown_passes(cube.bind(region), model)
-
-
-def _signal_names(resolved: _Resolved) -> tuple[str, ...]:
-    names: list[str] = []
-    for model in resolved.models:
-        names.extend(model.signal_names)
-    return tuple(names)
 
 
 def _safety_cap(spec: CrawlSpec) -> int:
@@ -423,14 +404,9 @@ def naive_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
     resolved = _Resolved(spec, cube)
     cap = _safety_cap(spec)
 
-    ordered_sets = sorted(
-        (g for g in resolved.grouping_sets if g),
-        key=lambda g: (len(g), tuple(sorted(resolved.order_index[d] for d in g))),
-    )
     # each grouping set's dimensions in crawl order, with its regions as bindings
     by_set: list[tuple[tuple, list[tuple]]] = [((), [()])]
-    for g in ordered_sets:
-        dims = tuple(sorted(g, key=resolved.order_index.get))
+    for dims in resolved.ordered_sets:
         frame = cube.view(EMPTY_REGION, FeatureRequest(dims, ()))
         by_set.append((dims, [
             tuple(zip(dims, attrs)) for attrs, _ in frame.iter_rows()
@@ -466,7 +442,7 @@ def naive_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
             if entry.passed and resolved.emits(region):
                 entries[region] = entry.signals
                 instr.counters["regions_emitted"] += 1
-    result = ResultCube(resolved.dims, _signal_names(resolved), entries, resolved.schema)
+    result = ResultCube(resolved.dims, resolved.signal_names, entries, resolved.schema)
     if resolved.top_n is not None:
         result = exhaustive_top_n(result, *resolved.top_n)
     return result
@@ -480,9 +456,11 @@ def top_down_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
     The frontier holds evaluated regions.  Each batch of ``spec.batch_size``
     entries is popped; an entry that an apriori signal pruned, or whose top-n
     signal is below the current threshold, is skipped, and the children of the
-    rest are evaluated and pushed.  With ``spec.top_n = (sigma, n)`` the
-    threshold is the n-th best sigma recorded so far, re-ranked after each
-    batch; ties break by canonical region key, as in ``exhaustive_top_n``.  A
+    rest are evaluated and pushed.  With ``spec.top_n = (sigma, n)`` the pool
+    of recorded regions is cut to its n best after each batch, and the
+    threshold is the n-th best sigma; ties break by canonical region key, as
+    in ``exhaustive_top_n``.  An entry cut from the pool never returns, since
+    later entries only raise the n-th place.  A
     non-apriori sigma falls back to ``naive_crawl`` when
     ``spec.allow_exhaustive_topn`` is set.  ``workers`` is ignored.
     """
@@ -498,7 +476,7 @@ def top_down_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
         return naive_crawl(cube, spec, instrumentation=instr)
 
     pop_frames = _population_frames(cube, resolved, instr)
-    # each region's key is computed once, however often the pool is re-ranked
+    # each region's key is computed once, however often the pool is cut
     region_key = functools.lru_cache(maxsize=None)(resolved.schema.region_key)
     entries: dict[Region, dict[str, float]] = {}
 
@@ -531,18 +509,14 @@ def top_down_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
                 continue
             frontier.extend([evaluate(c, entry) for c in _children(entry.cursor, resolved)])
         if sigma is not None and len(entries) >= n:
-            ranked = _ranked(entries, sigma, region_key)
-            threshold = ranked[n - 1][1][sigma]
-            # entries strictly below the n-th value can never re-enter the top n
-            for region, signals in ranked[n:]:
-                if signals[sigma] < threshold:
-                    del entries[region]
+            best = _best(entries, sigma, n, region_key)
+            entries, threshold = dict(best), best[-1][1][sigma]
 
     if sigma is not None:
-        entries = dict(_ranked(entries, sigma, region_key)[:n])
+        entries = dict(_best(entries, sigma, n, region_key))
         if entries:  # like the threshold crawl, write no counter for zero regions
             instr.counters["regions_emitted"] += len(entries)
-    return ResultCube(resolved.dims, _signal_names(resolved), entries, resolved.schema)
+    return ResultCube(resolved.dims, resolved.signal_names, entries, resolved.schema)
 
 
 def topn_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
@@ -553,10 +527,15 @@ def topn_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
     return top_down_crawl(cube, spec, instrumentation=instrumentation)
 
 
-def _ranked(entries: Mapping[Region, Mapping[str, float]], sigma: str,
-            region_key) -> list[tuple[Region, Mapping[str, float]]]:
-    """Entries best first by ``sigma``, ties broken by region key ascending."""
-    return sorted(entries.items(), key=lambda kv: (-kv[1][sigma], region_key(kv[0])))
+def _best(entries: Mapping[Region, Mapping[str, float]], sigma: str, n: int,
+          key) -> list[tuple[Region, Mapping[str, float]]]:
+    """The n best entries, best first by ``sigma``, ties broken by ``key(region)``.
+
+    Only the entries at or above the n-th best sigma are ranked.
+    """
+    nth = min(heapq.nlargest(n, (s[sigma] for s in entries.values())), default=0.0)
+    top = [kv for kv in entries.items() if kv[1][sigma] >= nth]
+    return sorted(top, key=lambda kv: (-kv[1][sigma], key(kv[0])))[:n]
 
 
 def exhaustive_top_n(result: ResultCube, sigma: str, n: int) -> ResultCube:
@@ -564,8 +543,8 @@ def exhaustive_top_n(result: ResultCube, sigma: str, n: int) -> ResultCube:
 
     Ties break by canonical region key ascending, matching ``top_down_crawl``.
     """
-    ranked = _ranked(result.entries, sigma, result.schema.region_key)[:n]
-    return ResultCube(result.dimensions, result.signal_names, dict(ranked), result.schema)
+    best = _best(result.entries, sigma, n, result.schema.region_key)
+    return ResultCube(result.dimensions, result.signal_names, dict(best), result.schema)
 
 
 # ---------------------------------------------------------------------------

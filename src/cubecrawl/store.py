@@ -185,6 +185,9 @@ def _read_column(r: _Reader, path: Path, n_rows: int, role: int, col_type: int) 
         raise StoreError(f"{path.name}: bad row marker")
     if col_type != _STRING:
         raw = r.unpack(f"<{n_rows}{_SLOT[col_type]}")
+        # struct reads any nonzero byte as True; a BOOL slot holds 0 or 1
+        if col_type == _BOOL and r.data[r.pos - n_rows:r.pos].translate(None, b"\0\1"):
+            raise StoreError(f"{path.name}: bad boolean value")
     else:
         offsets = r.unpack(f"<{n_rows + 1}I")
         blob = r.take(offsets[-1])

@@ -129,6 +129,27 @@ def join_view(left_rows, right_rows, on, region, attrs, left_measures, right_mea
     return out
 
 
+def region_text_key(region, dimension_names):
+    """A region's bindings as (position in ``dimension_names``, value as text) pairs, in
+    that order; NULL reads "NULL" and booleans read true and false."""
+    def text(value):
+        if value is NULL:
+            return "NULL"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return str(value)
+
+    position = {d: i for i, d in enumerate(dimension_names)}
+    return sorted((position[d], text(v)) for d, v in region.items())
+
+
+def ranked_top_n(entries, sigma, n, dimension_names):
+    """The first n of ``entries`` (region -> signals) in a full sort on ``sigma``
+    descending, then ``region_text_key`` ascending, as (region, signals) pairs."""
+    return sorted(entries.items(), key=lambda item: (
+        -item[1][sigma], region_text_key(item[0], dimension_names)))[:n]
+
+
 def value_sort_key(value):
     """The sort key a dimension value had before NULL ordered itself: within a
     column values share one type, booleans order as integers, NULL sorts last."""

@@ -1,7 +1,9 @@
 """Property tests on random inputs: base-table cursors agree with the row
-oracle, the pruned crawl agrees with the naive oracle, and every materialized
-cube kind gives the base table's views and crawls."""
+oracle, the pruned crawl agrees with the naive oracle, top-n crawls agree with
+a ranking oracle, and every materialized cube kind gives the base table's views
+and crawls."""
 
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -21,9 +23,11 @@ from cubecrawl import (
     JoinSpec,
     Measure,
     Region,
+    ResultCube,
     Table,
     build_cellset,
     chunk_by_partition,
+    exhaustive_top_n,
     join_cubes,
     load_cellset,
     load_store,
@@ -31,9 +35,10 @@ from cubecrawl import (
     naive_crawl,
     rechunk,
     top_down_crawl,
+    topn_crawl,
 )
 
-from oracles import group_by, rows_matching
+from oracles import group_by, ranked_top_n, rows_matching
 
 DOMAIN_VALUES = {
     "string": ("a", "b", "c"),
@@ -59,18 +64,39 @@ def cubes(draw):
     return BaseTableGroupByCube(table, schema)
 
 
+def _observed_regions(cube):
+    """Every region that binds observed values of some dimensions -> its rows' m0 total."""
+    columns = cube.table.columns
+    rows = [dict(zip(columns, r)) for r in zip(*columns.values())]
+    dims = cube.schema.dimension_names
+    return {Region(dict(zip(attrs, key))): agg["m0"]
+            for k in range(len(dims) + 1) for attrs in itertools.combinations(dims, k)
+            for key, agg in group_by(rows, attrs, ("m0",)).items()}
+
+
 @st.composite
-def spec_builders(draw, dims):
-    """A crawl spec over ``dims``, with at most one hierarchy chain among them, as a
-    function of the prefix of the measure names its models read."""
+def spec_builders(draw, schema):
+    """A crawl spec over ``schema``'s dimensions, with at most one hierarchy chain among
+    them and maybe grouping sets, a maximum degree, allowed values and a maximum on an
+    id signal, as a function of the prefix of the measure names its models read."""
+    dims = schema.dimension_names
     chain = draw(st.permutations(dims))[:draw(st.integers(0, len(dims)))]
     gate, pushdown = draw(st.booleans()), draw(st.sampled_from([None, 5.0]))
     with_id = draw(st.booleans())
     weight_threshold = float(draw(st.integers(0, 60))) if draw(st.booleans()) else None
     id_threshold = float(draw(st.integers(-10, 30))) if with_id and draw(st.booleans()) else None
+    id_maximum = float(draw(st.integers(-30, 10))) if with_id and draw(st.booleans()) else None
     top_n = draw(st.one_of(st.none(), st.tuples(st.just("total_weight"), st.integers(1, 10))))
     exploration = draw(st.sampled_from(["bfs", "dfs"]))
     batch_size = draw(st.sampled_from([1, 2, 64]))
+    # a grouping set is drawn in any order; the crawl orders its dimensions itself
+    subsets = st.permutations(dims).flatmap(
+        lambda p: st.sampled_from([p[:k] for k in range(len(p) + 1)]))
+    grouping_sets = draw(st.one_of(st.none(), st.lists(subsets, max_size=4)))
+    max_degree = draw(st.one_of(st.none(), st.integers(0, len(dims))))
+    dimension_values = {d: draw(st.lists(st.sampled_from(
+        DOMAIN_VALUES[schema.dimension(d).domain] + (NULL,)), unique=True))
+        for d in draw(st.lists(st.sampled_from(dims), unique=True))}
 
     def build(prefix=""):
         models = [EntityWeightModel(prefix + "m0", gate=gate, min_weight_pushdown=pushdown)]
@@ -81,19 +107,22 @@ def spec_builders(draw, dims):
             thresholds["total_weight"] = weight_threshold
         if id_threshold is not None:
             thresholds[prefix + "m1"] = id_threshold
+        if id_maximum is not None:  # m1 <= -id_maximum
+            thresholds["-" + prefix + "m1"] = id_maximum
         return CrawlSpec(models=models, thresholds=thresholds, top_n=top_n,
                          hierarchies=[chain] if len(chain) > 1 else [],
+                         grouping_sets=grouping_sets, max_degree=max_degree,
+                         dimension_values=dimension_values,
                          exploration=exploration, batch_size=batch_size)
     return build
 
 
-def specs(dims):
-    return spec_builders(dims).map(lambda build: build())
+def specs(schema):
+    return spec_builders(schema).map(lambda build: build())
 
 
 @settings(max_examples=300, deadline=None)
-@given(cubes().flatmap(lambda cube: st.tuples(st.just(cube),
-                                              specs(cube.schema.dimension_names))))
+@given(cubes().flatmap(lambda cube: st.tuples(st.just(cube), specs(cube.schema))))
 def test_top_down_crawl_matches_naive_crawl(case):
     cube, spec = case
     pruned = top_down_crawl(cube, spec)
@@ -102,6 +131,36 @@ def test_top_down_crawl_matches_naive_crawl(case):
         assert pruned.entries == naive.entries
     else:
         assert list(pruned.entries.items()) == list(naive.entries.items())
+
+
+def _exactly(items):
+    """(region, signals) pairs with each signal's repr, so 0.0 and -0.0 differ."""
+    return [(region, {s: repr(v) for s, v in signals.items()}) for region, signals in items]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_top_n_matches_the_ranking_oracle(data):
+    """``exhaustive_top_n`` over crawl results whose signals tie, including at 0.0 and
+    -0.0, and ``topn_crawl`` over a base table keep the n entries a full sort ranks
+    first, in its order."""
+    cube = data.draw(cubes())
+    dims = cube.schema.dimension_names
+    weights = _observed_regions(cube)
+    n = data.draw(st.integers(1, 12))
+    regions = data.draw(st.lists(st.sampled_from(list(weights)), unique=True))
+    signals = st.sampled_from([-1.5, -0.0, 0.0, 1.0, 2.0])
+    entries = {region: {"s": data.draw(signals)} for region in regions}
+    result = ResultCube(dims, ("s",), entries, cube.schema)
+    assert _exactly(exhaustive_top_n(result, "s", n).entries.items()) == \
+        _exactly(ranked_top_n(entries, "s", n, dims))
+
+    spec = CrawlSpec(models=[EntityWeightModel("m0")], top_n=("total_weight", n),
+                     exploration=data.draw(st.sampled_from(["bfs", "dfs"])),
+                     batch_size=data.draw(st.sampled_from([1, 2, 64])))
+    want = ranked_top_n({r: {"total_weight": float(w)} for r, w in weights.items()},
+                        "total_weight", n, dims)
+    assert _exactly(topn_crawl(cube, spec).entries.items()) == _exactly(want)
 
 
 def _null_last(value):
@@ -156,7 +215,7 @@ def test_a_crawl_gives_the_same_entries_over_every_cube_kind(data):
     in the same order; so does the naive crawl."""
     cube = data.draw(cubes())
     dims = cube.schema.dimension_names
-    build = data.draw(spec_builders(dims))
+    build = data.draw(spec_builders(cube.schema))
     partition = data.draw(st.sampled_from(dims))
     domain = cube.schema.dimension(partition).domain
     right = BaseTableGroupByCube(

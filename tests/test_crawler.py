@@ -237,6 +237,21 @@ class TestGating:
         assert Region({"Device": "B"}) not in result.entries
 
 
+class TestPopulationFrames:
+    def test_models_sharing_a_name_each_get_their_own_frame(self, sales_cube):
+        from cubecrawl import AttributionModel, DiffModel
+
+        def spec(diff_name, attribution_name):
+            return CrawlSpec(models=[DiffModel("Revenue", name=diff_name),
+                                     AttributionModel("Clicks", name=attribution_name)],
+                             dimensions=["Device", "Browser"])
+
+        for crawl in (top_down_crawl, naive_crawl):
+            want = crawl(sales_cube, spec("diff", "attribution"))
+            assert len(want.entries) == 8
+            assert crawl(sales_cube, spec("x", "x")) == want, crawl.__name__
+
+
 class TestPushdown:
     def test_predicate_values_on_fixture(self, sales_cube):
         model = EntityWeightModel("Revenue", min_weight_pushdown=50.0)

@@ -534,6 +534,21 @@ class TestDecoderFuzz:
         with pytest.raises(StoreError, match="manifest schema"):
             self._read_all(stores["chunked"])
 
+    def test_a_boolean_byte_other_than_0_or_1(self, tmp_path):
+        schema = DimensionSchema((Dimension("flag", "boolean"),), (Measure.sum("m"),))
+        cube = BaseTableGroupByCube(Table.from_rows(["flag", "m"], [(False, 1)]), schema)
+        store_dir = tmp_path / "store"
+        materialize(cube, ["flag"], store_dir)
+        part = json.loads((store_dir / "manifest.json").read_text())["parts"][0]["file"]
+        data = bytearray((store_dir / part).read_bytes())
+        # the flag column: its name, role and type, a marker per row, then a byte per row
+        markers = data.index(b"flag") + len("flag") + 2
+        assert data[markers:markers + 4] == b"\x01\x00\x00\x00"  # (*,), then (False,)
+        data[markers + 3] = 7
+        self._replace_part(store_dir, 0, bytes(data))
+        with pytest.raises(StoreError, match="bad boolean value"):
+            load_cellset(store_dir)
+
     @pytest.mark.parametrize("kind, dims", [("chunked", ("Device",)), ("rechunked", ("date",)),
                                             ("cellset", ("Device", "date"))],
                              ids=["chunked-Device", "rechunked-date", "cellset-Device-date"])
