@@ -15,12 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import store as store_mod
 from .attribution import SegmentedMetrics, attribute_density, summable_ras
@@ -32,9 +31,9 @@ from .core import (
     Region,
     Table,
     format_value,
+    parse_number,
+    read_csv,
     schema_from_dict,
-    unique_header,
-    utf8_rows,
 )
 from .crawler import CrawlSpec, ResultCube, naive_crawl, top_down_crawl
 from .errors import (
@@ -80,9 +79,12 @@ def _reader(kind: str, ok):
     return read
 
 
+def _is_finite(value) -> bool:
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 _integer = _reader("an integer", lambda v: type(v) is int)
-_finite = _reader("a finite number",
-                  lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+_finite = _reader("a finite number", _is_finite)
 _string = _reader("a string", lambda v: isinstance(v, str))
 _path = _reader("a file path", lambda v: isinstance(v, str) and "\0" not in v)
 _boolean = _reader("true or false", lambda v: isinstance(v, bool))
@@ -117,6 +119,11 @@ def _nullable(read):
 
 
 _names = _list(_string)
+# a constant column holds what its column's typing could give a cell: a dimension's
+# domain type, a finite number for a SUM source, else text or a finite number
+_DOMAIN_CONSTANTS = {"string": _string, "integer": _integer, "boolean": _boolean}
+_text_or_finite = _reader("a string or a finite number",
+                          lambda v: isinstance(v, str) or _is_finite(v))
 
 
 def _section(data, where: str, readers: Mapping, required: Sequence[str] = ()) -> dict:
@@ -140,8 +147,13 @@ class InputConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping, where: str) -> "InputConfig":
-        return cls(**_section(data, where, {"csv": _path, "schema": _schema, "constants": _object},
-                              ("csv", "schema")))
+        fields = _section(data, where, {"csv": _path, "schema": _schema, "constants": _object},
+                          ("csv", "schema"))
+        readers = {m.sources[0]: _finite for m in fields["schema"].measures if m.agg == "sum"}
+        readers.update((d.name, _DOMAIN_CONSTANTS[d.domain]) for d in fields["schema"].dimensions)
+        for name, value in fields.get("constants", {}).items():
+            readers.get(name, _text_or_finite)(value, f"{where}.constants.{name}")
+        return cls(**fields)
 
     def load_cube(self) -> BaseTableGroupByCube:
         table = Table.from_csv(self.csv, self.schema, self.constants)
@@ -422,49 +434,34 @@ def write_records(records: list[dict], signal_names: Sequence[str], fmt: str, pa
             writer.writerow(row)
 
 
-def _csv_cell(path, row: Mapping, column: str) -> str:
-    """One cell of a ``csv.DictReader`` row; a missing column is a SchemaError."""
-    if column not in row:
-        raise SchemaError(f"{path}: no column {column!r}")
-    return row[column]
+def _positions(path, header: Sequence[str], columns: Sequence[str]) -> list[int]:
+    """Where each of ``columns`` is in the ``header`` of the CSV at ``path``."""
+    for column in columns:
+        if column not in header:
+            raise SchemaError(f"{path}: no column {column!r}")
+    return [header.index(column) for column in columns]
 
 
-def _csv_number(path, line: int, row: Mapping, column: str) -> float:
-    text = _csv_cell(path, row, column)
-    try:
-        number = float(text)
-    except (TypeError, ValueError):
-        raise DataError(f"{path}:{line}: column {column!r}: {text!r} is not a number") from None
-    if not math.isfinite(number):
-        raise DataError(f"{path}:{line}: column {column!r}: {text!r} is not a finite number")
-    return number
-
-
-def _csv_records(path, fh) -> Iterator[tuple[int, dict]]:
-    """(line number, row by column name) of a CSV file with a header.  Text that is not
-    UTF-8 and a header naming a column twice are DataErrors."""
-    reader = csv.DictReader(fh)
-
-    def records():
-        unique_header(path, reader.fieldnames or ())
-        for row in reader:
-            yield reader.line_num, row
-    return utf8_rows(path, records())
+def _floats(row: Sequence[str], positions: Sequence[int], columns: Sequence[str]) -> list:
+    """The cells of ``row`` at ``positions``, as floats read by ``parse_number``."""
+    return [float(parse_number(f"column {column!r}", row[i]))
+            for i, column in zip(positions, columns)]
 
 
 def _load_result_csv(path, schema: DimensionSchema) -> ResultCube:
     """Read a crawl output CSV back as a crawl result over its region dimensions."""
+    records = read_csv(path)
+    region_at, *signals_at = _positions(path, next(records), ("region", *schema.measure_names))
     entries = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for line, row in _csv_records(path, fh):
-            text = _csv_cell(path, row, "region")
-            try:
-                region = parse_region(text, schema)
-            except (RequestError, SchemaError, DataError) as exc:
-                raise DataError(f"{path}:{line}: {exc}") from None
+    for line, row in records:
+        try:
+            region = parse_region(row[region_at], schema)
             if region in entries:
-                raise DataError(f"{path}:{line}: region {region!r} is listed twice")
-            entries[region] = {s: _csv_number(path, line, row, s) for s in schema.measure_names}
+                raise DataError(f"region {region!r} is listed twice")
+            entries[region] = dict(zip(schema.measure_names,
+                                       _floats(row, signals_at, schema.measure_names)))
+        except (RequestError, SchemaError, DataError) as exc:
+            raise DataError(f"{path}:{line}: {exc}") from None
     return ResultCube(schema.dimension_names, schema.measure_names, entries, schema)
 
 
@@ -497,51 +494,59 @@ def cmd_crawl(config: RunConfig, args, instr: Instrumentation) -> int:
 def cmd_attribute(config: RunConfig, args, instr: Instrumentation) -> int:
     cfg = _require(config.attribute, "attribute")
     density = cfg.kind == "density"
-    col = cfg.column
     path = cfg.metrics_csv
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(_csv_records(path, fh))
+        header, *rows = read_csv(path)
     except OSError as exc:
         raise StoreError(f"cannot read metrics CSV: {exc}") from None
+    roles = _ATTR_COLUMNS[1:] if density else _ATTR_COLUMNS[1:3]
+    columns = [cfg.column(role) for role in roles]
+    region_at, *metrics_at = _positions(path, header, [cfg.column("region"), *columns])
 
-    def floats(line, row, *names):
-        return tuple(_csv_number(path, line, row, col(n)) for n in names)
+    def fields(values, segment: str) -> dict:
+        """(role, metric) pairs as ``SegmentedMetrics`` fields of a region ("r") or the
+        population ("p"): ``w_control`` is ``w_r_c`` or ``w_p_c``."""
+        return {f"{role[0]}_{segment}_{role[2]}": value for role, value in values}
 
-    population = cfg.population
+    def metrics(line, row, segment: str) -> dict:
+        try:
+            return fields(zip(roles, _floats(row, metrics_at, columns)), segment)
+        except DataError as exc:
+            raise DataError(f"{path}:{line}: {exc}") from None
+
+    # the row with the empty region is the population: it is never scored as a region,
+    # and a config 'population' section takes its place
+    population = None if cfg.population is None else fields(cfg.population.items(), "p")
+    population_line = None
     body = []
     for line, row in rows:
-        if _csv_cell(path, row, col("region")) == "" and population is None:
-            w_c, w_t = floats(line, row, "w_control", "w_test")
-            s_c, s_t = floats(line, row, "s_control", "s_test") if density else (0.0, 0.0)
-            population = {"w_control": w_c, "w_test": w_t, "s_control": s_c, "s_test": s_t}
-        else:
+        if row[region_at] != "":
             body.append((line, row))
+        elif population_line is not None:
+            raise DataError(f"{path}:{line}: a second population row (empty region); "
+                            f"the first is line {population_line}")
+        else:
+            population_line = line
+            population = population or metrics(line, row, "p")
     if population is None:
         raise ConfigError("attribute needs population metrics: add a config 'population' "
                           "section or a CSV row with an empty region")
-    w_p_c, w_p_t = population["w_control"], population["w_test"]
-    s_p_c = population.get("s_control", 0.0)
-    s_p_t = population.get("s_test", 0.0)
+    pop_metrics = SegmentedMetrics(**population)
 
     records = []
     total = 0.0
     warnings = 0
     for line, row in body:
-        region_text = _csv_cell(path, row, col("region"))
-        w_c, w_t = floats(line, row, "w_control", "w_test")
-        s_c, s_t = floats(line, row, "s_control", "s_test") if density else (0.0, 0.0)
-        metrics = SegmentedMetrics(w_r_c=w_c, w_r_t=w_t, s_r_c=s_c, s_r_t=s_t,
-                                   w_p_c=w_p_c, w_p_t=w_p_t, s_p_c=s_p_c, s_p_t=s_p_t)
-        record = {"region": region_text, "region_key": region_text, "signals": {}}
+        segmented = replace(pop_metrics, **metrics(line, row, "r"))
+        record = {"region": row[region_at], "region_key": row[region_at], "signals": {}}
         try:
             if density:
-                result = attribute_density(metrics)
+                result = attribute_density(segmented)
                 num, den = result.components
                 record["signals"] = {"ras": result.ras, "numerator_part": num,
                                      "denominator_part": den}
             else:
-                result = summable_ras(metrics)
+                result = summable_ras(segmented)
                 record["signals"] = {"ras": result.ras}
             total += result.ras
         except DomainError as exc:
@@ -549,12 +554,8 @@ def cmd_attribute(config: RunConfig, args, instr: Instrumentation) -> int:
             warnings += 1
         records.append(record)
 
-    pop_metrics = SegmentedMetrics(w_p_c=w_p_c, w_p_t=w_p_t, s_p_c=s_p_c, s_p_t=s_p_t)
-    completeness = {
-        "region": "(completeness)",
-        "region_key": "(completeness)",
-        "signals": {"sum_ras": total, "warnings": float(warnings)},
-    }
+    completeness = {"region": "(completeness)", "region_key": "(completeness)",
+                    "signals": {"sum_ras": total, "warnings": float(warnings)}}
     try:
         change = (pop_metrics.population_density_change() if density
                   else pop_metrics.population_delta())

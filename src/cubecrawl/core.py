@@ -16,7 +16,7 @@ import sys
 from abc import ABC, abstractmethod
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import reduce, total_ordering
+from functools import partial, reduce, total_ordering
 from operator import add, itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -391,48 +391,52 @@ class Table:
 
     @classmethod
     def from_csv(cls, path, schema: DimensionSchema, constants: Mapping[str, Any] | None = None) -> "Table":
-        """Load a CSV, typing each column per the schema.
-
-        Dimension columns are parsed per their domain (empty cell -> NULL).
-        SUM sources are parsed as numbers (int when integral).  Any other
-        column is kept as raw text so COUNT_DISTINCT can reference it.  A row
-        that does not parse is a DataError naming its file and line.
+        """Load a CSV by ``read_csv``, typing each column by one parser chosen from the schema:
+        a dimension's domain (empty cell -> NULL), ``parse_number`` for a SUM source, else
+        the text as is, for COUNT_DISTINCT.  Each distinct text of a column is parsed once,
+        and the rows holding it share the value.  A bad cell is a DataError naming its line.
         """
-        dim_by_name = {d.name: d for d in schema.dimensions}
-        sum_sources = {m.sources[0] for m in schema.measures if m.agg == "sum"}
-        try:
-            with open(path, newline="", encoding="utf-8") as fh:
-                reader = csv.reader(fh)
-                try:
-                    header = unique_header(path, next(reader))
-                except StopIteration:
-                    raise DataError(f"{path}: empty CSV") from None
-                cols = {name: [] for name in header}
-                try:
-                    for row in reader:
-                        if len(row) != len(header):
-                            raise DataError(f"expected {len(header)} cells, got {len(row)}")
-                        for name, text in zip(header, row):
-                            if name in dim_by_name:
-                                cols[name].append(dim_by_name[name].parse(text))
-                            elif name in sum_sources:
-                                cols[name].append(_parse_number(name, text))
-                            else:
-                                cols[name].append(text)
-                except DataError as exc:
-                    raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: not UTF-8 text") from None
-        table = cls(cols)
+        parsers = {m.sources[0]: partial(parse_number, f"measure source {m.sources[0]!r}")
+                   for m in schema.measures if m.agg == "sum"}
+        parsers.update((d.name, d.parse) for d in schema.dimensions)
+        records = read_csv(path)
+        header = next(records)
+        columns = [(parsers.get(name, str), {}, []) for name in header]
+        for line, row in records:
+            try:
+                for text, (parse, typed, values) in zip(row, columns):
+                    value = typed.get(text)
+                    if value is None:
+                        value = typed[text] = parse(text)
+                    values.append(value)
+            except DataError as exc:
+                raise DataError(f"{path}:{line}: {exc}") from None
+        table = cls({name: values for name, (_, _, values) in zip(header, columns)})
         for name, value in (constants or {}).items():
             table = table.with_constant(name, value)
         return table
 
 
-def utf8_rows(path, rows: Iterable) -> Iterator:
-    """The rows of a CSV reader over ``path``; text that is not UTF-8 is a DataError."""
+def read_csv(path) -> Iterator:
+    """The header of the CSV file at ``path``, then each record as ``(line, cells)``, where
+    ``line`` is the line the record ends on.  The one reader of CSV input: the file is
+    UTF-8 text, the header names no column twice, and every record is as wide as the
+    header; a broken rule is a DataError naming the file and, where there is one, the line."""
     try:
-        yield from rows
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty CSV")
+            name = _repeated(header)
+            if name is not None:
+                raise DataError(f"{path}: column {name!r} is named twice in the header")
+            yield header
+            for row in reader:
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{reader.line_num}: "
+                                    f"expected {len(header)} cells, got {len(row)}")
+                yield reader.line_num, row
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
 
@@ -447,17 +451,10 @@ def _repeated(names: Iterable[str]):
     return None
 
 
-def unique_header(path, header: Sequence[str]) -> Sequence[str]:
-    """``header``, the column names of a CSV over ``path``; naming one twice is a DataError."""
-    name = _repeated(header)
-    if name is not None:
-        raise DataError(f"{path}: column {name!r} is named twice in the header")
-    return header
-
-
-def _parse_number(name: str, text: str):
+def parse_number(label: str, text: str):
+    """``text`` as a finite number, int when integral; else a DataError led by ``label``."""
     if text == "":
-        raise DataError(f"measure source {name!r}: empty cell")
+        raise DataError(f"{label}: empty cell")
     if "." not in text and "e" not in text and "E" not in text:
         try:
             # integral text is parsed once, and stays exact beyond 2**53
@@ -466,14 +463,14 @@ def _parse_number(name: str, text: str):
             pass  # "inf", "nan" or not a number: the float parse tells which
         else:
             if abs(n) > sys.float_info.max:
-                raise DataError(f"measure source {name!r}: {text!r} is not a finite number")
+                raise DataError(f"{label}: {text!r} is not a finite number")
             return n
     try:
         f = float(text)
     except ValueError:
-        raise DataError(f"measure source {name!r}: {text!r} is not a number") from None
+        raise DataError(f"{label}: {text!r} is not a number") from None
     if not math.isfinite(f):
-        raise DataError(f"measure source {name!r}: {text!r} is not a finite number")
+        raise DataError(f"{label}: {text!r} is not a finite number")
     return f
 
 

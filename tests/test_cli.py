@@ -193,6 +193,68 @@ class TestConfigHandling:
         assert (error["type"], error["exit_code"]) == ("RefusalError", 5)
         assert "safety cap of 3" in error["message"]
 
+    @staticmethod
+    def constants_config(tmp_path, domain, constants) -> Path:
+        """A crawl over a 2-row CSV whose schema adds dimension ``k`` of ``domain`` and SUM
+        source ``c``, both given by ``constants``."""
+        (tmp_path / "t.csv").write_text("d,m\na,1\nb,2\n")
+        schema = {"dimensions": [{"name": "d"}, {"name": "k", "domain": domain}],
+                  "measures": [{"name": "m", "agg": "sum", "sources": ["m"]},
+                               {"name": "c", "agg": "sum", "sources": ["c"]}]}
+        return write_config(tmp_path / "run.json", {
+            "spec_version": 1,
+            "input": {"csv": str(tmp_path / "t.csv"), "schema": schema, "constants": constants},
+            "crawl": {"models": [{"model": "id", "params": {"metrics": ["c"]}}],
+                      "dimensions": ["d", "k"]}})
+
+    @pytest.mark.parametrize("domain, name, value, expected", [
+        ("string", "k", [1], "a string"),
+        ("string", "c", "x", "a finite number"),
+        ("integer", "k", "seven", "an integer"),
+        ("integer", "k", True, "an integer"),
+        ("boolean", "k", 1, "true or false"),
+        ("string", "c", False, "a finite number"),
+        ("string", "c", float("inf"), "a finite number"),
+        ("string", "extra", None, "a string or a finite number"),
+    ])
+    def test_a_constant_its_column_could_not_hold_is_one_config_error(self, tmp_path, capsys,
+                                                                      domain, name, value,
+                                                                      expected):
+        constants = {"k": {"string": "z", "integer": 7, "boolean": True}[domain], "c": 1}
+        constants[name] = value
+        config = self.constants_config(tmp_path, domain, constants)
+        out = tmp_path / "out.jsonl"
+        assert main(["crawl", "--config", str(config), "--output", str(out)]) == 2
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)["error"]
+        assert (record["type"], record["exit_code"]) == ("ConfigError", 2)
+        assert record["message"] == f"input.constants.{name}: expected {expected}, got {value!r}"
+
+    @pytest.mark.parametrize("domain, k", [("string", "z"), ("integer", 2**60),
+                                           ("boolean", False)])
+    def test_a_constant_of_its_column_type_reaches_the_output(self, tmp_path, domain, k):
+        config = self.constants_config(tmp_path, domain, {"k": k, "c": 2.5, "note": "n"})
+        out = tmp_path / "out.jsonl"
+        assert main(["crawl", "--config", str(config), "--output", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert {"k": k} in [r["region"] for r in records]
+        assert records[0] == {"region": {}, "signals": {"c": 5.0}}
+
+    def test_a_bad_constant_of_a_source_names_its_key_path(self, tmp_path, capsys):
+        (tmp_path / "t.csv").write_text("d,m\na,1\n")
+        schema = {"dimensions": [{"name": "d"}, {"name": "k", "domain": "integer"}],
+                  "measures": [{"name": "m", "agg": "sum", "sources": ["m"]}]}
+        source = {"kind": "base_table", "csv": str(tmp_path / "t.csv"), "schema": schema,
+                  "constants": {"k": "seven"}}
+        config = write_config(tmp_path / "mat.json", {
+            "spec_version": 1, "materialize": {"action": "materialize", "source": source}})
+        assert main(["materialize", "--config", str(config),
+                     "--output", str(tmp_path / "store")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"]["message"] == \
+            "materialize.source.constants.k: expected an integer, got 'seven'"
+
     @pytest.mark.parametrize("where, command, code, error", [
         ("config", "crawl", 2, "ConfigError"), ("input", "crawl", 4, "DataError"),
         ("metrics", "attribute", 4, "DataError"), ("result", "join", 4, "DataError"),
@@ -243,7 +305,7 @@ class TestCrawlCommand:
         out = tmp_path / "out.csv"
         assert main(["crawl", "--config", str(config_path), "--output", str(out),
                      "--format", "csv"]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert rows[0]["region"] == ""
         assert {"Device=Pixel;Browser=Safari", "Device=iPhone;Browser=Safari"} <= \
             {r["region"] for r in rows}
@@ -270,7 +332,8 @@ class TestCrawlCommand:
                                      "reads back as itself; write it with --format jsonl")
         jsonl = tmp_path / "crawl.jsonl"
         assert main(["crawl", "--config", str(config), "--output", str(jsonl)]) == 0
-        assert {dim: value} in [json.loads(line)["region"] for line in jsonl.open()]
+        assert {dim: value} in [json.loads(line)["region"]
+                                for line in jsonl.read_text().splitlines()]
 
     def test_topn_config(self, tmp_path):
         config_path = t1_crawl_config(tmp_path, thresholds={},
@@ -399,17 +462,57 @@ class TestAttributeCommand:
         assert "error" in records[0]
         assert records[-1]["signals"]["warnings"] == 1.0
 
+    def test_a_config_population_takes_the_place_of_the_empty_region_row(self, tmp_path):
+        metrics = tmp_path / "m.csv"
+        self.write_metrics(metrics, [("", 100, 110), ("a", 40, 45), ("b", 60, 65)],
+                           header=("region", "w_control", "w_test"))
+        config = write_config(tmp_path / "attr.json", {
+            "spec_version": 1,
+            "attribute": {"metrics_csv": str(metrics), "kind": "summable",
+                          "population": {"w_control": 100, "w_test": 110}}})
+        out = tmp_path / "attr.jsonl"
+        assert main(["attribute", "--config", str(config), "--output", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["region"] for r in records] == ["a", "b", "(completeness)"]
+        assert records[-1]["signals"] == {"sum_ras": 10.0, "population_change": 10.0,
+                                          "abs_error": 0.0, "warnings": 0.0}
+
+    @pytest.mark.parametrize("population", [None, {"w_control": 100, "w_test": 110}])
+    def test_a_second_empty_region_row_is_one_error_record(self, tmp_path, capsys,
+                                                           population):
+        metrics = tmp_path / "m.csv"
+        self.write_metrics(metrics, [("", 100, 110), ("a", 40, 45), ("", 60, 65)],
+                           header=("region", "w_control", "w_test"))
+        config = write_config(tmp_path / "attr.json", {
+            "spec_version": 1,
+            "attribute": {"metrics_csv": str(metrics), "kind": "summable",
+                          "population": population}})
+        out = tmp_path / "attr.jsonl"
+        assert main(["attribute", "--config", str(config), "--output", str(out)]) == 4
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)["error"]
+        assert (record["type"], record["exit_code"]) == ("DataError", 4)
+        assert record["message"] == \
+            f"{metrics}:4: a second population row (empty region); the first is line 2"
+
     @pytest.mark.parametrize("header, cell, code, error", [
         (("region", "w_control", "w_test", "s_control", "s_test"), "x", 4, "DataError"),
         (("region", "w_control", "w_test_typo", "s_control", "s_test"), "5", 2, "SchemaError"),
         (("region", "w_control", "w_test", "s_control", "s_test"), "nan", 4, "DataError"),
         (("region", "w_control", "w_test", "s_control", "s_test"), "inf", 4, "DataError"),
         (("region", "w_control", "w_test", "s_control", "s_test"), "1e999", 4, "DataError"),
+        # a tuple of cells takes the place of the last one: rows wider or narrower
+        # than the header
+        (("region", "w_control", "w_test", "s_control", "s_test"), ("5", "999"), 4,
+         "DataError"),
+        (("region", "w_control", "w_test", "s_control", "s_test"), (), 4, "DataError"),
     ])
     def test_bad_metrics_csv_is_one_error_record(self, tmp_path, capsys, header, cell, code,
                                                  error):
         metrics = tmp_path / "m.csv"
-        self.write_metrics(metrics, [("", 60, 65, 30, 30), ("r1", 10, 15, 5, cell)],
+        cells = cell if isinstance(cell, tuple) else (cell,)
+        self.write_metrics(metrics, [("", 60, 65, 30, 30), ("r1", 10, 15, 5, *cells)],
                            header=header)
         config = write_config(tmp_path / "attr.json", {
             "spec_version": 1, "attribute": {"metrics_csv": str(metrics)}})
@@ -419,7 +522,9 @@ class TestAttributeCommand:
         (line,) = capsys.readouterr().err.splitlines()
         record = json.loads(line)["error"]
         assert record["type"] == error and str(metrics) in record["message"]
-        if error == "DataError":
+        if error == "DataError" and isinstance(cell, tuple):
+            assert record["message"] == f"{metrics}:3: expected 5 cells, got {4 + len(cell)}"
+        elif error == "DataError":
             assert f"{metrics}:3: column 's_test'" in record["message"]
 
     def test_a_metrics_header_naming_a_column_twice_is_one_error_record(self, tmp_path,
@@ -495,11 +600,15 @@ class TestJoinCommand:
         ("total_weight", "nan", 4, "DataError"),
         ("total_weight", "inf", 4, "DataError"),
         ("total_weight", "1e999", 4, "DataError"),
+        # a row one cell wider than the header, and one with no cell after the region
+        ("total_weight", "70.0,999", 4, "DataError"),
+        ("total_weight", None, 4, "DataError"),
     ])
     def test_bad_result_csv_is_one_error_record(self, tmp_path, capsys, signal, cell, code,
                                                 error):
         crawl_out = tmp_path / "crawl.csv"
-        crawl_out.write_text(f"region,total_weight\n,125.0\nDevice=Pixel,{cell}\n")
+        row = "Device=Pixel" if cell is None else f"Device=Pixel,{cell}"
+        crawl_out.write_text(f"region,total_weight\n,125.0\n{row}\n")
         source = {"kind": "result_csv", "path": str(crawl_out),
                   "dimensions": [{"name": "Device"}], "signals": [signal]}
         config = write_config(tmp_path / "join.json", {
@@ -513,7 +622,10 @@ class TestJoinCommand:
         (line,) = capsys.readouterr().err.splitlines()
         record = json.loads(line)["error"]
         assert record["type"] == error and str(crawl_out) in record["message"]
-        if error == "DataError":
+        if error == "DataError" and (cell is None or "," in cell):
+            width = 1 if cell is None else 3
+            assert record["message"] == f"{crawl_out}:3: expected 2 cells, got {width}"
+        elif error == "DataError":
             assert f"{crawl_out}:3: column 'total_weight'" in record["message"]
 
 

@@ -1,9 +1,12 @@
+import csv
 import functools
 import gc
 import math
 import operator
 import random
+import tempfile
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -389,6 +392,8 @@ class TestSchema:
         # a quoted cell spans lines 3 and 4; the record is named by its last line
         ('d0,m\n1,2\n"\n2",y\n', "{path}:4: measure source 'm': 'y' is not a number"),
         ("d0,m\n1,2\n2,3,4\n", "{path}:3: expected 2 cells, got 3"),
+        ("d0,m\n1,2\n\n", "{path}:3: expected 2 cells, got 0"),
+        ("", "{path}: empty CSV"),
     ])
     def test_a_csv_cell_that_does_not_parse_names_its_file_and_line(self, tmp_path, text,
                                                                     message):
@@ -398,6 +403,53 @@ class TestSchema:
         with pytest.raises(DataError) as info:
             Table.from_csv(path, schema)
         assert str(info.value) == message.format(path=path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_a_csv_loads_each_column_by_its_typing(self, data):
+        # the CSV text of each value, and the value it loads as, built without the engine
+        text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+                       max_size=6)
+        pool = data.draw(st.lists(text, min_size=1, max_size=4), label="string pool")
+        words = [(w, True) for w in ("true", "t", "1", "yes", "y")] + \
+            [(w, False) for w in ("false", "f", "0", "no", "n")]
+
+        def cased(word_value, upper, pad):
+            word, value = word_value
+            return (" " * pad + "".join(c.upper() if u else c for c, u in zip(word, upper))
+                    + " " * pad, value)
+        cells = {
+            "s": st.sampled_from(pool).map(lambda t: (t, t or NULL)),
+            "i": st.one_of(st.just(("", NULL)),
+                           st.integers(-2**70, 2**70).map(lambda n: (str(n), n))),
+            "b": st.one_of(st.just(("", NULL)),
+                           st.builds(cased, st.sampled_from(words),
+                                     st.lists(st.booleans(), min_size=5, max_size=5),
+                                     st.integers(0, 1))),
+            "m": st.one_of(st.integers(-2**80, 2**80).map(lambda n: (str(n), n)),
+                           st.floats(allow_nan=False, allow_infinity=False)
+                           .map(lambda f: (repr(f), f))),
+            "note": text.map(lambda t: (t, t)),
+        }
+        header = data.draw(st.permutations(list(cells)), label="header")
+        rows = data.draw(st.lists(st.tuples(*(cells[name] for name in header)), max_size=12),
+                         label="rows")
+        schema = DimensionSchema(
+            (Dimension("s"), Dimension("i", "integer"), Dimension("b", "boolean")),
+            (Measure.sum("m"), Measure.count_distinct("notes", "note")))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([header, *([t for t, _ in row] for row in rows)])
+            table = Table.from_csv(path, schema)
+        assert table.n_rows == len(rows)
+        for at, name in enumerate(header):
+            expected = [row[at][1] for row in rows]
+            loaded = table.column(name)
+            assert [(type(v), repr(v)) for v in loaded] == \
+                [(type(v), repr(v)) for v in expected], name
+        first = {}
+        assert all(first.setdefault(v, v) is v for v in table.column("s"))
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "t1.csv"
