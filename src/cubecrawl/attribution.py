@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -136,6 +136,30 @@ def attribute_density(m: SegmentedMetrics) -> AttributionResult:
     if m.is_degenerate():
         return density_ras_degenerate(m)
     return density_ras(m)
+
+
+class AttributionKind(NamedTuple):
+    """An attribution kind: its scorer, its signals (``ras``, then the result's components),
+    its population change, and how many of (w_control, w_test, s_control, s_test) it reads."""
+
+    score: Callable[[SegmentedMetrics], AttributionResult]
+    signals: tuple[str, ...]
+    population_change: Callable[[SegmentedMetrics], float]
+    totals: int
+
+
+ATTRIBUTION_KINDS = {
+    "density": AttributionKind(attribute_density, ("ras", "numerator_part", "denominator_part"),
+                               SegmentedMetrics.population_density_change, 4),
+    "summable": AttributionKind(summable_ras, ("ras",), SegmentedMetrics.population_delta, 2),
+}
+
+
+def attribution_signals(m: SegmentedMetrics, kind: str) -> dict[str, float]:
+    """The signals of the attribution kind ``kind`` for ``m``."""
+    entry = ATTRIBUTION_KINDS[kind]
+    result = entry.score(m)
+    return dict(zip(entry.signals, (result.ras, *(result.components or ()))))
 
 
 @dataclass(frozen=True)
@@ -298,7 +322,7 @@ def churn_decompose(
     test (TO) form three disjoint sub-regions; each gets the active formula.
     Entity totals must reproduce the region totals within ``tol``.
     """
-    if kind not in ("density", "summable"):
+    if kind not in ATTRIBUTION_KINDS:
         raise DomainError(f"unknown attribution kind {kind!r}")
     sums = {"CO": [0.0] * 4, "TC": [0.0] * 4, "TO": [0.0] * 4}
     for e in entities:
@@ -314,22 +338,14 @@ def churn_decompose(
         acc[1] += e.w_t
         acc[2] += e.s_c
         acc[3] += e.s_t
-    totals = [0.0] * 4
-    for acc in sums.values():
-        for i in range(4):
-            totals[i] += acc[i]
+    totals = [sum_in_order(column) for column in zip(*sums.values())]
     expected = (region.w_r_c, region.w_r_t, region.s_r_c, region.s_r_t)
     for got, want, label in zip(totals, expected, ("w_c", "w_t", "s_c", "s_t")):
         if abs(got - want) > tol:
             raise ConsistencyError(
                 f"entity {label} total {got!r} disagrees with region total {want!r}"
             )
-    formula = attribute_density if kind == "density" else summable_ras
-    results = {}
-    for bucket, (w_c, w_t, s_c, s_t) in sums.items():
-        sub = SegmentedMetrics(
-            w_r_c=w_c, w_r_t=w_t, s_r_c=s_c, s_r_t=s_t,
-            w_p_c=region.w_p_c, w_p_t=region.w_p_t, s_p_c=region.s_p_c, s_p_t=region.s_p_t,
-        )
-        results[bucket] = formula(sub)
-    return ChurnDecomposition(results["CO"], results["TC"], results["TO"])
+    population = (region.w_p_c, region.w_p_t, region.s_p_c, region.s_p_t)
+    score = ATTRIBUTION_KINDS[kind].score
+    return ChurnDecomposition(*(score(SegmentedMetrics(*sums[bucket], *population))
+                                for bucket in ("CO", "TC", "TO")))

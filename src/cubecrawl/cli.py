@@ -17,12 +17,12 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import store as store_mod
-from .attribution import SegmentedMetrics, attribute_density, summable_ras
+from .attribution import ATTRIBUTION_KINDS, SegmentedMetrics, attribution_signals
 from .core import (
     NULL,
     BaseTableGroupByCube,
@@ -228,7 +228,7 @@ def _crawl(data, where: str) -> tuple[CrawlSpec, str]:
 _ATTR_COLUMNS = ("region", "w_control", "w_test", "s_control", "s_test")
 _ATTR_KEYS = {
     "metrics_csv": _path,
-    "kind": _choice("density", "summable"),
+    "kind": _choice(*ATTRIBUTION_KINDS),
     "columns": lambda value, where: _section(value, where, dict.fromkeys(_ATTR_COLUMNS, _string)),
     "population": _nullable(lambda value, where: _section(
         value, where, dict.fromkeys(_ATTR_COLUMNS[1:], _number), ("w_control", "w_test"))),
@@ -375,11 +375,6 @@ def _json_value(value):
     return value
 
 
-def format_region(region: Region, schema: DimensionSchema) -> str:
-    items = sorted(region.items(), key=lambda kv: schema.dim_index(kv[0]))
-    return ";".join(f"{d}={format_value(v)}" for d, v in items)
-
-
 def parse_region(text: str, schema: DimensionSchema) -> Region:
     if not text:
         return Region()
@@ -396,14 +391,23 @@ def parse_region(text: str, schema: DimensionSchema) -> Region:
 
 def result_records(result: ResultCube, ranked: bool) -> list[dict]:
     pairs = result.records() if ranked else result.sorted_records()
-    schema = result.schema
+    dim_index = result.schema.dim_index
     records = []
     for region, signals in pairs:
-        region_map = {d: _json_value(v) for d, v in
-                      sorted(region.items(), key=lambda kv: schema.dim_index(kv[0]))}
-        records.append({"region": region_map, "region_key": format_region(region, schema),
+        items = sorted(region.items(), key=lambda kv: dim_index(kv[0]))
+        records.append({"region": {d: _json_value(v) for d, v in items},
+                        "region_key": ";".join(f"{d}={format_value(v)}" for d, v in items),
                         "signals": {s: signals[s] for s in result.signal_names if s in signals}})
     return records
+
+
+def _reads_back(record: dict, schema: DimensionSchema) -> bool:
+    """Whether the record's ``region_key`` parses back to the record's own region."""
+    try:
+        region = parse_region(record["region_key"], schema)
+    except (RequestError, SchemaError, DataError):
+        return False
+    return {d: _json_value(v) for d, v in region.items()} == record["region"]
 
 
 def write_records(records: list[dict], signal_names: Sequence[str], fmt: str, path) -> None:
@@ -481,10 +485,9 @@ def cmd_crawl(config: RunConfig, args, instr: Instrumentation) -> int:
     use_naive = args.oracle == "naive" or config.crawl_mode == "naive"
     result = (naive_crawl if use_naive else top_down_crawl)(cube, spec, instrumentation=instr)
     records = result_records(result, spec.top_n is not None)
-    if args.format == "csv":  # a CSV region key must read back as its region: ``parse_region``
+    if args.format == "csv":
         for rec in records:
-            if any("=" in d or ";" in d or isinstance(v, str) and (";" in v or v == "NULL")
-                   for d, v in rec["region"].items()):
+            if not _reads_back(rec, result.schema):
                 raise DataError(f"region {rec['region']!r} has no CSV region key that reads "
                                 "back as itself; write it with --format jsonl")
     write_records(records, result.signal_names, args.format, args.output)
@@ -493,62 +496,50 @@ def cmd_crawl(config: RunConfig, args, instr: Instrumentation) -> int:
 
 def cmd_attribute(config: RunConfig, args, instr: Instrumentation) -> int:
     cfg = _require(config.attribute, "attribute")
-    density = cfg.kind == "density"
+    kind = ATTRIBUTION_KINDS[cfg.kind]
     path = cfg.metrics_csv
     try:
         header, *rows = read_csv(path)
     except OSError as exc:
         raise StoreError(f"cannot read metrics CSV: {exc}") from None
-    roles = _ATTR_COLUMNS[1:] if density else _ATTR_COLUMNS[1:3]
-    columns = [cfg.column(role) for role in roles]
+    columns = [cfg.column(role) for role in _ATTR_COLUMNS[1:1 + kind.totals]]
     region_at, *metrics_at = _positions(path, header, [cfg.column("region"), *columns])
-
-    def fields(values, segment: str) -> dict:
-        """(role, metric) pairs as ``SegmentedMetrics`` fields of a region ("r") or the
-        population ("p"): ``w_control`` is ``w_r_c`` or ``w_p_c``."""
-        return {f"{role[0]}_{segment}_{role[2]}": value for role, value in values}
-
-    def metrics(line, row, segment: str) -> dict:
-        try:
-            return fields(zip(roles, _floats(row, metrics_at, columns)), segment)
-        except DataError as exc:
-            raise DataError(f"{path}:{line}: {exc}") from None
 
     # the row with the empty region is the population: it is never scored as a region,
     # and a config 'population' section takes its place
-    population = None if cfg.population is None else fields(cfg.population.items(), "p")
-    population_line = None
-    body = []
+    population = (None if cfg.population is None else
+                  [cfg.population.get(role, 0.0) for role in _ATTR_COLUMNS[1:]])
+    first = {}  # region text -> the line that lists it first
+    body = []  # (region text, its (w_control, w_test, s_control, s_test))
     for line, row in rows:
-        if row[region_at] != "":
-            body.append((line, row))
-        elif population_line is not None:
-            raise DataError(f"{path}:{line}: a second population row (empty region); "
-                            f"the first is line {population_line}")
-        else:
-            population_line = line
-            population = population or metrics(line, row, "p")
+        region = row[region_at]
+        if region in first:
+            repeat = (f"region {region!r} is listed twice" if region
+                      else "a second population row (empty region)")
+            raise DataError(f"{path}:{line}: {repeat}; the first is line {first[region]}")
+        first[region] = line
+        if region or population is None:
+            try:  # the totals a kind leaves out are 0.0
+                totals = _floats(row, metrics_at, columns) + [0.0] * (4 - kind.totals)
+            except DataError as exc:
+                raise DataError(f"{path}:{line}: {exc}") from None
+            if region:
+                body.append((region, totals))
+            else:
+                population = totals
     if population is None:
         raise ConfigError("attribute needs population metrics: add a config 'population' "
                           "section or a CSV row with an empty region")
-    pop_metrics = SegmentedMetrics(**population)
 
     records = []
     total = 0.0
     warnings = 0
-    for line, row in body:
-        segmented = replace(pop_metrics, **metrics(line, row, "r"))
-        record = {"region": row[region_at], "region_key": row[region_at], "signals": {}}
+    for region, totals in body:
+        record = {"region": region, "region_key": region, "signals": {}}
         try:
-            if density:
-                result = attribute_density(segmented)
-                num, den = result.components
-                record["signals"] = {"ras": result.ras, "numerator_part": num,
-                                     "denominator_part": den}
-            else:
-                result = summable_ras(segmented)
-                record["signals"] = {"ras": result.ras}
-            total += result.ras
+            record["signals"] = attribution_signals(SegmentedMetrics(*totals, *population),
+                                                    cfg.kind)
+            total += record["signals"]["ras"]
         except DomainError as exc:
             record["error"] = str(exc)
             warnings += 1
@@ -557,15 +548,13 @@ def cmd_attribute(config: RunConfig, args, instr: Instrumentation) -> int:
     completeness = {"region": "(completeness)", "region_key": "(completeness)",
                     "signals": {"sum_ras": total, "warnings": float(warnings)}}
     try:
-        change = (pop_metrics.population_density_change() if density
-                  else pop_metrics.population_delta())
+        change = kind.population_change(SegmentedMetrics(0.0, 0.0, 0.0, 0.0, *population))
         completeness["signals"].update(population_change=change,
                                        abs_error=abs(total - change))
     except DomainError as exc:
         completeness["error"] = str(exc)
-    signal_names = (("ras", "numerator_part", "denominator_part") if density else ("ras",))
     write_records(records + [completeness],
-                  tuple(signal_names) + ("sum_ras", "population_change", "abs_error", "warnings"),
+                  kind.signals + ("sum_ras", "population_change", "abs_error", "warnings"),
                   args.format, args.output)
     if warnings:
         print(f"attribute: {warnings} region(s) skipped with error markers", file=sys.stderr)

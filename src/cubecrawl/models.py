@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .attribution import SegmentedMetrics, attribute_density, summable_ras
+from .attribution import ATTRIBUTION_KINDS, SegmentedMetrics, attribution_signals
 from .core import DimensionSchema, FeatureFrame, FeatureRequest, Region, sum_in_order
 from .errors import ContractError, DataError, ModelError, SchemaError, SpecError
 
@@ -165,7 +165,7 @@ def _sum_column(frame: FeatureFrame, measure: str) -> float:
 
 def _segment_totals(frame: FeatureFrame, measure: str, test_value,
                     model: str) -> tuple[float, float]:
-    """Sums of ``measure`` where the first attribute is ``test_value`` and elsewhere."""
+    """Sums of ``measure`` where the first attribute is not ``test_value`` and where it is."""
     test = control = 0.0
     idx = frame.measure_names.index(measure)
     for attrs, measures in frame.iter_rows():
@@ -176,7 +176,7 @@ def _segment_totals(frame: FeatureFrame, measure: str, test_value,
             test += v
         else:
             control += v
-    return test, control
+    return control, test
 
 
 class IdModel(RegionAnalysisModel):
@@ -280,8 +280,8 @@ class DiffModel(RegionAnalysisModel):
 
     def evaluate(self, ctx):
         measure, test_value = self.weight_measure, self.test_value
-        r_t, r_c = _segment_totals(ctx.region_frame, measure, test_value, "diff")
-        p_t, p_c = _segment_totals(ctx.population_frame, measure, test_value, "diff")
+        r_c, r_t = _segment_totals(ctx.region_frame, measure, test_value, "diff")
+        p_c, p_t = _segment_totals(ctx.population_frame, measure, test_value, "diff")
         if p_t <= 0 or p_c <= 0:
             raise ModelError("diff model needs positive population weight in both segments")
         test_share = r_t / p_t
@@ -380,32 +380,21 @@ class AttributionModel(RegionAnalysisModel):
                  name: str = "attribution", gate: bool = False):
         metrics = (numerator,) if denominator is None else (numerator, denominator)
         request = FeatureRequest((segment_dim,), metrics)
-        if denominator is None:
-            signals = (SignalSpec("ras"),)
-        else:
-            signals = (SignalSpec("ras"), SignalSpec("numerator_part"), SignalSpec("denominator_part"))
+        self.kind = "summable" if denominator is None else "density"
+        signals = tuple(SignalSpec(s) for s in ATTRIBUTION_KINDS[self.kind].signals)
         super().__init__(name, request, signals, population_request=request, gate=gate)
         self.numerator = numerator
         self.denominator = denominator
         self.segment_dim = segment_dim
         self.test_value = test_value
 
-    def _totals(self, frame: FeatureFrame, measure: str) -> tuple[float, float]:
-        return _segment_totals(frame, measure, self.test_value, "attribution")
-
     def evaluate(self, ctx):
-        w_r_t, w_r_c = self._totals(ctx.region_frame, self.numerator)
-        w_p_t, w_p_c = self._totals(ctx.population_frame, self.numerator)
-        if self.denominator is None:
-            m = SegmentedMetrics(w_r_c=w_r_c, w_r_t=w_r_t, w_p_c=w_p_c, w_p_t=w_p_t)
-            return {"ras": summable_ras(m).ras}
-        s_r_t, s_r_c = self._totals(ctx.region_frame, self.denominator)
-        s_p_t, s_p_c = self._totals(ctx.population_frame, self.denominator)
-        m = SegmentedMetrics(w_r_c=w_r_c, w_r_t=w_r_t, s_r_c=s_r_c, s_r_t=s_r_t,
-                             w_p_c=w_p_c, w_p_t=w_p_t, s_p_c=s_p_c, s_p_t=s_p_t)
-        result = attribute_density(m)
-        num, den = result.components
-        return {"ras": result.ras, "numerator_part": num, "denominator_part": den}
+        totals = []
+        for frame in (ctx.region_frame, ctx.population_frame):
+            for measure in (self.numerator, self.denominator):
+                totals += ((0.0, 0.0) if measure is None else
+                           _segment_totals(frame, measure, self.test_value, "attribution"))
+        return attribution_signals(SegmentedMetrics(*totals), self.kind)
 
 
 class LambdaModel(RegionAnalysisModel):

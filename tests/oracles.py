@@ -71,13 +71,19 @@ def fd_violating_keys(rows, determinants, dependents):
     return {k for k, vals in mapping.items() if len(vals) > 1}
 
 
+def segment_totals(rows, bindings, cols, segment_col="is_test"):
+    """The region's control and test sums of each column in ``cols``, flattened as
+    (control, test) pairs in ``cols`` order; a row is in test iff its segment is true."""
+    region = rows_matching(rows, bindings)
+    return tuple(total for c in cols
+                 for total in (sum(r[c] for r in region if not r[segment_col]),
+                               sum(r[c] for r in region if r[segment_col])))
+
+
 def diff_statistics(rows, bindings, weight_col, segment_col="is_test"):
     """Direct two-table share computation for the differencing model."""
-    region = rows_matching(rows, bindings)
-    pop_t = sum(r[weight_col] for r in rows if r[segment_col])
-    pop_c = sum(r[weight_col] for r in rows if not r[segment_col])
-    reg_t = sum(r[weight_col] for r in region if r[segment_col])
-    reg_c = sum(r[weight_col] for r in region if not r[segment_col])
+    pop_c, pop_t = segment_totals(rows, {}, (weight_col,), segment_col)
+    reg_c, reg_t = segment_totals(rows, bindings, (weight_col,), segment_col)
     support_ratio = reg_t / pop_t
     control_share = reg_c / pop_c
     risk_ratio = support_ratio / control_share if control_share else math.inf

@@ -301,6 +301,12 @@ class TestChurnDecomposition:
         with pytest.raises(ConsistencyError):
             churn_decompose(region, [EntityMetrics("e", w_c=1, w_t=1, s_c=1, s_t=1)])
 
+    def test_an_unknown_kind_is_a_domain_error(self):
+        region = SegmentedMetrics(w_r_c=10, w_r_t=12, s_r_c=5, s_r_t=6, **self.POP4)
+        entities = [EntityMetrics("e", w_c=10, w_t=12, s_c=5, s_t=6)]
+        with pytest.raises(DomainError, match="unknown attribution kind 'other'"):
+            churn_decompose(region, entities, kind="other")
+
     def test_summable_kind(self):
         pop = dict(w_p_c=100.0, w_p_t=110.0)
         entities = [EntityMetrics("a", w_c=5, w_t=0), EntityMetrics("b", w_c=0, w_t=4),

@@ -2,12 +2,17 @@ import csv
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cubecrawl import CrawlSpec, load_cellset
+from cubecrawl import CrawlSpec, SegmentedMetrics, load_cellset
+from cubecrawl.attribution import ATTRIBUTION_KINDS, attribution_signals
 from cubecrawl.cli import RunConfig, load_config, main
+from cubecrawl.errors import DomainError
 
 from conftest import T1_ROWS
 
@@ -335,6 +340,26 @@ class TestCrawlCommand:
         assert {dim: value} in [json.loads(line)["region"]
                                 for line in jsonl.read_text().splitlines()]
 
+    def test_an_empty_string_region_value_is_refused(self, tmp_path, capsys):
+        # ``k=`` would read back as k=NULL, which is another region
+        (tmp_path / "t.csv").write_text("m\n7\n")
+        schema = {"dimensions": [{"name": "k"}],
+                  "measures": [{"name": "m", "agg": "sum", "sources": ["m"]}]}
+        config = write_config(tmp_path / "run.json", {
+            "spec_version": 1,
+            "input": {"csv": str(tmp_path / "t.csv"), "schema": schema, "constants": {"k": ""}},
+            "crawl": {"models": [{"model": "id", "params": {"metrics": ["m"]}}],
+                      "dimensions": ["k"]}})
+        output = tmp_path / "crawl.csv"
+        assert main(["crawl", "--config", str(config), "--output", str(output),
+                     "--format", "csv"]) == 4
+        assert not output.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)["error"]
+        assert (record["type"], record["exit_code"]) == ("DataError", 4)
+        assert record["message"] == ("region {'k': ''} has no CSV region key that reads back "
+                                     "as itself; write it with --format jsonl")
+
     def test_topn_config(self, tmp_path):
         config_path = t1_crawl_config(tmp_path, thresholds={},
                                       top_n={"signal": "total_weight", "n": 3})
@@ -495,6 +520,56 @@ class TestAttributeCommand:
         assert (record["type"], record["exit_code"]) == ("DataError", 4)
         assert record["message"] == \
             f"{metrics}:4: a second population row (empty region); the first is line 2"
+
+    def test_a_region_listed_twice_is_one_error_record(self, tmp_path, capsys):
+        metrics = tmp_path / "m.csv"
+        self.write_metrics(metrics, [("", 100, 110), ("a", 40, 45), ("a", 40, 45),
+                                     ("b", 60, 65)], header=("region", "w_control", "w_test"))
+        config = write_config(tmp_path / "attr.json", {
+            "spec_version": 1,
+            "attribute": {"metrics_csv": str(metrics), "kind": "summable"}})
+        out = tmp_path / "attr.jsonl"
+        assert main(["attribute", "--config", str(config), "--output", str(out)]) == 4
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)["error"]
+        assert (record["type"], record["exit_code"]) == ("DataError", 4)
+        assert record["message"] == \
+            f"{metrics}:4: region 'a' is listed twice; the first is line 3"
+
+    @settings(max_examples=50, deadline=None)
+    @given(population=st.tuples(*[st.integers(0, 30)] * 4),
+           regions=st.dictionaries(st.sampled_from(["a", "b", "c", "d", "e"]),
+                                   st.tuples(*[st.integers(0, 30)] * 4), max_size=5),
+           at=st.integers(0, 5))
+    def test_every_record_is_the_library_attribution_of_its_row(self, population, regions,
+                                                                 at):
+        rows = [(region, *totals) for region, totals in regions.items()]
+        rows.insert(min(at, len(rows)), ("", *population))
+        with tempfile.TemporaryDirectory() as tmp:
+            metrics = Path(tmp) / "m.csv"
+            self.write_metrics(metrics, rows)
+            for kind, entry in ATTRIBUTION_KINDS.items():
+                config = write_config(Path(tmp) / "attr.json", {
+                    "spec_version": 1, "attribute": {"metrics_csv": str(metrics), "kind": kind}})
+                out = Path(tmp) / f"{kind}.jsonl"
+                assert main(["attribute", "--config", str(config), "--output", str(out)]) == 0
+                *records, completeness = [json.loads(line)
+                                          for line in out.read_text().splitlines()]
+                assert [r["region"] for r in records] == list(regions)
+                for record in records:
+                    m = SegmentedMetrics(*map(float, regions[record["region"]] + population))
+                    try:
+                        expected = {"signals": attribution_signals(m, kind)}
+                    except DomainError as exc:
+                        expected = {"signals": {}, "error": str(exc)}
+                    assert record == {"region": record["region"], **expected}
+                try:
+                    change = entry.population_change(
+                        SegmentedMetrics(*map(float, (0, 0, 0, 0) + population)))
+                    assert completeness["signals"]["population_change"] == change
+                except DomainError as exc:
+                    assert completeness["error"] == str(exc)
 
     @pytest.mark.parametrize("header, cell, code, error", [
         (("region", "w_control", "w_test", "s_control", "s_test"), "x", 4, "DataError"),

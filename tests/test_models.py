@@ -6,6 +6,7 @@ import pytest
 
 from cubecrawl import (
     EMPTY_REGION,
+    AttributionModel,
     BaseTableGroupByCube,
     CrawlSpec,
     DiffModel,
@@ -25,8 +26,11 @@ from cubecrawl import (
     WindowOutlierModel,
     fd_holds,
     fd_violations,
+    SegmentedMetrics,
+    attribute_density,
     naive_crawl,
     region_precedes,
+    summable_ras,
 )
 from cubecrawl.errors import ContractError, DataError, ModelError, SchemaError, SpecError
 from cubecrawl.cli import _MODEL_PARAMS
@@ -237,6 +241,42 @@ class TestDiffModel:
                 assert got["support_ratio"] == pytest.approx(support, abs=1e-12)
                 if math.isfinite(risk) and risk > 0:
                     assert got["risk_ratio"] == pytest.approx(risk, rel=1e-6)
+
+
+class TestAttributionModel:
+    @pytest.mark.parametrize("denominator", [None, "m1"])
+    def test_signals_are_the_formulas_of_the_oracle_segment_totals(self, denominator):
+        rng = random.Random(23)
+        measures = ("m0",) if denominator is None else ("m0", "m1")
+        crawled = 0
+        for _ in range(20):
+            table, schema = random_table(rng, n_dims=2, max_rows=30, n_measures=2,
+                                         with_segment=True)
+            rows = [dict(zip(table.column_names, vals))
+                    for vals in zip(*(table.column(c) for c in table.column_names))]
+            # a density needs positive population denominators in both segments
+            population = oracles.segment_totals(rows, {}, measures)
+            if denominator is not None and min(population[2:]) <= 0:
+                continue
+            cube = BaseTableGroupByCube(table, schema)
+            result = naive_crawl(cube, CrawlSpec(models=[AttributionModel("m0", denominator)],
+                                                 dimensions=["d0", "d1"]))
+            unused = (0.0, 0.0) * (2 - len(measures))
+            for region, signals in result.sorted_records():
+                region_totals = oracles.segment_totals(rows, region.bindings(), measures)
+                m = SegmentedMetrics(*region_totals, *unused, *population, *unused)
+                if denominator is None:
+                    assert signals == {"ras": summable_ras(m).ras}, region
+                else:
+                    expected = attribute_density(m)
+                    assert signals == {"ras": expected.ras,
+                                       "numerator_part": expected.components[0],
+                                       "denominator_part": expected.components[1]}, region
+            crawled += 1
+            assert len(result.entries) == len({
+                Region(dict(zip(attrs, (r[a] for a in attrs))))
+                for attrs in ((), ("d0",), ("d1",), ("d0", "d1")) for r in rows})
+        assert crawled >= 10
 
 
 class TestEntityModels:
