@@ -12,7 +12,7 @@ Gauss-Legendre quadrature covers arbitrary smooth models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -59,17 +59,21 @@ class SegmentedMetrics:
     def is_degenerate(self, rtol: float = DEGENERACY_RTOL) -> bool:
         return abs(self.s_p_t - self.s_p_c) <= rtol * max(abs(self.s_p_t), abs(self.s_p_c))
 
+    @classmethod
+    def of(cls, region: Sequence[float], population: Sequence[float]) -> "SegmentedMetrics":
+        """Metrics from a region's and the population's (w_control, w_test[, s_control,
+        s_test]) totals; the s totals left out are 0.0."""
+        zeros = (0.0,) * 4
+        return cls(*region, *zeros[len(region):], *population, *zeros[len(population):])
+
     def union(self, other: "SegmentedMetrics") -> "SegmentedMetrics":
         """Metrics of the union of two disjoint regions (population unchanged)."""
         if (self.w_p_c, self.w_p_t, self.s_p_c, self.s_p_t) != (
             other.w_p_c, other.w_p_t, other.s_p_c, other.s_p_t
         ):
             raise ConsistencyError("cannot union regions from different populations")
-        return SegmentedMetrics(
-            w_r_c=self.w_r_c + other.w_r_c, w_r_t=self.w_r_t + other.w_r_t,
-            s_r_c=self.s_r_c + other.s_r_c, s_r_t=self.s_r_t + other.s_r_t,
-            w_p_c=self.w_p_c, w_p_t=self.w_p_t, s_p_c=self.s_p_c, s_p_t=self.s_p_t,
-        )
+        return replace(self, w_r_c=self.w_r_c + other.w_r_c, w_r_t=self.w_r_t + other.w_r_t,
+                       s_r_c=self.s_r_c + other.s_r_c, s_r_t=self.s_r_t + other.s_r_t)
 
 
 @dataclass(frozen=True)
@@ -139,19 +143,24 @@ def attribute_density(m: SegmentedMetrics) -> AttributionResult:
 
 
 class AttributionKind(NamedTuple):
-    """An attribution kind: its scorer, its signals (``ras``, then the result's components),
-    its population change, and how many of (w_control, w_test, s_control, s_test) it reads."""
+    """An attribution kind: the name of its scorer, its signals (``ras``, then the result's
+    components), its population change, and how many of (w_control, w_test, s_control,
+    s_test) it reads."""
 
-    score: Callable[[SegmentedMetrics], AttributionResult]
+    scorer: str
     signals: tuple[str, ...]
     population_change: Callable[[SegmentedMetrics], float]
     totals: int
 
+    def score(self, m: SegmentedMetrics) -> AttributionResult:
+        # by name when called: a scorer replaced in this namespace (bench/tracing.py) runs
+        return globals()[self.scorer](m)
+
 
 ATTRIBUTION_KINDS = {
-    "density": AttributionKind(attribute_density, ("ras", "numerator_part", "denominator_part"),
+    "density": AttributionKind("attribute_density", ("ras", "numerator_part", "denominator_part"),
                                SegmentedMetrics.population_density_change, 4),
-    "summable": AttributionKind(summable_ras, ("ras",), SegmentedMetrics.population_delta, 2),
+    "summable": AttributionKind("summable_ras", ("ras",), SegmentedMetrics.population_delta, 2),
 }
 
 
@@ -333,11 +342,7 @@ def churn_decompose(
             bucket = "TO"
         else:
             bucket = "TC"  # both segments, or an all-zero entity
-        acc = sums[bucket]
-        acc[0] += e.w_c
-        acc[1] += e.w_t
-        acc[2] += e.s_c
-        acc[3] += e.s_t
+        sums[bucket] = [a + v for a, v in zip(sums[bucket], (e.w_c, e.w_t, e.s_c, e.s_t))]
     totals = [sum_in_order(column) for column in zip(*sums.values())]
     expected = (region.w_r_c, region.w_r_t, region.s_r_c, region.s_r_t)
     for got, want, label in zip(totals, expected, ("w_c", "w_t", "s_c", "s_t")):
@@ -347,5 +352,5 @@ def churn_decompose(
             )
     population = (region.w_p_c, region.w_p_t, region.s_p_c, region.s_p_t)
     score = ATTRIBUTION_KINDS[kind].score
-    return ChurnDecomposition(*(score(SegmentedMetrics(*sums[bucket], *population))
+    return ChurnDecomposition(*(score(SegmentedMetrics.of(sums[bucket], population))
                                 for bucket in ("CO", "TC", "TO")))

@@ -510,7 +510,7 @@ def cmd_attribute(config: RunConfig, args, instr: Instrumentation) -> int:
     population = (None if cfg.population is None else
                   [cfg.population.get(role, 0.0) for role in _ATTR_COLUMNS[1:]])
     first = {}  # region text -> the line that lists it first
-    body = []  # (region text, its (w_control, w_test, s_control, s_test))
+    body = []  # (region text, the totals it lists)
     for line, row in rows:
         region = row[region_at]
         if region in first:
@@ -519,8 +519,8 @@ def cmd_attribute(config: RunConfig, args, instr: Instrumentation) -> int:
             raise DataError(f"{path}:{line}: {repeat}; the first is line {first[region]}")
         first[region] = line
         if region or population is None:
-            try:  # the totals a kind leaves out are 0.0
-                totals = _floats(row, metrics_at, columns) + [0.0] * (4 - kind.totals)
+            try:
+                totals = _floats(row, metrics_at, columns)
             except DataError as exc:
                 raise DataError(f"{path}:{line}: {exc}") from None
             if region:
@@ -537,7 +537,7 @@ def cmd_attribute(config: RunConfig, args, instr: Instrumentation) -> int:
     for region, totals in body:
         record = {"region": region, "region_key": region, "signals": {}}
         try:
-            record["signals"] = attribution_signals(SegmentedMetrics(*totals, *population),
+            record["signals"] = attribution_signals(SegmentedMetrics.of(totals, population),
                                                     cfg.kind)
             total += record["signals"]["ras"]
         except DomainError as exc:
@@ -548,7 +548,7 @@ def cmd_attribute(config: RunConfig, args, instr: Instrumentation) -> int:
     completeness = {"region": "(completeness)", "region_key": "(completeness)",
                     "signals": {"sum_ras": total, "warnings": float(warnings)}}
     try:
-        change = kind.population_change(SegmentedMetrics(0.0, 0.0, 0.0, 0.0, *population))
+        change = kind.population_change(SegmentedMetrics.of((), population))
         completeness["signals"].update(population_change=change,
                                        abs_error=abs(total - change))
     except DomainError as exc:

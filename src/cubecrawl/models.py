@@ -389,12 +389,10 @@ class AttributionModel(RegionAnalysisModel):
         self.test_value = test_value
 
     def evaluate(self, ctx):
-        totals = []
-        for frame in (ctx.region_frame, ctx.population_frame):
-            for measure in (self.numerator, self.denominator):
-                totals += ((0.0, 0.0) if measure is None else
-                           _segment_totals(frame, measure, self.test_value, "attribution"))
-        return attribution_signals(SegmentedMetrics(*totals), self.kind)
+        region, population = ([total for measure in self.request.metric_features for total in
+                               _segment_totals(frame, measure, self.test_value, "attribution")]
+                              for frame in (ctx.region_frame, ctx.population_frame))
+        return attribution_signals(SegmentedMetrics.of(region, population), self.kind)
 
 
 class LambdaModel(RegionAnalysisModel):

@@ -19,6 +19,8 @@ from cubecrawl import (
     summable_model,
     summable_ras,
 )
+from cubecrawl import attribution
+from cubecrawl.attribution import attribution_signals
 from cubecrawl.errors import (
     ConsistencyError,
     DegenerateMetricsError,
@@ -84,6 +86,27 @@ class TestSummable:
 
     def test_empty_region(self):
         assert summable_ras(SegmentedMetrics(**POP)).ras == 0.0
+
+
+class TestKindTable:
+    def test_of_fills_the_totals_left_out_with_zero(self):
+        assert SegmentedMetrics.of((10, 15), (60, 65, 30, 30)) == SegmentedMetrics(
+            w_r_c=10, w_r_t=15, **POP)
+        assert SegmentedMetrics.of((), (60, 65)) == SegmentedMetrics(w_p_c=60, w_p_t=65)
+
+    def test_a_scorer_is_looked_up_by_name_when_called(self, monkeypatch):
+        # a wrapper put in the module's namespace (as the benchmark's tracer does) runs
+        calls = []
+
+        def wrapper(m):
+            calls.append(m)
+            return attribute_density(m)
+
+        monkeypatch.setattr(attribution, "attribute_density", wrapper)
+        m = SegmentedMetrics(w_r_c=10, w_r_t=15, s_r_c=5, s_r_t=5, **POP)
+        assert attribution_signals(m, "density")["ras"] == attribute_density(m).ras
+        churn_decompose(m, [EntityMetrics("e", w_c=10, w_t=15, s_c=5, s_t=5)])
+        assert len(calls) == 4  # one region, then its CO, TC and TO parts
 
 
 class TestDensityClosedForm:

@@ -261,10 +261,9 @@ class TestAttributionModel:
             cube = BaseTableGroupByCube(table, schema)
             result = naive_crawl(cube, CrawlSpec(models=[AttributionModel("m0", denominator)],
                                                  dimensions=["d0", "d1"]))
-            unused = (0.0, 0.0) * (2 - len(measures))
             for region, signals in result.sorted_records():
-                region_totals = oracles.segment_totals(rows, region.bindings(), measures)
-                m = SegmentedMetrics(*region_totals, *unused, *population, *unused)
+                m = SegmentedMetrics.of(
+                    oracles.segment_totals(rows, region.bindings(), measures), population)
                 if denominator is None:
                     assert signals == {"ras": summable_ras(m).ras}, region
                 else:
