@@ -30,6 +30,7 @@ from .core import (
     Instrumentation,
     Region,
     Table,
+    finite_number,
     format_value,
     parse_number,
     read_csv,
@@ -79,12 +80,8 @@ def _reader(kind: str, ok):
     return read
 
 
-def _is_finite(value) -> bool:
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 _integer = _reader("an integer", lambda v: type(v) is int)
-_finite = _reader("a finite number", _is_finite)
+_finite = _reader("a finite number", finite_number)
 _string = _reader("a string", lambda v: isinstance(v, str))
 _path = _reader("a file path", lambda v: isinstance(v, str) and "\0" not in v)
 _boolean = _reader("true or false", lambda v: isinstance(v, bool))
@@ -123,7 +120,7 @@ _names = _list(_string)
 # domain type, a finite number for a SUM source, else text or a finite number
 _DOMAIN_CONSTANTS = {"string": _string, "integer": _integer, "boolean": _boolean}
 _text_or_finite = _reader("a string or a finite number",
-                          lambda v: isinstance(v, str) or _is_finite(v))
+                          lambda v: isinstance(v, str) or finite_number(v))
 
 
 def _section(data, where: str, readers: Mapping, required: Sequence[str] = ()) -> dict:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import math
 import sys
 from abc import ABC, abstractmethod
 from collections import Counter, defaultdict
@@ -75,6 +74,13 @@ def sum_in_order(values):
     """``values`` added left to right, also on Python 3.12 and later, whose ``sum``
     compensates float rounding; float sums keep their bytes on every Python."""
     return reduce(add, values, 0)
+
+
+def finite_number(value) -> bool:
+    """True for an int or float, not a bool, within the float range (so not NaN)."""
+    # compared, not converted: an integer past the float range is no float
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
 
 
 def format_value(value) -> str:
@@ -455,23 +461,21 @@ def parse_number(label: str, text: str):
     """``text`` as a finite number, int when integral; else a DataError led by ``label``."""
     if text == "":
         raise DataError(f"{label}: empty cell")
+    n = None
     if "." not in text and "e" not in text and "E" not in text:
         try:
             # integral text is parsed once, and stays exact beyond 2**53
             n = int(text)
         except ValueError:
             pass  # "inf", "nan" or not a number: the float parse tells which
-        else:
-            if abs(n) > sys.float_info.max:
-                raise DataError(f"{label}: {text!r} is not a finite number")
-            return n
-    try:
-        f = float(text)
-    except ValueError:
-        raise DataError(f"{label}: {text!r} is not a number") from None
-    if not math.isfinite(f):
+    if n is None:
+        try:
+            n = float(text)
+        except ValueError:
+            raise DataError(f"{label}: {text!r} is not a number") from None
+    if not finite_number(n):
         raise DataError(f"{label}: {text!r} is not a finite number")
-    return f
+    return n
 
 
 def filter_by_region(table: Table, region: Region) -> Table:

@@ -37,17 +37,18 @@ from .core import (
     Region,
     RegionCursor,
     Table,
-    sum_in_order,
+    finite_number,
 )
 from .errors import AprioriViolationError, ConfigError, RefusalError, SchemaError, SpecError
 from .models import (
-    PRUNING_OPS,
+    COMPARATORS,
     EntityMeasureModel,
     EntityModel,
     EvaluationContext,
     FrequentItemsetModel,
     IdModel,
     RegionAnalysisModel,
+    _sum_column,
 )
 
 DEFAULT_SAFETY_CAP = 1_000_000
@@ -162,22 +163,20 @@ class _Resolved:
         self.apriori_flags = {s: m.is_apriori(s) for s, m in declared.items()}
         self.signal_names = tuple(declared)
 
-        # signal -> [(sign, bound, prunes)]: a region fails iff sign * signal < bound,
+        # signal -> [(test, bound, prunes)]: a region fails iff not test(signal, bound),
         # and only a failed minimum on an apriori signal prunes its children
-        self.thresholds: dict[str, list[tuple[int, float, bool]]] = {}
+        self.thresholds: dict[str, list[tuple]] = {}
         for key, value in dict(spec.thresholds).items():
             negated = key.startswith("-")
             name = key[1:] if negated else key
             if name not in declared:
                 raise SpecError(f"threshold on undeclared signal {name!r}")
-            try:
-                number = float(value)
-            except (TypeError, ValueError, OverflowError):
-                number = math.nan
-            if not math.isfinite(number):
+            if not finite_number(value):
                 raise SpecError(f"threshold {key!r} must be a finite number, got {value!r}")
+            test, is_minimum = COMPARATORS["<=" if negated else ">="]  # "-s": v is s <= -v
+            bound = -float(value) if negated else float(value)
             self.thresholds.setdefault(name, []).append(
-                (-1 if negated else 1, number, not negated and self.apriori_flags[name]))
+                (test, bound, is_minimum and self.apriori_flags[name]))
 
         # crawl dimensions
         if spec.dimensions is not None:
@@ -309,11 +308,13 @@ def _population_frames(cube, resolved, instr) -> dict[RegionAnalysisModel, objec
     return frames
 
 
-def _pushdown_passes(cursor: RegionCursor, model: RegionAnalysisModel) -> bool:
-    """True iff each of ``model``'s pushdown terms passes on its measure's SUM at ``cursor``."""
+def _pushdown_failures(cursor: RegionCursor, model: RegionAnalysisModel) -> list[bool]:
+    """For each of ``model``'s pushdown terms that fails on its measure's SUM at
+    ``cursor``, whether it prunes: only a failed minimum does."""
     measures = tuple(dict.fromkeys(t.measure for t in model.pushdown))
     frame = cursor.view(FeatureRequest((), measures))
-    return all(t.passes(sum_in_order(frame.measure_column(t.measure))) for t in model.pushdown)
+    return [COMPARATORS[t.op][1] for t in model.pushdown
+            if not t.passes(_sum_column(frame, t.measure))]
 
 
 def _evaluate_region(cursor: RegionCursor, resolved: _Resolved, pop_frames: dict,
@@ -322,32 +323,27 @@ def _evaluate_region(cursor: RegionCursor, resolved: _Resolved, pop_frames: dict
     passed = True
     prune = False
     for model in resolved.models:
+        # whether each failed pushdown term or threshold prunes; a failed term skips the frame
+        failed = []
         if model.pushdown:
             instr.counters["pushdown_evaluations"] += 1
-            if not _pushdown_passes(cursor, model):
+            failed = _pushdown_failures(cursor, model)
+            if failed:
                 instr.counters["pushdown_rejections"] += 1
-                passed = False
-                if any(t.op in PRUNING_OPS for t in model.pushdown):
-                    prune = True
-                if model.gate:
-                    break
-                continue
-        frame = cursor.view(model.request)
-        instr.counters["frames_materialized"] += 1
-        instr.model_invocations[model.name] += 1
-        ctx = EvaluationContext(cursor.region, frame, pop_frames.get(model))
-        signals.update(model.run(ctx))
-        failed = [prunes for s in model.signal_names
-                  for sign, bound, prunes in resolved.thresholds.get(s, ())
-                  if sign * signals[s] < bound]
+        if not failed:
+            frame = cursor.view(model.request)
+            instr.counters["frames_materialized"] += 1
+            instr.model_invocations[model.name] += 1
+            ctx = EvaluationContext(cursor.region, frame, pop_frames.get(model))
+            signals.update(model.run(ctx))
+            failed = [prunes for s in model.signal_names
+                      for test, bound, prunes in resolved.thresholds.get(s, ())
+                      if not test(signals[s], bound)]
         if failed:
             passed = False
             prune = prune or any(failed)
             if model.gate:
                 break
-    # thresholds on signals a gate or pushdown skipped can never pass
-    if not resolved.thresholds.keys() <= signals.keys():
-        passed = False
     return _Entry(cursor, signals, passed, prune)
 
 
@@ -375,7 +371,7 @@ def apply_pushdown(model: RegionAnalysisModel, cube: AbstractCube, region: Regio
     if not model.pushdown:
         raise SpecError(f"model {model.name!r} declares no pushdown predicate")
     model.validate_against(cube.schema)
-    return _pushdown_passes(cube.bind(region), model)
+    return not _pushdown_failures(cube.bind(region), model)
 
 
 def _safety_cap(spec: CrawlSpec) -> int:
@@ -543,6 +539,8 @@ def exhaustive_top_n(result: ResultCube, sigma: str, n: int) -> ResultCube:
 
     Ties break by canonical region key ascending, matching ``top_down_crawl``.
     """
+    if n < 1:
+        raise SpecError("top-n needs n >= 1")
     best = _best(result.entries, sigma, n, result.schema.region_key)
     return ResultCube(result.dimensions, result.signal_names, dict(best), result.schema)
 

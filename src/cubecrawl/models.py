@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import inspect
 import math
-import sys
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .attribution import ATTRIBUTION_KINDS, SegmentedMetrics, attribution_signals
-from .core import DimensionSchema, FeatureFrame, FeatureRequest, Region, sum_in_order
+from .core import DimensionSchema, FeatureFrame, FeatureRequest, Region, finite_number, sum_in_order
 from .errors import ContractError, DataError, ModelError, SchemaError, SpecError
 
-PUSHDOWN_OPS = (">=", ">", "<=", "<")
-#: comparators whose failure soundly prunes children (nonnegative SUM measures)
-PRUNING_OPS = (">=", ">")
+#: comparator -> (test, is_minimum) of thresholds and pushdown terms; only a failed minimum
+#: prunes, as refinement never raises an apriori signal or a SUM of nonnegative rows
+COMPARATORS = {">=": (operator.ge, True), ">": (operator.gt, True),
+               "<=": (operator.le, False), "<": (operator.lt, False)}
 
 
 @dataclass(frozen=True)
@@ -38,19 +39,13 @@ class PushdownTerm:
     value: float
 
     def __post_init__(self):
-        if self.op not in PUSHDOWN_OPS:
+        if self.op not in COMPARATORS:
             raise SpecError(f"unknown pushdown comparator {self.op!r}")
-        if not (isinstance(self.value, (int, float)) and abs(self.value) <= sys.float_info.max):
+        if not finite_number(self.value):
             raise SpecError(f"pushdown value {self.value!r} is not a finite number")
 
     def passes(self, measured: float) -> bool:
-        if self.op == ">=":
-            return measured >= self.value
-        if self.op == ">":
-            return measured > self.value
-        if self.op == "<=":
-            return measured <= self.value
-        return measured < self.value
+        return COMPARATORS[self.op][0](measured, self.value)
 
 
 @dataclass(frozen=True)
@@ -133,9 +128,7 @@ class RegionAnalysisModel:
         clean = {}
         for k in self.signal_names:
             v = out[k]
-            # compared, not converted: an integer past the float range is no float
-            if not isinstance(v, (int, float)) or isinstance(v, bool) \
-                    or not abs(v) <= sys.float_info.max:
+            if not finite_number(v):
                 raise ModelError(f"model {self.name!r} signal {k!r} is not a finite number: {v!r}")
             clean[k] = float(v)
         return clean
@@ -218,7 +211,7 @@ class EntityWeightModel(RegionAnalysisModel):
                  min_weight_pushdown: float | None = None):
         pushdown = ()
         if min_weight_pushdown is not None:
-            pushdown = (PushdownTerm(metric, ">=", float(min_weight_pushdown)),)
+            pushdown = (PushdownTerm(metric, ">=", min_weight_pushdown),)
         super().__init__(name, FeatureRequest((), (metric,)),
                          (SignalSpec("total_weight", apriori=True),),
                          gate=gate, pushdown=pushdown)
@@ -274,9 +267,9 @@ class DiffModel(RegionAnalysisModel):
         self.weight_measure = weight_measure
         self.segment_dim = segment_dim
         self.test_value = test_value
-        self.epsilon = float(epsilon)
-        if not 0 <= self.epsilon <= sys.float_info.max:
+        if not (finite_number(epsilon) and epsilon >= 0):
             raise SpecError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
+        self.epsilon = float(epsilon)
 
     def evaluate(self, ctx):
         measure, test_value = self.weight_measure, self.test_value
@@ -432,7 +425,7 @@ def build_model(kind: str, params: Mapping, gate: bool = False,
     params; the terms follow any pushdown the kind declares itself
     (``min_weight_pushdown``).
     """
-    terms = tuple(PushdownTerm(m, op, float(v)) for m, op, v in pushdown)
+    terms = tuple(PushdownTerm(m, op, v) for m, op, v in pushdown)
     if kind not in MODEL_KINDS:
         raise SpecError(f"unknown model kind {kind!r}")
     cls = MODEL_KINDS[kind]

@@ -434,6 +434,9 @@ class _PartitionedStore(AbstractCube):
 
     def view(self, region: Region, request: FeatureRequest,
              partition_range: tuple | None = None) -> FeatureFrame:
+        """The frame from the partitions in the inclusive ``partition_range``, or all.  A view
+        that binds or requests the partition reads their stored totals as they are; any other
+        adds them in partition order, so a float SUM can differ from the live cube's."""
         self._check(region, request)
         bindings = region.bindings()
         partition_binding = bindings.pop(self.partition_dim, None)

@@ -159,7 +159,8 @@ class TestConfigHandling:
                    "--output", str(tmp_path / "out.jsonl")])
         assert rc == 2
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"abc"', "null"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"abc"', "null", '"40"',
+                                       "true"])
     def test_threshold_must_be_a_finite_number(self, tmp_path, capsys, value):
         config_path = t1_crawl_config(tmp_path)
         text = config_path.read_text().replace('"total_weight": 40', f'"total_weight": {value}')

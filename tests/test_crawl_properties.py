@@ -7,7 +7,7 @@ import itertools
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubecrawl import (
@@ -22,6 +22,7 @@ from cubecrawl import (
     IdModel,
     JoinSpec,
     Measure,
+    PushdownTerm,
     Region,
     ResultCube,
     Table,
@@ -77,8 +78,10 @@ def _observed_regions(cube):
 @st.composite
 def spec_builders(draw, schema):
     """A crawl spec over ``schema``'s dimensions, with at most one hierarchy chain among
-    them and maybe grouping sets, a maximum degree, allowed values and a maximum on an
-    id signal, as a function of the prefix of the measure names its models read."""
+    them and maybe grouping sets, a maximum degree, allowed values, a maximum on an
+    id signal and up to two pushdown terms on the id model, as a function of the prefix
+    of the measure names its models read.  A pushdown minimum reads only m0, whose rows
+    are nonnegative; a maximum reads m0 or m1."""
     dims = schema.dimension_names
     chain = draw(st.permutations(dims))[:draw(st.integers(0, len(dims)))]
     gate, pushdown = draw(st.booleans()), draw(st.sampled_from([None, 5.0]))
@@ -86,6 +89,11 @@ def spec_builders(draw, schema):
     weight_threshold = float(draw(st.integers(0, 60))) if draw(st.booleans()) else None
     id_threshold = float(draw(st.integers(-10, 30))) if with_id and draw(st.booleans()) else None
     id_maximum = float(draw(st.integers(-30, 10))) if with_id and draw(st.booleans()) else None
+    pushdown_term = st.one_of(
+        st.tuples(st.just("m0"), st.sampled_from([">=", ">"]), st.integers(-5, 20)),
+        st.tuples(st.sampled_from(["m0", "m1"]), st.sampled_from(["<=", "<"]),
+                  st.integers(-5, 30)))
+    id_pushdown = [draw(pushdown_term) for _ in range(draw(st.integers(0, 2)) if with_id else 0)]
     top_n = draw(st.one_of(st.none(), st.tuples(st.just("total_weight"), st.integers(1, 10))))
     exploration = draw(st.sampled_from(["bfs", "dfs"]))
     batch_size = draw(st.sampled_from([1, 2, 64]))
@@ -101,7 +109,8 @@ def spec_builders(draw, schema):
     def build(prefix=""):
         models = [EntityWeightModel(prefix + "m0", gate=gate, min_weight_pushdown=pushdown)]
         if with_id:
-            models.append(IdModel([prefix + "m1"]))
+            models.append(IdModel([prefix + "m1"], pushdown=[
+                PushdownTerm(prefix + measure, op, value) for measure, op, value in id_pushdown]))
         thresholds = {}
         if weight_threshold is not None:
             thresholds["total_weight"] = weight_threshold
@@ -121,8 +130,20 @@ def specs(schema):
     return spec_builders(schema).map(lambda build: build())
 
 
+def _a_failed_maximum_beside_a_minimum():
+    """A pushdown case random draws seldom reach: the root (m0 = 11) fails m0 <= 5, a
+    maximum, and three regions below it pass both terms."""
+    table = Table.from_rows(["d0", "d1", "m0", "m1"],
+                            [("a", "x", 3, 0), ("a", "y", 7, 0), ("b", "x", 1, 0)])
+    schema = DimensionSchema((Dimension("d0"), Dimension("d1")),
+                             (Measure.sum("m0"), Measure.sum("m1")))
+    model = IdModel(["m1"], pushdown=[PushdownTerm("m0", ">=", 0), PushdownTerm("m0", "<=", 5)])
+    return BaseTableGroupByCube(table, schema), CrawlSpec(models=[EntityWeightModel("m0"), model])
+
+
 @settings(max_examples=300, deadline=None)
 @given(cubes().flatmap(lambda cube: st.tuples(st.just(cube), specs(cube.schema))))
+@example(_a_failed_maximum_beside_a_minimum())
 def test_top_down_crawl_matches_naive_crawl(case):
     cube, spec = case
     pruned = top_down_crawl(cube, spec)

@@ -12,7 +12,9 @@ from cubecrawl import (
     FeatureRequest,
     IdModel,
     Instrumentation,
+    JoinSpec,
     Measure,
+    PushdownTerm,
     Region,
     ResultCube,
     Table,
@@ -21,13 +23,14 @@ from cubecrawl import (
     exhaustive_top_n,
     fim_crawl_spec,
     frequent_itemsets,
+    join_cubes,
     naive_crawl,
     region_children,
     top_down_crawl,
     topn_crawl,
     transactions_to_table,
 )
-from cubecrawl.errors import RefusalError, SpecError
+from cubecrawl.errors import ModelError, RefusalError, SpecError
 
 from conftest import T2_TRANSACTIONS, random_table, t1_cube
 import oracles
@@ -301,6 +304,30 @@ class TestPushdown:
         with pytest.raises(SpecError):
             top_down_crawl(cube, spec)
 
+    def test_only_a_failed_minimum_prunes(self):
+        table = Table.from_rows(["d", "e", "m"], [("a", "x", 3), ("a", "y", 7), ("b", "x", 1)])
+        schema = DimensionSchema((Dimension("d"), Dimension("e")), (Measure.sum("m"),))
+        cube = BaseTableGroupByCube(table, schema)
+        model = IdModel(["m"], pushdown=[PushdownTerm("m", ">=", 0), PushdownTerm("m", "<=", 5)])
+        spec = CrawlSpec(models=[model])
+        naive = naive_crawl(cube, spec)
+        # the root (11) fails m <= 5, a maximum, so its children are still crawled
+        assert len(naive.entries) == 4
+        assert top_down_crawl(cube, spec).entries == naive.entries
+
+    def test_a_pushdown_on_an_absent_right_side_is_a_model_error(self):
+        def cube(dim_values, measure, values):
+            return BaseTableGroupByCube(Table({"k": dim_values, measure: values}),
+                                        DimensionSchema((Dimension("k"),), (Measure.sum(measure),)))
+
+        left, right = cube(["a", "b"], "v", [1, 2]), cube(["a"], "w", [5])
+        model = IdModel(["left.v"], pushdown=[PushdownTerm("right.w", ">=", 1)])
+        for strategy in ("local", "global"):
+            joined = join_cubes(left, right, JoinSpec(on=("k",), kind="left"), strategy)
+            for crawl in (top_down_crawl, naive_crawl):
+                with pytest.raises(ModelError):
+                    crawl(joined, CrawlSpec(models=[model]))
+
 
 class TestTopN:
     def test_fixture_top3(self, sales_cube):
@@ -340,6 +367,14 @@ class TestTopN:
                 base = CrawlSpec(models=[EntityWeightModel("m0")])
                 want = exhaustive_top_n(naive_crawl(cube, base), "total_weight", n)
                 assert list(got.entries.items()) == list(want.entries.items())
+
+    def test_exhaustive_top_n_needs_n_at_least_one(self, sales_cube):
+        result = naive_crawl(sales_cube, CrawlSpec(models=[EntityWeightModel("Revenue")],
+                                                   dimensions=["Device"]))
+        assert len(result.entries) == 3
+        for n in (0, -1):
+            with pytest.raises(SpecError, match="top-n needs n >= 1"):
+                exhaustive_top_n(result, "total_weight", n)
 
     def test_parallel_determinism(self, sales_cube):
         spec = weight_spec(0.0, top_n=("total_weight", 4), batch_size=2)

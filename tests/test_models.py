@@ -137,13 +137,13 @@ class TestEvaluateContract:
 
 
 def test_pushdown_values_and_epsilon_must_be_finite():
-    for value in (math.nan, math.inf, -math.inf, 10 ** 400, "1"):
+    for value in (math.nan, math.inf, -math.inf, 10 ** 400, "1", True):
         with pytest.raises(SpecError):
             PushdownTerm("Revenue", ">=", value)
-    for value in (math.nan, math.inf, -math.inf):
+    for value in (math.nan, math.inf, -math.inf, True, "5"):
         with pytest.raises(SpecError):
             EntityWeightModel("Revenue", min_weight_pushdown=value)
-    for epsilon in (math.nan, math.inf, -1.0):
+    for epsilon in (math.nan, math.inf, -1.0, True):
         with pytest.raises(SpecError):
             DiffModel("Revenue", epsilon=epsilon)
 

@@ -326,6 +326,35 @@ class TestEncodingInvariance:
                 for store in (chunked, sliced):
                     assert_values_match_view(store, region, ("Device", "date"))
 
+    def test_a_merged_float_total_adds_the_partition_totals(self, tmp_path):
+        # live, 1e16 + 1.0 rounds back to 1e16 before -1e16 cancels it; the chunks hold
+        # the totals d1 = 0.0 and d2 = 1.0, which a view over both dates adds
+        table = Table.from_rows(["Device", "date", "Revenue"],
+                                [("a", "d1", 1e16), ("a", "d2", 1.0), ("a", "d1", -1e16)])
+        schema = DimensionSchema((Dimension("Device"), Dimension("date")),
+                                 (Measure.sum("Revenue"),))
+        cube = BaseTableGroupByCube(table, schema)
+        materialize(cube, ["Device", "date"], tmp_path / "flat")
+        chunked = chunk_by_partition(cube, "date", ["Device"], tmp_path / "chunks")
+        stores = {"flat": load_cellset(tmp_path / "flat"), "chunked": chunked,
+                  "rechunked": rechunk(chunked, tmp_path / "slices")}
+
+        def exactly(source, region, attrs=()):
+            frame = source.view(region, FeatureRequest(attrs, ("Revenue",)))
+            return [(values, repr(total)) for values, (total,) in frame.iter_rows()]
+
+        merged = {"flat": "0.0", "chunked": "1.0", "rechunked": "1.0"}
+        for region in (EMPTY_REGION, Region({"Device": "a"})):
+            assert exactly(cube, region) == [((), "0.0")]
+            by_date = [(("d1",), "0.0"), (("d2",), "1.0")]
+            assert exactly(cube, region, ("date",)) == by_date
+            for kind, store in stores.items():
+                assert exactly(store, region) == [((), merged[kind])], kind
+                assert exactly(store, region, ("date",)) == by_date, kind
+                for (date,), total in by_date:
+                    bound = Region({**region.bindings(), "date": date})
+                    assert exactly(store, bound) == exactly(cube, bound) == [((), total)], kind
+
     def test_windowed_read_amplification_ordering(self, tmp_path):
         cube = daily_cube(n_days=9)
         chunked = chunk_by_partition(cube, "date", ["Device"], tmp_path / "chunks")
