@@ -16,9 +16,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
-from .core import sum_in_order
+from .core import finite_number, integer, sum_in_order
 from .errors import ConsistencyError, DegenerateMetricsError, DomainError, NumericError
 
 #: relative spread below which population denominators count as equal
@@ -223,10 +221,33 @@ def density_model(m: SegmentedMetrics) -> RegionAmbientModel:
     )
 
 
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, for n >= 1 and |x| != 1."""
+    p, prev = x, 1.0
+    for k in range(2, n + 1):
+        p, prev = ((2 * k - 1) * x * p - (k - 1) * prev) / k, p
+    return p, n * (x * p - prev) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre_01(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return tuple(float(v) for v in (x + 1.0) / 2.0), tuple(float(v) for v in w / 2.0)
+    """The ``nodes``-point Gauss-Legendre rule on [0, 1]: ascending nodes, and weights.
+
+    Each root x of P_n is found by Newton's method from cos(pi (i - 1/4) / (n + 1/2));
+    its weight on [-1, 1] is 2 / ((1 - x^2) P_n'(x)^2), halved for [0, 1].
+    """
+    ts, weights = [], []
+    for i in range(nodes, 0, -1):
+        x = math.cos(math.pi * (i - 0.25) / (nodes + 0.5))
+        step = 1.0
+        while abs(step) > 1e-15:
+            p, dp = _legendre(nodes, x)
+            step = p / dp
+            x -= step
+        dp = _legendre(nodes, x)[1]
+        ts.append((x + 1.0) / 2.0)
+        weights.append(1.0 / ((1.0 - x * x) * dp * dp))
+    return tuple(ts), tuple(weights)
 
 
 def _finite_partial(f, z, i, scale):
@@ -250,14 +271,15 @@ def numeric_path_ras(
     coordinates; summing over all coordinates reproduces F(p1) - F(p0) up to
     quadrature error.
     """
-    if nodes < 1:
-        raise DomainError("quadrature needs at least one node")
+    if not integer(nodes) or nodes < 1:
+        raise DomainError(f"quadrature needs an integer number of nodes >= 1, got {nodes!r}")
     arity = len(model.p0)
-    if coords is None:
-        coords = tuple(range(arity))
-    coords = tuple(int(c) for c in coords)
-    if any(c < 0 or c >= arity for c in coords):
-        raise DomainError(f"coordinate out of range for arity {arity}")
+    if isinstance(coords, str):
+        raise DomainError(f"coordinates must be a sequence of integers, not the string {coords!r}")
+    coords = tuple(range(arity)) if coords is None else tuple(coords)
+    if not all(integer(c) and 0 <= c < arity for c in coords) or len(set(coords)) < len(coords):
+        raise DomainError(f"coordinates must be distinct integers in range for arity {arity}, "
+                          f"got {coords!r}")
     deltas = [p1 - p0 for p0, p1 in zip(model.p0, model.p1)]
     ts, weights = _gauss_legendre_01(nodes)
     totals = {c: 0.0 for c in coords}
@@ -333,6 +355,8 @@ def churn_decompose(
     """
     if kind not in ATTRIBUTION_KINDS:
         raise DomainError(f"unknown attribution kind {kind!r}")
+    if not finite_number(tol) or tol < 0:
+        raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
     sums = {"CO": [0.0] * 4, "TC": [0.0] * 4, "TO": [0.0] * 4}
     for e in entities:
         in_c, in_t = e.in_control(), e.in_test()

@@ -32,6 +32,7 @@ from .core import (
     Table,
     finite_number,
     format_value,
+    integer,
     parse_number,
     read_csv,
     schema_from_dict,
@@ -80,7 +81,7 @@ def _reader(kind: str, ok):
     return read
 
 
-_integer = _reader("an integer", lambda v: type(v) is int)
+_integer = _reader("an integer", integer)
 _finite = _reader("a finite number", finite_number)
 _string = _reader("a string", lambda v: isinstance(v, str))
 _path = _reader("a file path", lambda v: isinstance(v, str) and "\0" not in v)

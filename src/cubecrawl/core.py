@@ -83,6 +83,11 @@ def finite_number(value) -> bool:
         and abs(value) <= sys.float_info.max
 
 
+def integer(value) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def format_value(value) -> str:
     """Stable text form of a dimension value (used by keys, CSV, stores)."""
     if value is NULL:

@@ -38,6 +38,7 @@ from .core import (
     RegionCursor,
     Table,
     finite_number,
+    integer,
 )
 from .errors import AprioriViolationError, ConfigError, RefusalError, SchemaError, SpecError
 from .models import (
@@ -144,6 +145,27 @@ class _Entry:
     prune: bool
 
 
+def _count(value, what: str) -> int:
+    """``value`` if it is an int and not a bool, else a SpecError naming ``what``."""
+    if not integer(value):
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _top_n_count(n) -> int:
+    """The n of a top-n crawl: an integer of at least 1."""
+    if _count(n, "top-n's n") < 1:
+        raise SpecError("top-n needs n >= 1")
+    return n
+
+
+def _sequence(value, what: str) -> tuple:
+    """``value`` as a tuple; a string would be read as its characters, so it is refused."""
+    if isinstance(value, str):
+        raise SpecError(f"{what} must be a sequence, not the string {value!r}")
+    return tuple(value)
+
+
 class _Resolved:
     """A CrawlSpec validated and normalized against one cube."""
 
@@ -179,10 +201,13 @@ class _Resolved:
                 (test, bound, is_minimum and self.apriori_flags[name]))
 
         # crawl dimensions
+        grouping_sets = None if spec.grouping_sets is None else [
+            _sequence(g, "a grouping_sets member")
+            for g in _sequence(spec.grouping_sets, "grouping_sets")]
         if spec.dimensions is not None:
-            dims = tuple(spec.dimensions)
-        elif spec.grouping_sets is not None:
-            dims = tuple(dict.fromkeys(d for g in spec.grouping_sets for d in g))
+            dims = _sequence(spec.dimensions, "dimensions")
+        elif grouping_sets is not None:
+            dims = tuple(dict.fromkeys(d for g in grouping_sets for d in g))
         else:
             dims = schema.dimension_names
         for d in dims:
@@ -191,22 +216,22 @@ class _Resolved:
             raise SpecError("duplicate crawl dimension")
         self.dims = dims
 
-        max_degree = spec.max_degree if spec.max_degree is not None else len(dims)
+        max_degree = len(dims) if spec.max_degree is None else _count(spec.max_degree, "max_degree")
         if max_degree < 0:
             raise SpecError("max_degree must be nonnegative")
 
-        self.hierarchies = tuple(
-            tuple(h) for h in (spec.hierarchies if spec.hierarchies is not None
-                               else schema.hierarchies)
-        )
+        hierarchies = (schema.hierarchies if spec.hierarchies is None
+                       else _sequence(spec.hierarchies, "hierarchies"))
+        self.hierarchies = tuple(_sequence(h, "a hierarchies member") for h in hierarchies)
+        for d in itertools.chain.from_iterable(self.hierarchies):
+            schema.dimension(d)
         self.order = self._resolve_order(spec, cube)
         self.order_index = {d: i for i, d in enumerate(self.order)}
 
         # effective grouping sets: hierarchy-consistent, within max_degree
-        if spec.grouping_sets is not None:
+        if grouping_sets is not None:
             raw = []
-            for g in spec.grouping_sets:
-                g = tuple(g)
+            for g in grouping_sets:
                 for d in g:
                     if d not in dims:
                         raise SpecError(f"grouping set member {d!r} is not a crawl dimension")
@@ -233,24 +258,27 @@ class _Resolved:
             self.dimension_values = {}
             for d, values in spec.dimension_values.items():
                 schema.dimension(d)
-                self.dimension_values[d] = set(values)
+                self.dimension_values[d] = set(_sequence(values, f"dimension_values[{d!r}]"))
 
         if spec.exploration not in ("bfs", "dfs"):
             raise SpecError(f"unknown exploration strategy {spec.exploration!r}")
         self.exploration = spec.exploration
-        if spec.batch_size < 1:
+        self.batch_size = _count(spec.batch_size, "batch_size")
+        if self.batch_size < 1:
             raise SpecError("batch_size must be at least 1")
-        self.batch_size = int(spec.batch_size)
 
         self.top_n = None
         if spec.top_n is not None:
             signal, n = spec.top_n
             if signal not in declared:
                 raise SpecError(f"top-n signal {signal!r} is not declared by any model")
-            if int(n) < 1:
-                raise SpecError("top-n needs n >= 1")
-            self.top_n = (signal, int(n))
-        self.allow_exhaustive_topn = bool(spec.allow_exhaustive_topn)
+            self.top_n = (signal, _top_n_count(n))
+        if not isinstance(spec.allow_exhaustive_topn, bool):
+            raise SpecError(f"allow_exhaustive_topn must be true or false, "
+                            f"got {spec.allow_exhaustive_topn!r}")
+        self.allow_exhaustive_topn = spec.allow_exhaustive_topn
+        if spec.naive_cap is not None:
+            _count(spec.naive_cap, "naive_cap")
         self.schema = schema
 
     def _resolve_order(self, spec: CrawlSpec, cube: AbstractCube) -> tuple[str, ...]:
@@ -539,9 +567,7 @@ def exhaustive_top_n(result: ResultCube, sigma: str, n: int) -> ResultCube:
 
     Ties break by canonical region key ascending, matching ``top_down_crawl``.
     """
-    if n < 1:
-        raise SpecError("top-n needs n >= 1")
-    best = _best(result.entries, sigma, n, result.schema.region_key)
+    best = _best(result.entries, sigma, _top_n_count(n), result.schema.region_key)
     return ResultCube(result.dimensions, result.signal_names, dict(best), result.schema)
 
 
@@ -629,7 +655,7 @@ def _infer_dimension(name: str, values: Sequence) -> Dimension:
     concrete = [v for v in values if v is not None]
     if concrete and all(isinstance(v, bool) for v in concrete):
         return Dimension(name, "boolean")
-    if concrete and all(isinstance(v, int) and not isinstance(v, bool) for v in concrete):
+    if concrete and all(integer(v) for v in concrete):
         return Dimension(name, "integer")
     return Dimension(name, "string")
 

@@ -244,6 +244,55 @@ class TestNumericPath:
             numeric_path_ras(model, nodes=33)
 
 
+    @pytest.mark.parametrize("nodes", [True, 2.5, "3", 0, -1])
+    def test_nodes_must_be_an_integer_of_at_least_one(self, nodes):
+        model = summable_model(SegmentedMetrics(w_r_c=10, w_r_t=15, **POP))
+        with pytest.raises(DomainError, match="nodes"):
+            numeric_path_ras(model, nodes=nodes)
+
+    @pytest.mark.parametrize("coords", ["01", [0.5], [True], [2], [-1], ["0"], [0, 0]])
+    def test_coords_must_be_integers_in_range(self, coords):
+        model = summable_model(SegmentedMetrics(w_r_c=10, w_r_t=15, **POP))
+        with pytest.raises(DomainError, match="coordinates"):
+            numeric_path_ras(model, coords=coords)
+
+
+class TestGaussLegendreRule:
+    """The quadrature rule on [0, 1] that ``numeric_path_ras`` integrates with."""
+
+    def test_closed_forms(self):
+        half = math.sqrt(3.0 / 5.0) / 2.0
+        expected = {
+            1: ((0.5,), (1.0,)),
+            2: ((0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)), (0.5, 0.5)),
+            3: ((0.5 - half, 0.5, 0.5 + half), (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)),
+        }
+        for n, (nodes, weights) in expected.items():
+            ts, ws = attribution._gauss_legendre_01(n)
+            assert ts == pytest.approx(nodes, abs=2e-16)
+            assert ws == pytest.approx(weights, abs=2e-16)
+
+    def test_rule_integrates_polynomials_below_degree_2n_exactly(self):
+        for n in range(1, 101):
+            ts, ws = attribution._gauss_legendre_01(n)
+            assert len(ts) == len(ws) == n
+            assert all(w > 0.0 for w in ws)
+            assert 0.0 < ts[0] and ts[-1] < 1.0
+            assert all(a < b for a, b in zip(ts, ts[1:]))
+            assert math.fsum(ws) == pytest.approx(1.0, abs=1e-14)
+            for k in range(2 * n):
+                integral = math.fsum(w * t ** k for t, w in zip(ts, ws))
+                assert integral == pytest.approx(1.0 / (k + 1), rel=1e-13), (n, k)
+
+    def test_rule_matches_numpy_leggauss(self):
+        np = pytest.importorskip("numpy")
+        for n in range(1, 201):
+            x, w = np.polynomial.legendre.leggauss(n)
+            ts, ws = attribution._gauss_legendre_01(n)
+            assert max(abs(a - b) for a, b in zip(ts, (x + 1.0) / 2.0)) <= 2.3e-16, n
+            assert max(abs(a - b) for a, b in zip(ws, w / 2.0)) <= 1e-14, n
+
+
 class TestAdditivityAndCompleteness:
     def test_additivity_density(self):
         rng = random.Random(5)
@@ -323,6 +372,15 @@ class TestChurnDecomposition:
         region = SegmentedMetrics(w_r_c=10, w_r_t=12, s_r_c=5, s_r_t=6, **self.POP4)
         with pytest.raises(ConsistencyError):
             churn_decompose(region, [EntityMetrics("e", w_c=1, w_t=1, s_c=1, s_t=1)])
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, "1", True, None])
+    def test_tol_must_be_a_finite_number_of_at_least_zero(self, tol):
+        # no entity accounts for w_r_c = 8: a NaN tol would switch the check off
+        region = SegmentedMetrics(w_r_c=8, **self.POP4)
+        with pytest.raises(ConsistencyError):
+            churn_decompose(region, [])
+        with pytest.raises(DomainError, match="tol"):
+            churn_decompose(region, [], tol=tol)
 
     def test_an_unknown_kind_is_a_domain_error(self):
         region = SegmentedMetrics(w_r_c=10, w_r_t=12, s_r_c=5, s_r_t=6, **self.POP4)

@@ -908,3 +908,15 @@ class TestWorkerDeterminism:
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_the_cli_loads_nothing_beyond_the_standard_library():
+    # a fresh interpreter, so no module that another test imported is counted; the
+    # modules a site hook loads before the import are not the engine's
+    code = ("import sys; before = set(sys.modules); import cubecrawl.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.partition(".")[0] for name in proc.stdout.split()}
+    assert "cubecrawl" in loaded
+    assert sorted(loaded - {"cubecrawl"} - sys.stdlib_module_names) == []

@@ -30,7 +30,7 @@ from cubecrawl import (
     topn_crawl,
     transactions_to_table,
 )
-from cubecrawl.errors import ModelError, RefusalError, SpecError
+from cubecrawl.errors import ModelError, RefusalError, SchemaError, SpecError
 
 from conftest import T2_TRANSACTIONS, random_table, t1_cube
 import oracles
@@ -83,6 +83,51 @@ class TestNaiveCrawl:
                          thresholds={"nope": 1.0})
         with pytest.raises(SpecError):
             naive_crawl(sales_cube, spec)
+
+
+class TestSpecArguments:
+    """A CrawlSpec value of the wrong kind is an error, never read as another value."""
+
+    @staticmethod
+    def cube():
+        table = Table.from_rows(["d", "e", "m"], [("a", "x", 3), ("b", "y", 7), ("ab", "x", 1)])
+        schema = DimensionSchema((Dimension("d"), Dimension("e")), (Measure.sum("m"),))
+        return BaseTableGroupByCube(table, schema)
+
+    @staticmethod
+    def spec(**kwargs):
+        return CrawlSpec(models=[IdModel(["m"], apriori={"m": True})], **kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("top_n", ("m", 2.7)), ("top_n", ("m", True)), ("top_n", ("m", "3")),
+        ("batch_size", 2.5), ("batch_size", "4"), ("batch_size", True),
+        ("max_degree", 1.5), ("max_degree", "1"), ("max_degree", True),
+        ("naive_cap", "9"), ("naive_cap", True), ("naive_cap", 9.0),
+        ("allow_exhaustive_topn", "no"), ("allow_exhaustive_topn", 0),
+        ("dimensions", "de"), ("grouping_sets", "de"), ("grouping_sets", ["de"]),
+        ("hierarchies", "de"), ("hierarchies", ["de"]), ("dimension_values", {"d": "ab"}),
+    ])
+    def test_a_value_of_the_wrong_kind_is_a_spec_error(self, field, value):
+        for crawl in (top_down_crawl, naive_crawl):
+            with pytest.raises(SpecError, match=field if field != "top_n" else "top-n"):
+                crawl(self.cube(), self.spec(**{field: value}))
+
+    def test_a_hierarchy_member_must_be_a_schema_dimension(self):
+        for crawl in (top_down_crawl, naive_crawl):
+            with pytest.raises(SchemaError, match="'zz'"):
+                crawl(self.cube(), self.spec(hierarchies=[["d", "zz"]]))
+
+    def test_exhaustive_top_n_needs_an_integer_n(self):
+        result = naive_crawl(self.cube(), self.spec())
+        for n in (2.5, "2", True):
+            with pytest.raises(SpecError, match="top-n"):
+                exhaustive_top_n(result, "m", n)
+
+    def test_a_value_is_not_read_as_its_characters(self):
+        spec = self.spec(dimensions=["d"], dimension_values={"d": ["ab"]})
+        for crawl in (top_down_crawl, naive_crawl):
+            assert crawl(self.cube(), spec).entries == {
+                EMPTY_REGION: {"m": 11}, Region({"d": "ab"}): {"m": 1}}
 
 
 class TestRegionChildren:
