@@ -13,13 +13,14 @@ import csv
 import itertools
 import sys
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import partial, reduce, total_ordering
 from operator import add, itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, SpecError
 
 
 class _Singleton:
@@ -86,6 +87,23 @@ def finite_number(value) -> bool:
 def integer(value) -> bool:
     """True for an int that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _count(value, what: str) -> int:
+    """``value`` if it is an int and not a bool, else a SpecError naming ``what``."""
+    if not integer(value):
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _sequence(value, what: str) -> tuple:
+    """``value`` as a tuple; a string would be read as its characters, so it is refused."""
+    if isinstance(value, str):
+        raise SpecError(f"{what} must be a sequence, not the string {value!r}")
+    try:
+        return tuple(value)
+    except TypeError:
+        raise SpecError(f"{what} must be a sequence, got {value!r}") from None
 
 
 def format_value(value) -> str:
@@ -251,7 +269,15 @@ class Region:
         return any(d == dim for d, _ in self._items)
 
     def with_binding(self, dim: str, value) -> "Region":
-        return Region(self._items + ((dim, value),))
+        """This region and ``dim=value``: the binding goes in at its place in the items,
+        which are already sorted."""
+        items = self._items
+        at = bisect_left(items, dim, key=itemgetter(0))
+        if at < len(items) and items[at][0] == dim:
+            raise SchemaError("region binds a dimension more than once")
+        region = Region.__new__(Region)
+        region._items = items[:at] + ((dim, value),) + items[at:]
+        return region
 
     def __eq__(self, other):
         return isinstance(other, Region) and self._items == other._items
@@ -608,17 +634,19 @@ class BaseTableGroupByCube(AbstractCube):
         sources = [(m.agg, [self._table.column(s) for s in m.sources]) for m in measures]
         rows = []
         for key, ids in groups.items():
+            gather = _getter(ids)
             vals = []
             for agg, cols in sources:
                 if agg == "sum":
-                    total = sum(map(cols[0].__getitem__, ids))
+                    gathered = gather(cols[0])
+                    total = sum(gathered)
                     if type(total) is float:
                         # ``sum`` compensates floats from Python 3.12: add them again
                         # left to right in table order, so float sums keep their bytes
-                        total = sum_in_order(map(cols[0].__getitem__, ids))
+                        total = sum_in_order(gathered)
                     vals.append(total)
                 else:
-                    vals.append(len({tuple(col[i] for col in cols) for i in ids}))
+                    vals.append(len(set(zip(*map(gather, cols)))))
             rows.append((key, tuple(vals)))
         return FeatureFrame(request.attribute_features, request.metric_features, rows)
 
@@ -640,6 +668,14 @@ class BaseTableGroupByCube(AbstractCube):
         return _TableCursor(self, region, rows, {})
 
 
+def _getter(positions: Sequence[int]):
+    """The function from a sequence to the tuple of its items at ``positions``: one
+    C-level ``itemgetter`` for two positions or more, which alone returns a tuple."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda seq: tuple([seq[p] for p in positions])
+
+
 def _split(coded: tuple[list[int], list], row_ids: Sequence[int]) -> dict[Any, list[int]]:
     """BUC's partition step: ``row_ids`` by their code in ``coded``, in one pass that keeps
     their order within each value; the result is in value order.
@@ -658,8 +694,9 @@ class _TableCursor(RegionCursor):
 
     ``_split`` is the one partition step, over the cube's coded columns.
     ``_partition(dim)`` memoises its split of the rows by ``dim``, in value order:
-    ``values`` is its keys, ``child`` a lookup in it.  A view splits its rows by each
-    requested attribute in turn and adds nothing to the memo.
+    ``values`` is its keys, ``child`` a lookup in it, and a view's first attribute
+    reads it too, so a region splits its rows by a dimension once.  A view splits
+    those groups by each further attribute in turn, which the memo does not keep.
     """
 
     def __init__(self, cube: BaseTableGroupByCube, region: Region, row_ids: Sequence[int],
@@ -676,11 +713,14 @@ class _TableCursor(RegionCursor):
         return part
 
     def _groups(self, attrs: Sequence[str]) -> dict[tuple, Sequence[int]]:
-        """The rows grouped by ``attrs``, keyed in request order: each group is split by
-        each attribute in turn.  The root's grand total always exists (zero aggregates on
-        an empty table); a nonempty region filtered to zero rows has no groups."""
-        groups = {(): self.row_ids} if self.row_ids or not self.region.degree else {}
-        for attr in attrs:
+        """The rows grouped by ``attrs``, keyed in request order: the first attribute's
+        groups are the memoised partition, and each group is split by each further
+        attribute in turn.  The root's grand total always exists (zero aggregates on an
+        empty table); a nonempty region filtered to zero rows has no groups."""
+        if not attrs:
+            return {(): self.row_ids} if self.row_ids or not self.region.degree else {}
+        groups = {(v,): ids for v, ids in self._partition(attrs[0]).items()}
+        for attr in attrs[1:]:
             coded = self.cube._coded(attr)
             groups = {key + (v,): ids for key, rows in groups.items()
                       for v, ids in _split(coded, rows).items()}
@@ -795,11 +835,11 @@ def build_cellset(cube: AbstractCube, dims: Sequence[str],
     cells: dict[tuple, tuple] = {}
     for k in range(len(ordered) + 1):
         for subset in itertools.combinations(ordered, k):
+            # each cell slot's position in a row's attributes followed by ANY
+            fill = _getter([subset.index(d) if d in subset else k for d in ordered])
             frame = cube.view(region, FeatureRequest(subset, measure_names))
             for attrs, measures in frame.iter_rows():
-                by_name = dict(zip(subset, attrs))
-                cell = tuple(by_name.get(d, ANY) for d in ordered)
-                cells[cell] = measures
+                cells[fill(attrs + (ANY,))] = measures
     return CellsetCube(sub_schema, cells)
 
 

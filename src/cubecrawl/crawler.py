@@ -37,6 +37,8 @@ from .core import (
     Region,
     RegionCursor,
     Table,
+    _count,
+    _sequence,
     finite_number,
     integer,
 )
@@ -137,19 +139,13 @@ class ResultCube(AbstractCube):
 
 @dataclass(slots=True)
 class _Entry:
-    """An evaluated region: its cursor, signals, and threshold outcome."""
+    """An evaluated region: its cursor, signals, and threshold outcome.  A pruned entry
+    is never expanded, so it holds no cursor, and the frontier none of its rows."""
 
-    cursor: RegionCursor
+    cursor: RegionCursor | None
     signals: dict[str, float]
     passed: bool
     prune: bool
-
-
-def _count(value, what: str) -> int:
-    """``value`` if it is an int and not a bool, else a SpecError naming ``what``."""
-    if not integer(value):
-        raise SpecError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _top_n_count(n) -> int:
@@ -157,13 +153,6 @@ def _top_n_count(n) -> int:
     if _count(n, "top-n's n") < 1:
         raise SpecError("top-n needs n >= 1")
     return n
-
-
-def _sequence(value, what: str) -> tuple:
-    """``value`` as a tuple; a string would be read as its characters, so it is refused."""
-    if isinstance(value, str):
-        raise SpecError(f"{what} must be a sequence, not the string {value!r}")
-    return tuple(value)
 
 
 class _Resolved:
@@ -372,7 +361,7 @@ def _evaluate_region(cursor: RegionCursor, resolved: _Resolved, pop_frames: dict
             prune = prune or any(failed)
             if model.gate:
                 break
-    return _Entry(cursor, signals, passed, prune)
+    return _Entry(None if prune else cursor, signals, passed, prune)
 
 
 def _children(cursor: RegionCursor, resolved: _Resolved) -> list[RegionCursor]:

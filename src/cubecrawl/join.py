@@ -31,6 +31,7 @@ from .core import (
     Instrumentation,
     Measure,
     Region,
+    _sequence,
 )
 from .errors import JoinError, RequestError, SchemaError, SpecError
 
@@ -45,9 +46,12 @@ class JoinSpec:
     kind: str = "inner"
 
     def __post_init__(self):
-        object.__setattr__(self, "on", tuple(self.on))
+        object.__setattr__(self, "on", _sequence(self.on, "join dimensions 'on'"))
         if not self.on:
             raise SpecError("join needs at least one join dimension")
+        for value in self.on + (self.left_prefix, self.right_prefix):
+            if not isinstance(value, str):
+                raise SpecError(f"join dimensions and prefixes are strings, got {value!r}")
         if self.kind not in ("inner", "left"):
             raise SpecError(f"unknown join kind {self.kind!r}")
         if not self.left_prefix or not self.right_prefix or self.left_prefix == self.right_prefix:

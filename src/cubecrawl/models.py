@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .attribution import ATTRIBUTION_KINDS, SegmentedMetrics, attribution_signals
-from .core import DimensionSchema, FeatureFrame, FeatureRequest, Region, finite_number, sum_in_order
+from .core import (DimensionSchema, FeatureFrame, FeatureRequest, Region, _count, finite_number,
+                   sum_in_order)
 from .errors import ContractError, DataError, ModelError, SchemaError, SpecError
 
 #: comparator -> (test, is_minimum) of thresholds and pushdown terms; only a failed minimum
@@ -327,7 +328,7 @@ class WindowOutlierModel(RegionAnalysisModel):
 
     def __init__(self, date_dim: str, metric: str, window: int,
                  name: str = "window_outlier", gate: bool = False):
-        if window < 1:
+        if _count(window, "window") < 1:
             raise SpecError("window must be at least 1")
         request = FeatureRequest((date_dim,), (metric,))
         super().__init__(name, request,
@@ -336,7 +337,7 @@ class WindowOutlierModel(RegionAnalysisModel):
                          population_request=request, gate=gate)
         self.date_dim = date_dim
         self.metric = metric
-        self.window = int(window)
+        self.window = window
 
     def evaluate(self, ctx):
         pop_dates = ctx.population_frame.attribute_column(self.date_dim)

@@ -6,8 +6,10 @@ shares no code with the engine's group-by, crawl, or attribution paths.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 from cubecrawl.core import ANY, NULL
 
@@ -17,7 +19,9 @@ def rows_matching(rows, bindings):
 
 
 def group_by(rows, attrs, sum_cols=(), distinct_cols=()):
-    """Plain-dict group-by: returns {attr tuple: {col: aggregate}}."""
+    """Plain-dict group-by: returns {attr tuple: {col: aggregate}}.  Each SUM adds its
+    group's values left to right in row order, as the engine's float sums do on every
+    Python (``sum`` compensates float rounding from Python 3.12)."""
     groups = {}
     for r in rows:
         key = tuple(r[a] for a in attrs)
@@ -26,7 +30,7 @@ def group_by(rows, attrs, sum_cols=(), distinct_cols=()):
     for key, members in groups.items():
         agg = {}
         for c in sum_cols:
-            agg[c] = sum(m[c] for m in members)
+            agg[c] = functools.reduce(operator.add, (m[c] for m in members), 0)
         for name, cols in distinct_cols:
             agg[name] = len({tuple(m[c] for c in cols) for m in members})
         out[key] = agg

@@ -1,6 +1,7 @@
 import csv
 import functools
 import gc
+import itertools
 import math
 import operator
 import random
@@ -27,6 +28,7 @@ from cubecrawl import (
     filter_by_region,
     region_precedes,
 )
+import cubecrawl.core
 from cubecrawl.core import ANY, NULL, sum_in_order
 from cubecrawl.errors import DataError, SchemaError
 
@@ -181,6 +183,95 @@ class TestTableCursor:
                 read()
 
 
+_DIMS = ("d0", "d1", "d2")
+# 1e16 + 1.0 rounds back to 1e16, so a float sum depends on its addition order
+_FLOATS = st.sampled_from([0.1, 0.7, 1.0, 1e16, -1e16, 2.5])
+_INTS = st.integers(-5, 5)
+_SUMS = (("i", _INTS), ("f", _FLOATS), ("x", st.one_of(_INTS, _FLOATS)))
+
+
+@st.composite
+def _tables(draw):
+    """A small base table (possibly empty) with NULL dimension values, int, float and
+    mixed SUM sources and a COUNT_DISTINCT measure, and its rows as dicts."""
+    n = draw(st.integers(0, 14))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    columns = {d: column(st.sampled_from(["a", "b", "c", NULL])) for d in _DIMS}
+    columns.update((name, column(values)) for name, values in _SUMS)
+    columns["t0"] = column(st.sampled_from(["p", "q", "r"]))
+    columns["t1"] = column(st.integers(0, 2))
+    schema = DimensionSchema(tuple(Dimension(d) for d in _DIMS),
+                             tuple(Measure.sum(name) for name, _ in _SUMS)
+                             + (Measure.count_distinct("ids", "t0", "t1"),))
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    return BaseTableGroupByCube(Table(columns), schema), rows
+
+
+_REGIONS = st.dictionaries(st.sampled_from(_DIMS), st.sampled_from(["a", "b", "z", NULL]),
+                           max_size=2).map(Region)
+
+
+def _oracle_frame(rows, region, attrs, measures):
+    """The view of ``region`` by ``attrs`` from the brute-force group-by."""
+    in_region = oracles.rows_matching(rows, region.bindings())
+    groups = oracles.group_by(in_region, attrs, [name for name, _ in _SUMS],
+                              [("ids", ("t0", "t1"))])
+    if not attrs and not region.degree and not rows:
+        groups = {(): {m: 0 for m in measures}}  # an empty table's grand total
+    return FeatureFrame(attrs, measures,
+                        [(key, tuple(agg[m] for m in measures)) for key, agg in groups.items()])
+
+
+class TestTableViews:
+    """Every base-table view is the brute-force group-by, whatever the cursor viewed,
+    split or refined before."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tables(), _REGIONS)
+    def test_views_values_and_children_match_the_oracle_and_a_fresh_cursor(self, table, region):
+        cube, rows = table
+        measures = cube.schema.measure_names
+        child_of_root = cube.bind(EMPTY_REGION)
+        for dim, value in region.items():
+            child_of_root = child_of_root.child(dim, value)
+        for cursor in (cube.bind(region), child_of_root):
+            assert cursor.region == region
+            for k in range(4):
+                for attrs in itertools.permutations(_DIMS, k):
+                    request = FeatureRequest(attrs, measures)
+                    expected = _oracle_frame(rows, region, attrs, measures)
+                    assert cursor.view(request) == expected
+                    assert cursor.view(request) == expected  # the same cursor again
+            fresh = cube.bind(region)
+            for dim in _DIMS:
+                assert cursor.values(dim) == fresh.values(dim)
+                for value in cursor.values(dim) + ("z",):
+                    if dim not in region:
+                        request = FeatureRequest((), measures)
+                        assert cursor.child(dim, value).view(request) == \
+                            fresh.child(dim, value).view(request)
+
+    def test_a_region_splits_its_rows_by_a_dimension_once(self, monkeypatch):
+        # the diff and attribution models both view a region by its segment dimension
+        splits = []
+        split = cubecrawl.core._split
+        monkeypatch.setattr(cubecrawl.core, "_split",
+                            lambda coded, rows: splits.append(len(rows)) or split(coded, rows))
+        cursor = t1_cube().bind(EMPTY_REGION).child("Device", "Pixel")
+        splits.clear()
+        for metrics in (("Revenue",), ("Revenue", "Clicks")):
+            cursor.view(FeatureRequest(("is_test",), metrics))
+        assert cursor.values("is_test") == (False, True)
+        assert cursor.child("is_test", True).region == Region({"Device": "Pixel", "is_test": True})
+        assert splits == [4]
+        # a further attribute splits each group of the kept split
+        cursor.view(FeatureRequest(("is_test", "Browser"), ("Revenue",)))
+        assert splits == [4, 2, 2]
+
+
 class TestRegionPrecedes:
     def test_paper_example(self):
         fine = Region({"State": "CA", "City": "MTV"})
@@ -226,6 +317,23 @@ class TestRegionPrecedes:
     def test_binding_a_dimension_twice_is_a_schema_error_whatever_its_values(self, pairs):
         with pytest.raises(SchemaError, match="more than once"):
             Region(pairs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.text(max_size=3), st.integers(), max_size=5),
+           st.text(max_size=3), st.one_of(st.integers(), st.just(NULL)))
+    def test_with_binding_is_the_region_of_the_extended_items(self, bindings, dim, value):
+        region = Region(bindings)
+
+        def outcome(build):
+            try:
+                built = build()
+            except SchemaError as exc:
+                return "raised", str(exc)
+            return built, built.items()
+
+        extended = outcome(lambda: region.with_binding(dim, value))
+        assert extended == outcome(lambda: Region(region.items() + ((dim, value),)))
+        assert (extended[0] == "raised") == (dim in bindings)
 
 
 class TestValueOrder:

@@ -62,6 +62,19 @@ class TestJoinValidation:
         with pytest.raises(SpecError):
             join_cubes(sales_cube, sales_cube, JoinSpec(on=("Device",)), strategy="hybrid")
 
+    @pytest.mark.parametrize("fields", [
+        {"on": "Device"},                  # else read as its characters
+        {"on": 5},
+        {"on": ("Device", 5)},
+        {"on": ("Device",), "left_prefix": 5},
+        {"on": ("Device",), "right_prefix": ("r",)},
+        {"on": ("Device",), "left_prefix": ""},
+        {"on": ("Device",), "left_prefix": "x", "right_prefix": "x"},
+    ])
+    def test_join_dimensions_and_prefixes_are_strings(self, fields):
+        with pytest.raises(SpecError):
+            JoinSpec(**fields)
+
     def test_ambiguous_measure_needs_prefix(self, sales_cube):
         joined = join_cubes(sales_cube, sales_cube, JoinSpec(on=("Device", "Browser", "is_test")))
         with pytest.raises(RequestError):

@@ -349,6 +349,12 @@ class TestWindowOutlier:
         with pytest.raises(ModelError):
             evaluate_at(cube, WindowOutlierModel("date", "m", 4), Region({"Device": "A"}))
 
+    @pytest.mark.parametrize("window", [2.7, 1.0, True, False, "3", None, 0, -2])
+    def test_window_must_be_an_integer_of_at_least_one(self, window):
+        # an int() of 2.7 or True would crawl a 2- or 1-point window
+        with pytest.raises(SpecError, match="window"):
+            WindowOutlierModel("date", "m", window)
+
     def test_missing_dates_align_to_population(self):
         cube = self.make_cube({"A": [10, 10, 10, 10, 10], "B": [1, 0, 1, 0, 8]})
         # device B has zero rows on d1/d3 only if encoded; here all dates exist
