@@ -1,13 +1,13 @@
 """Joining two cubes on shared dimensions.
 
-The LOCAL strategy defers all work: each view loads both sides' frames and
-joins them as tables (one relational join per view).  The GLOBAL strategy is
-the LOCAL join materialized once: at construction it takes each side's
-``to_cellset()`` (a cellset side as it is, any other cube built once), joins
-the two with LOCAL views, one per mask of the merged dimensions, and keeps
-the result, so every later view is a cellset lookup and ``to_cellset()``
-returns it without another view.  With one join algorithm, both strategies
-answer every (region, request) identically.
+Both strategies run one hash join of (attributes, measures) rows on their
+join-dimension values, ``_join_rows``.  The LOCAL strategy defers all work:
+each view joins the rows of both sides' frames.  The GLOBAL strategy joins
+once, at construction, the cells of each side's ``to_cellset()`` (a cellset
+side as it is, any other cube built once), with ANY a key value like any other
+(Gray et al.'s ALL): each left cell meets exactly the right cells that the
+LOCAL view at the union of their masks joins it with.  Every later view is a
+cellset lookup, so both strategies answer every (region, request) identically.
 
 View semantics: each side is aggregated at its own granularity and the frames
 are joined on the join dimensions that appear among the requested attributes.
@@ -15,7 +15,9 @@ Join dimensions left out of a request are pre-aggregated on both sides before
 combining.  In a left join, rows without a right match carry ``None`` in
 right measure columns (models must opt into handling that sentinel); since
 such rows have no right-side values at all, they drop out of any view whose
-region or attributes touch a right-only dimension.
+region or attributes touch a right-only dimension.  Over cells, a left cell
+whose key has no right cell with every right-only value ANY joins ANY and
+``None``, which holds for a partial right cellset with holes too.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    ANY,
     AbstractCube,
     CellsetCube,
     DimensionSchema,
@@ -31,6 +34,7 @@ from .core import (
     Instrumentation,
     Measure,
     Region,
+    _getter,
     _sequence,
 )
 from .errors import JoinError, RequestError, SchemaError, SpecError
@@ -103,11 +107,16 @@ class JoinedCube(AbstractCube):
 
         self._cellset: CellsetCube | None = None
         if strategy == "global":
-            # the LOCAL join of the sides' cellsets, counted as one cellset join
-            # (the nested cube counts its view joins into its own counters).  It
-            # views each side once per mask of the merged dimensions: a base table
-            # would be grouped 2^k times as often, k = dimensions only the other has.
-            self._cellset = JoinedCube(left.to_cellset(), right.to_cellset(), spec).to_cellset()
+            # a joined cell is the left cell then the right cell's right-only values
+            left_names, right_names = left_schema.dimension_names, right_schema.dimension_names
+            pad = ((ANY,) * len(right_only), (None,) * len(right_schema.measures))
+            cells = _join_rows(
+                left.to_cellset()._cells.items(), right.to_cellset()._cells.items(),
+                _getter([left_names.index(d) for d in spec.on]),
+                _getter([right_names.index(d) for d in spec.on]),
+                _getter([right_names.index(d.name) for d in right_only]),
+                pad if spec.kind == "left" else None)
+            self._cellset = CellsetCube(self._schema, cells)
             self.counters["global_cellset_joins"] += 1
 
     @property
@@ -151,49 +160,30 @@ class JoinedCube(AbstractCube):
         right_frame = self.right.view(right_region, right_request)
         self.counters["local_view_joins"] += 1
 
-        keys = tuple(a for a in request.attribute_features if a in self._join_dims)
-        l_attr_idx = {a: i for i, a in enumerate(left_request.attribute_features)}
-        r_attr_idx = {a: i for i, a in enumerate(right_request.attribute_features)}
-        l_meas_idx = {m: i for i, m in enumerate(left_request.metric_features)}
-        r_meas_idx = {m: i for i, m in enumerate(right_request.metric_features)}
-
-        right_by_key: dict[tuple, list] = {}
-        for attrs, measures in right_frame.iter_rows():
-            key = tuple(attrs[r_attr_idx[k]] for k in keys)
-            right_by_key.setdefault(key, []).append((attrs, measures))
-
+        l_attrs, r_attrs = left_request.attribute_features, right_request.attribute_features
+        keys = [a for a in l_attrs if a in self._join_dims]
+        rest = tuple(a for a in r_attrs if a in self._right_only)
         # unmatched left rows have no right-side values at all, so they drop out
         # of any view whose region or attributes touch a right-only dimension
-        right_only_involved = (
-            any(a in self._right_only for a in request.attribute_features)
-            or any(d in self._right_only for d in region.dims)
-        )
-        rows = []
-        for l_attrs, l_measures in left_frame.iter_rows():
-            key = tuple(l_attrs[l_attr_idx[k]] for k in keys)
-            matches = right_by_key.get(key, ())
-            if not matches:
-                if self.spec.kind != "left" or right_only_involved:
-                    continue
-                matches = (None,)
-            for match in matches:
-                # an unmatched row (match None) requests no right-only attribute
-                out_attrs = [l_attrs[l_attr_idx[a]] if a in l_attr_idx else match[0][r_attr_idx[a]]
-                             for a in request.attribute_features]
-                out_measures = []
-                for m in request.metric_features:
-                    side, orig = self._measure_map[m]
-                    if side == "left":
-                        out_measures.append(l_measures[l_meas_idx[orig]])
-                    elif match is not None:
-                        out_measures.append(match[1][r_meas_idx[orig]])
-                    else:
-                        out_measures.append(None)
-                rows.append((tuple(out_attrs), tuple(out_measures)))
-        return FeatureFrame(request.attribute_features, request.metric_features, rows)
+        right_only_involved = rest or any(d in self._right_only for d in region.dims)
+        pad = ((), (None,) * len(right_request.metric_features))
+        rows = _join_rows(left_frame.iter_rows(), right_frame.iter_rows(),
+                          _getter([l_attrs.index(k) for k in keys]),
+                          _getter([r_attrs.index(k) for k in keys]),
+                          _getter([r_attrs.index(a) for a in rest]),
+                          None if right_only_involved or self.spec.kind != "left" else pad)
+        # a joined row holds the left attributes then the right-only ones, and the
+        # left measures then the right ones: put both in the request's order
+        joined_attrs = l_attrs + rest
+        joined_metrics = sorted(request.metric_features,
+                                key=lambda m: self._measure_map[m][0] == "right")
+        attrs = _getter([joined_attrs.index(a) for a in request.attribute_features])
+        metrics = _getter([joined_metrics.index(m) for m in request.metric_features])
+        return FeatureFrame(request.attribute_features, request.metric_features,
+                            [(attrs(a), metrics(m)) for a, m in rows.items()])
 
     def to_cellset(self) -> CellsetCube:
-        """GLOBAL returns the cellset it built at construction; LOCAL builds one
+        """GLOBAL returns the cellset it joined at construction; LOCAL builds one
         with one view join per mask of the merged dimensions."""
         if self._cellset is not None:
             return self._cellset
@@ -205,3 +195,27 @@ def join_cubes(left: AbstractCube, right: AbstractCube, spec: JoinSpec,
                instrumentation: Instrumentation | None = None) -> JoinedCube:
     """Meld two cubes into one; LOCAL defers all work, GLOBAL materializes the join now."""
     return JoinedCube(left, right, spec, strategy, instrumentation)
+
+
+def _join_rows(left_rows, right_rows, left_key, right_key, right_rest, pad) -> dict:
+    """The hash join of (attributes, measures) rows on ``left_key`` = ``right_key``, as
+    attributes -> measures: a left row and each right row of its key give its attributes
+    + ``right_rest`` of the right row's -> its measures + the right row's.  With ``pad``
+    an (attributes, measures) pair, a left row whose key has no right row with
+    ``right_rest`` equal to ``pad[0]`` also gives its attributes + ``pad[0]`` -> its
+    measures + ``pad[1]``."""
+    by_key: dict[tuple, list[tuple]] = {}
+    covered = set()  # keys with a right row that ``pad`` would stand in for
+    for attrs, measures in right_rows:
+        key, rest = right_key(attrs), right_rest(attrs)
+        by_key.setdefault(key, []).append((rest, measures))
+        if pad is not None and rest == pad[0]:
+            covered.add(key)
+    joined = {}
+    for attrs, measures in left_rows:
+        key = left_key(attrs)
+        for rest, values in by_key.get(key, ()):
+            joined[attrs + rest] = measures + values
+        if pad is not None and key not in covered:
+            joined[attrs + pad[0]] = measures + pad[1]
+    return joined

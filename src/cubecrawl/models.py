@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .attribution import ATTRIBUTION_KINDS, SegmentedMetrics, attribution_signals
-from .core import (DimensionSchema, FeatureFrame, FeatureRequest, Region, _count, finite_number,
-                   sum_in_order)
+from .core import (DimensionSchema, FeatureFrame, FeatureRequest, Region, _count, _sequence,
+                   finite_number, sum_in_order)
 from .errors import ContractError, DataError, ModelError, SchemaError, SpecError
 
 #: comparator -> (test, is_minimum) of thresholds and pushdown terms; only a failed minimum
@@ -182,8 +182,13 @@ class IdModel(RegionAnalysisModel):
 
     def __init__(self, metrics: Sequence[str], apriori: Mapping[str, bool] | None = None,
                  name: str = "id", gate: bool = False, pushdown: Sequence[PushdownTerm] = ()):
-        metrics = tuple(metrics)
+        metrics = _sequence(metrics, "IdModel metrics")
+        if not isinstance(apriori, (Mapping, type(None))):
+            raise SpecError(f"IdModel apriori must map metrics to flags, got {apriori!r}")
         self._explicit_apriori = dict(apriori or {})
+        for m, flag in self._explicit_apriori.items():
+            if not isinstance(flag, bool):
+                raise SpecError(f"apriori flag of {m!r} must be true or false, got {flag!r}")
         signals = tuple(SignalSpec(m, self._explicit_apriori.get(m, False)) for m in metrics)
         super().__init__(name, FeatureRequest((), metrics), signals,
                          gate=gate, pushdown=pushdown)
@@ -295,7 +300,7 @@ class EntityModel(RegionAnalysisModel):
     """Counts distinct entity tuples in the region frame (group-by on entity columns)."""
 
     def __init__(self, entity_columns: Sequence[str], name: str = "entity", gate: bool = False):
-        super().__init__(name, FeatureRequest(tuple(entity_columns), ()),
+        super().__init__(name, FeatureRequest(_sequence(entity_columns, "entity columns"), ()),
                          (SignalSpec("entity_count", apriori=True),), gate=gate)
 
     def evaluate(self, ctx):
@@ -307,7 +312,8 @@ class EntityMeasureModel(RegionAnalysisModel):
 
     def __init__(self, entity_columns: Sequence[str], entity_measure: str,
                  name: str = "entity_measure", gate: bool = False):
-        super().__init__(name, FeatureRequest(tuple(entity_columns), (entity_measure,)),
+        super().__init__(name, FeatureRequest(_sequence(entity_columns, "entity columns"),
+                                              (entity_measure,)),
                          (SignalSpec("entity_count", apriori=True),), gate=gate)
 
     def evaluate(self, ctx):

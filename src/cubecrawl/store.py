@@ -144,8 +144,12 @@ def _write_store(path, manifest: dict, dims: Sequence[Dimension], measure_names:
                  parts: Iterable[tuple[str, object, Sequence]]) -> None:
     """Create the directory at ``path``, write each (file name, manifest key, rows) of
     ``parts`` as a part over ``dims`` and ``measure_names``, then the manifest: ``manifest``
-    plus the keys every store shares.  Only a writer past all it can fail at passes lazy parts."""
+    plus the keys every store shares.  Only a writer past all it can fail at passes lazy parts.
+
+    A store at ``path`` is replaced: its part files that the new store does not write
+    go.  Any other non-empty ``path`` is a StoreError, before anything is written."""
     path = Path(path)
+    old_parts = _old_parts(path)
     path.mkdir(parents=True, exist_ok=True)
     entries = [dict(_write_part(path / name, dims, measure_names, rows), key=key)
                for name, key, rows in parts]
@@ -153,6 +157,20 @@ def _write_store(path, manifest: dict, dims: Sequence[Dimension], measure_names:
                    sort="canonical-cell-key", parts=entries)
     (path / MANIFEST_NAME).write_text(json.dumps(payload, indent=1, sort_keys=True),
                                       encoding="utf-8")
+    for name in old_parts - {entry["file"] for entry in entries}:
+        (path / name).unlink(missing_ok=True)
+
+
+def _old_parts(path: Path) -> set[str]:
+    """The part files of the store a write to ``path`` replaces: none for a missing or
+    empty directory, and a StoreError for anything else that is not a store."""
+    if not path.exists() or path.is_dir() and not any(path.iterdir()):
+        return set()
+    try:
+        manifest, _ = _read_manifest(path)
+    except StoreError:
+        raise StoreError(f"{path} is not empty and holds no cube store to replace") from None
+    return {part["file"] for part in manifest["parts"]}
 
 
 class _Reader:

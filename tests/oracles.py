@@ -102,25 +102,30 @@ def mean_std(values):
 
 
 def join_view(left_rows, right_rows, on, region, attrs, left_measures, right_measures,
-              kind="inner"):
+              kind="inner", dims=None):
     """One view of two row sets joined on the dimensions ``on``.
 
     Each side is filtered by the region's bindings on its own columns and
     grouped by the requested attributes it has; the two groupings are joined
     on the requested join dimensions.  In a left join an unmatched left group
     keeps ``None`` for every right measure, unless the region or the
-    attributes name a dimension only the right side has.  Returns
+    attributes name a dimension only the right side has.  ``dims`` is the
+    (left, right) pair of each side's dimension names; by default each side's
+    columns are read off its first row.  Returns
     ``{attribute tuple: (left sums..., right sums...)}``.
     """
-    def grouped(rows, measures):
-        cols = set(rows[0]) if rows else set()
+    if dims is None:
+        dims = tuple(set(rows[0]) if rows else set() for rows in (left_rows, right_rows))
+    left_cols, right_cols = map(set, dims)
+
+    def grouped(rows, cols, measures):
         side_attrs = [a for a in attrs if a in cols]
         bindings = {d: v for d, v in region.items() if d in cols}
         return side_attrs, group_by(rows_matching(rows, bindings), side_attrs, measures)
 
-    l_attrs, left = grouped(left_rows, left_measures)
-    r_attrs, right = grouped(right_rows, right_measures)
-    right_only = {a for a in right_rows[0] if a not in left_rows[0]} if right_rows else set()
+    l_attrs, left = grouped(left_rows, left_cols, left_measures)
+    r_attrs, right = grouped(right_rows, right_cols, right_measures)
+    right_only = right_cols - left_cols
     keys = [a for a in attrs if a in on]
     out = {}
     for l_key, l_agg in left.items():

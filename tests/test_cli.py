@@ -831,6 +831,19 @@ class TestMaterializeCommand:
         assert sliced.counters["slice_reads"] - before == 1
 
 
+    def test_materialize_into_a_directory_that_is_no_store_is_one_error_record(
+            self, tmp_path, capsys):
+        config = write_config(tmp_path / "mat.json", {"spec_version": 1, "materialize": {
+            "action": "materialize", "source": daily_source(tmp_path)}})
+        target = tmp_path / "target"
+        target.mkdir()
+        (target / "notes.txt").write_text("keep me")
+        assert main(["materialize", "--config", str(config), "--output", str(target)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        error = json.loads(line)["error"]
+        assert (error["type"], error["exit_code"]) == ("StoreError", 3)
+        assert [p.name for p in target.iterdir()] == ["notes.txt"]
+
 class TestInstrumentReport:
     """Every layer a command runs counts into the command's one ``--instrument`` report."""
 

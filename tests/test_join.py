@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubecrawl import (
     EMPTY_REGION,
@@ -24,10 +26,11 @@ from cubecrawl import (
     naive_crawl,
     top_down_crawl,
 )
-from cubecrawl.core import NULL
+from cubecrawl.core import ANY, NULL
 from cubecrawl.errors import JoinError, RequestError, SchemaError, SpecError
 
 from conftest import assert_values_match_view, random_table, t1_cube
+import oracles
 
 
 def two_sided_tables(rng, join_dims=("k0", "k1"), max_values=3):
@@ -220,6 +223,65 @@ class TestStrategyEquivalence:
         assert len(checks) == 1
         with pytest.raises(SchemaError):
             glob.view(Region({"nope": "v0"}), FeatureRequest((), ("left.m_left",)))
+
+
+_KEY_VALUES = {"string": st.sampled_from(["a", "b", "c"]), "integer": st.integers(-1, 1),
+               "boolean": st.booleans()}
+
+
+@st.composite
+def _join_side(draw, keys, extra, measure):
+    """(cube, its oracle rows at a mask, its dimension names, its measure): a random
+    table over the join dimensions ``keys`` (name -> domain) and ``extra`` with NULLs,
+    or a crawl of it whose grouping sets and threshold leave holes."""
+    values = {k: _KEY_VALUES[domain] | st.just(NULL) for k, domain in keys.items()}
+    values[extra] = st.sampled_from(["x", "y"]) | st.just(NULL)
+    values[measure] = st.integers(0, 9)
+    rows = draw(st.lists(st.fixed_dictionaries(values), min_size=1, max_size=10))
+    names = (*keys, extra)
+    schema = DimensionSchema(tuple(Dimension(k, d) for k, d in keys.items()) + (Dimension(extra),),
+                             (Measure.sum(measure),))
+    table = BaseTableGroupByCube(
+        Table({c: [r[c] for r in rows] for c in (*names, measure)}), schema)
+    if not draw(st.booleans()):
+        return table, lambda mask: rows, names, measure
+    masks = [c for k in range(len(names) + 1) for c in itertools.combinations(names, k)]
+    result = top_down_crawl(table, CrawlSpec(
+        models=[EntityWeightModel(measure)], dimensions=list(names),
+        grouping_sets=draw(st.lists(st.sampled_from(masks), min_size=1, unique=True)),
+        thresholds={"total_weight": float(draw(st.integers(0, 15)))}))
+    # the crawl's cells at a mask, one oracle row each
+    cells = [({d: region.get(d, ANY) for d in names}, signals["total_weight"])
+             for region, signals in result.entries.items()]
+    return (result,
+            lambda mask: [dict(cell, total_weight=w) for cell, w in cells
+                          if {d for d, v in cell.items() if v is not ANY} == set(mask) & set(names)],
+            names, "total_weight")
+
+
+class TestOnePassJoin:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), domain=st.sampled_from(sorted(_KEY_VALUES)), two_keys=st.booleans(),
+           kind=st.sampled_from(["inner", "left"]))
+    def test_global_cells_are_the_oracle_join_at_every_mask(self, data, domain, two_keys, kind):
+        keys = {"k": domain, **({"j": "string"} if two_keys else {})}
+        left, left_rows, left_names, lm = data.draw(_join_side(keys, "la", "ml"))
+        right, right_rows, right_names, rm = data.draw(_join_side(keys, "rb", "mr"))
+        spec = JoinSpec(on=tuple(keys), kind=kind)
+        glob = join_cubes(left, right, spec, "global")
+        names = glob.schema.dimension_names
+        cells = glob.to_cellset().cells
+        for k in range(len(names) + 1):
+            for mask in itertools.combinations(names, k):
+                at = [names.index(d) for d in mask]
+                got = {tuple(cell[i] for i in at): (values[f"left.{lm}"], values[f"right.{rm}"])
+                       for cell, values in cells.items()
+                       if all((v is not ANY) == (d in mask) for d, v in zip(names, cell))}
+                want = oracles.join_view(left_rows(mask), right_rows(mask), spec.on, {}, mask,
+                                         (lm,), (rm,), kind, dims=(left_names, right_names))
+                assert got == want, mask
+        local = join_cubes(left, right, spec, "local")
+        assert local.to_cellset().cells == cells
 
 
 class TestMaterializeJoinedCube:

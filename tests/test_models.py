@@ -148,6 +148,20 @@ def test_pushdown_values_and_epsilon_must_be_finite():
             DiffModel("Revenue", epsilon=epsilon)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: IdModel("mn"),  # would crawl the signals m and n
+    lambda: EntityModel("de"),  # would count the columns d and e
+    lambda: EntityMeasureModel("de", "m"),
+    lambda: IdModel(["m"], apriori={"m": "yes"}),  # would flag m apriori
+    lambda: IdModel(["m"], apriori={"m": 1}),
+    lambda: IdModel(["m"], apriori="m"),
+], ids=["id-metrics", "entity-columns", "entity-measure-columns", "apriori-string",
+        "apriori-int", "apriori-not-a-mapping"])
+def test_model_constructors_refuse_arguments_of_the_wrong_kind(build):
+    with pytest.raises(SpecError):
+        build()
+
+
 @pytest.mark.parametrize("kind, params", [
     ("id", {"metrics": ["Revenue"]}),
     ("entity_weight", {"metric": "Revenue", "min_weight_pushdown": 5}),

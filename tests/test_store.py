@@ -51,6 +51,49 @@ def daily_cube(n_days=10, devices=("A", "B", "C"), seed=0):
     return BaseTableGroupByCube(table, schema)
 
 
+class TestWriteTarget:
+    """A store is written into a missing or empty directory or over a store, which it
+    replaces whole; any other target is refused before anything is written."""
+
+    def test_a_cellset_over_a_chunked_store_leaves_no_chunk(self, tmp_path):
+        cube, path = daily_cube(n_days=2), tmp_path / "store"
+        chunk_by_partition(cube, "date", ["Device"], path)
+        assert sorted(p.name for p in path.iterdir()) == [
+            "chunk-00000.bin", "chunk-00001.bin", "manifest.json"]
+        materialize(cube, ["Device", "date"], path)
+        assert sorted(p.name for p in path.iterdir()) == ["cells.bin", "manifest.json"]
+        assert load_store(path).cells == build_cellset(cube, ["Device", "date"]).cells
+
+    def test_fewer_chunks_over_more_leave_none_behind(self, tmp_path):
+        path = tmp_path / "store"
+        chunk_by_partition(daily_cube(n_days=4), "date", ["Device"], path)
+        chunk_by_partition(daily_cube(n_days=2), "date", ["Device"], path)
+        assert sorted(p.name for p in path.iterdir()) == [
+            "chunk-00000.bin", "chunk-00001.bin", "manifest.json"]
+        assert load_store(path).region_values(EMPTY_REGION, "date") == ("d00", "d01")
+
+    def test_an_empty_directory_is_written_into(self, tmp_path):
+        (tmp_path / "store").mkdir()
+        materialize(daily_cube(), ["Device"], tmp_path / "store")
+        assert load_store(tmp_path / "store").cells
+
+    @pytest.mark.parametrize("foreign", ["notes", "file", "broken store"])
+    def test_a_target_that_is_no_store_is_refused(self, tmp_path, foreign):
+        path = tmp_path / "store"
+        if foreign == "file":
+            path.write_text("notes")
+        else:
+            path.mkdir()
+            name = "notes.txt" if foreign == "notes" else "manifest.json"
+            (path / name).write_text("notes")
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(StoreError, match="holds no cube store"):
+            materialize(daily_cube(), ["Device"], path)
+        with pytest.raises(StoreError, match="holds no cube store"):
+            chunk_by_partition(daily_cube(), "date", ["Device"], path)
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestMaterialize:
     def test_round_trip_views_equal_live(self, tmp_path, sales_cube):
         materialize(sales_cube, ["Device", "Browser"], tmp_path / "cells")
