@@ -5,7 +5,9 @@ correctness oracle.  ``top_down_crawl`` explores the lattice from the empty
 region, skipping a region's children once an apriori-flagged signal fails its
 threshold.  A region's children extend it by one dimension ordered after the
 ones it binds, and only where the extension is a crawl-order prefix of some
-grouping set, so each region is reached once.  With ``spec.top_n`` set the same
+grouping set, so each region is reached once.  As in Apriori's candidate step,
+a child is skipped unevaluated when one of its other one-smaller sub-regions
+is known to have failed.  With ``spec.top_n`` set the same
 loop finds the exact top-n regions by one apriori signal: the n-th best value
 found so far acts as an apriori threshold that tightens as the crawl runs.
 ``topn_crawl`` is that crawl with ``top_n`` required.  Crawls run serially in
@@ -139,13 +141,17 @@ class ResultCube(AbstractCube):
 
 @dataclass(slots=True)
 class _Entry:
-    """An evaluated region: its cursor, signals, and threshold outcome.  A pruned entry
-    is never expanded, so it holds no cursor, and the frontier none of its rows."""
+    """An evaluated region: its cursor, signals, and threshold outcome."""
 
     cursor: RegionCursor | None
     signals: dict[str, float]
     passed: bool
     prune: bool
+
+
+# every pruned or skipped region's place in the frontier: it is never expanded, so
+# the frontier holds neither its cursor nor its signals
+_DOOMED = _Entry(None, {}, False, True)
 
 
 def _top_n_count(n) -> int:
@@ -361,10 +367,11 @@ def _evaluate_region(cursor: RegionCursor, resolved: _Resolved, pop_frames: dict
             prune = prune or any(failed)
             if model.gate:
                 break
-    return _Entry(None if prune else cursor, signals, passed, prune)
+    return _Entry(cursor, signals, passed, prune)
 
 
-def _children(cursor: RegionCursor, resolved: _Resolved) -> list[RegionCursor]:
+def _children(cursor: RegionCursor, resolved: _Resolved) -> list[tuple[str, list]]:
+    """Each dimension a crawl refines ``cursor``'s region by, with its allowed values."""
     bound = frozenset(cursor.region.dims)
     last = max((resolved.order_index[d] for d in bound), default=-1)
     out = []
@@ -372,15 +379,16 @@ def _children(cursor: RegionCursor, resolved: _Resolved) -> list[RegionCursor]:
         # every dim bound so far is ordered before dim, so a grouping set stays
         # reachable iff the extension is one of its crawl-order prefixes
         if bound | {dim} in resolved.prefixes:
-            out.extend(cursor.child(dim, value) for value in cursor.values(dim)
-                       if resolved.value_allowed(dim, value))
+            out.append((dim, [v for v in cursor.values(dim) if resolved.value_allowed(dim, v)]))
     return out
 
 
 def region_children(region: Region, spec: CrawlSpec, cube: AbstractCube) -> list[Region]:
-    """The regions a crawl would enqueue below ``region`` (one new binding each)."""
+    """The regions a crawl would reach below ``region`` (one new binding each), whether
+    it evaluates them or skips them."""
     resolved = _Resolved(spec, cube)
-    return [c.region for c in _children(cube.bind(region), resolved)]
+    return [region.with_binding(dim, v)
+            for dim, values in _children(cube.bind(region), resolved) for v in values]
 
 
 def apply_pushdown(model: RegionAnalysisModel, cube: AbstractCube, region: Region) -> bool:
@@ -469,7 +477,13 @@ def top_down_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
     The frontier holds evaluated regions.  Each batch of ``spec.batch_size``
     entries is popped; an entry that an apriori signal pruned, or whose top-n
     signal is below the current threshold, is skipped, and the children of the
-    rest are evaluated and pushed.  With ``spec.top_n = (sigma, n)`` the pool
+    rest are evaluated and pushed.  A child is skipped unevaluated when a
+    one-smaller sub-region of it other than its parent was pruned or skipped,
+    or, in a top-n crawl, has its sigma below the current threshold: an apriori
+    signal never rises under refinement, so neither the child nor a region
+    below it could be emitted.  A sub-region not reached yet (in DFS, or
+    outside the grouping-set prefixes) skips nothing.
+    ``regions_skipped`` counts the skips.  With ``spec.top_n = (sigma, n)`` the pool
     of recorded regions is cut to its n best after each batch, and the
     threshold is the n-th best sigma; ties break by canonical region key, as
     in ``exhaustive_top_n``.  An entry cut from the pool never returns, since
@@ -508,19 +522,52 @@ def top_down_crawl(cube: AbstractCube, spec: CrawlSpec, workers: int = 1,
             entries[cursor.region] = entry.signals
             if sigma is None:
                 instr.counters["regions_emitted"] += 1
-        return entry
+        return _DOOMED if entry.prune else entry
 
     threshold = -math.inf
+    # (region items, dim) -> value -> outcome of the region's child dim=value: None if
+    # that child failed (pruned or skipped), else, in a top-n crawl, its sigma
+    outcomes: dict[tuple, dict] = {}
+
+    def expand(parent: _Entry) -> list[_Entry]:
+        cursor = parent.cursor
+        items = cursor.region.items()
+        children = []
+        for dim, values in _children(cursor, resolved):
+            # each other one-smaller sub-region of a child drops a binding of the parent;
+            # dim is ordered after it, so it was that smaller region's child along dim
+            known = (outcomes.get((items[:i] + items[i + 1:], dim), {})
+                     for i in range(len(items)))
+            doomed = {v for k in known for v, o in k.items() if o is None or o < threshold}
+            mine = {}
+            for value in values:
+                if value in doomed:
+                    instr.counters["regions_skipped"] += 1
+                    child = _DOOMED
+                else:
+                    child = evaluate(cursor.child(dim, value), parent)
+                if child is _DOOMED:
+                    mine[value] = None
+                elif sigma in child.signals:
+                    mine[value] = child.signals[sigma]
+                children.append(child)
+            if mine:
+                outcomes[items, dim] = mine
+        return children
+
     # pending regions: a stack gives DFS, a queue BFS.  No set of seen regions
     # is kept: ``_children`` binds only dimensions ordered after a region's
-    # last bound one, so every region has exactly one parent.
+    # last bound one, so every region has exactly one parent.  A pruned or
+    # skipped child keeps its own frontier slot as the shared ``_DOOMED`` entry.
+    # A skipped region is never expanded, so where it failed only a non-pruning
+    # gate, the children its evaluation would have pushed take no later slots.
     frontier = deque([evaluate(cube.bind(EMPTY_REGION), None)])
     pop = frontier.pop if resolved.exploration == "dfs" else frontier.popleft
     while frontier:
         for entry in [pop() for _ in range(min(resolved.batch_size, len(frontier)))]:
             if entry.prune or entry.signals.get(sigma, threshold) < threshold:
                 continue
-            frontier.extend([evaluate(c, entry) for c in _children(entry.cursor, resolved)])
+            frontier.extend(expand(entry))
         if sigma is not None and len(entries) >= n:
             best = _best(entries, sigma, n, region_key)
             entries, threshold = dict(best), best[-1][1][sigma]

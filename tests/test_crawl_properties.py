@@ -50,8 +50,9 @@ DOMAIN_VALUES = {
 
 
 @st.composite
-def cubes(draw):
-    domains = draw(st.lists(st.sampled_from(sorted(DOMAIN_VALUES)), min_size=1, max_size=3))
+def cubes(draw, max_dims=3):
+    domains = draw(st.lists(st.sampled_from(sorted(DOMAIN_VALUES)), min_size=1,
+                            max_size=max_dims))
     dims = tuple(Dimension(f"d{i}", domain) for i, domain in enumerate(domains))
     row = st.tuples(
         *(st.sampled_from(DOMAIN_VALUES[d.domain] + (NULL,)) for d in dims),
@@ -141,9 +142,24 @@ def _a_failed_maximum_beside_a_minimum():
     return BaseTableGroupByCube(table, schema), CrawlSpec(models=[EntityWeightModel("m0"), model])
 
 
+def _a_degree_three_skip():
+    """A skip random draws seldom reach: {d0=a, d1=x} passes the weight minimum of 3, but
+    its child {d0=a, d1=x, d2=p} is skipped unevaluated, as its sub-region {d0=a, d2=p}
+    (weight 1) was pruned."""
+    table = Table.from_rows(["d0", "d1", "d2", "m0", "m1"],
+                            [("a", "x", "p", 1, 0), ("a", "x", "q", 5, 0),
+                             ("a", "y", "q", 5, 0), ("b", "x", "p", 2, 0)])
+    schema = DimensionSchema((Dimension("d0"), Dimension("d1"), Dimension("d2")),
+                             (Measure.sum("m0"), Measure.sum("m1")))
+    return (BaseTableGroupByCube(table, schema),
+            CrawlSpec(models=[EntityWeightModel("m0")], thresholds={"total_weight": 3.0}))
+
+
+# up to four dimensions, so that a region of degree 3 can be skipped
 @settings(max_examples=300, deadline=None)
-@given(cubes().flatmap(lambda cube: st.tuples(st.just(cube), specs(cube.schema))))
+@given(cubes(max_dims=4).flatmap(lambda cube: st.tuples(st.just(cube), specs(cube.schema))))
 @example(_a_failed_maximum_beside_a_minimum())
+@example(_a_degree_three_skip())
 def test_top_down_crawl_matches_naive_crawl(case):
     cube, spec = case
     pruned = top_down_crawl(cube, spec)

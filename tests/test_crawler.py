@@ -247,6 +247,89 @@ class TestTopDownCrawl:
         assert oracles.apriori_itemsets(T2_TRANSACTIONS, 2) == out
 
 
+def small_cube(rows, dims, measures=("m",)):
+    table = Table.from_rows(list(dims) + list(measures), rows)
+    return BaseTableGroupByCube(table, DimensionSchema(
+        tuple(Dimension(d) for d in dims), tuple(Measure.sum(m) for m in measures)))
+
+
+class TestSubRegionSkips:
+    """A child whose one-smaller sub-region other than its parent failed, or in a
+    top-n crawl fell below the n-th best, is skipped without being evaluated."""
+
+    def crawl(self, cube, spec):
+        instr = Instrumentation()
+        result = top_down_crawl(cube, spec, instrumentation=instr, validate_apriori=True)
+        naive = naive_crawl(cube, spec)
+        # a top-n result is ranked; a threshold crawl's is in crawl order
+        assert (list(result.entries.items()) == list(naive.entries.items()) if spec.top_n
+                else result.entries == naive.entries)
+        return result, instr
+
+    def test_a_child_of_a_passing_region_is_skipped_when_its_other_sub_region_was_pruned(self):
+        # {d1=x} (weight 1) is pruned, so {d0=a, d1=x} is skipped though {d0=a} passes
+        cube = small_cube([("a", "x", 1), ("a", "y", 5), ("b", "y", 5)], ("d0", "d1"))
+        spec = CrawlSpec(models=[EntityWeightModel("m")], thresholds={"total_weight": 3.0},
+                         dimension_order=["d0", "d1"])
+        result, instr = self.crawl(cube, spec)
+        # the root, {d0=a}, {d0=b}, {d1=x}, {d1=y}, {d0=a, d1=y} and {d0=b, d1=y}
+        assert instr.get("regions_evaluated") == 7
+        assert instr.get("regions_skipped") == 1
+        assert Region({"d0": "a", "d1": "x"}) not in result.entries
+        assert region_children(Region({"d0": "a"}), spec, cube) == \
+            [Region({"d0": "a", "d1": "x"}), Region({"d0": "a", "d1": "y"})]
+
+    def test_a_top_n_child_is_skipped_when_its_other_sub_region_is_below_the_nth_best(self):
+        # after the root's batch the 2nd best is {d0=a} at 11, so {d0=a, d1=x} and
+        # {d0=b, d1=x} are skipped: {d1=x} weighs 2, though nothing was pruned
+        cube = small_cube([("a", "x", 1), ("a", "y", 10), ("b", "x", 1), ("b", "y", 10)],
+                          ("d0", "d1"))
+        spec = CrawlSpec(models=[EntityWeightModel("m")], top_n=("total_weight", 2),
+                         grouping_sets=[["d0"], ["d1"], ["d0", "d1"]],
+                         dimension_order=["d0", "d1"], batch_size=1)
+        result, instr = self.crawl(cube, spec)
+        assert instr.get("regions_evaluated") == 7
+        assert instr.get("regions_skipped") == 2
+        assert list(result.entries) == [Region({"d1": "y"}), Region({"d0": "a"})]
+
+    def test_a_region_a_gate_fails_is_skipped_with_its_subtree(self):
+        # {d0=a, d1=x} fails the gate g >= 3, which does not prune, so a crawl that
+        # evaluated it would expand it; its sub-region {d1=x} failed the apriori
+        # weight minimum, so it and {d0=b, d1=x} are skipped, and so is every region
+        # below them
+        cube = small_cube([("a", "x", "p", 1, 1), ("a", "x", "q", 1, 1),
+                           ("b", "x", "p", 2, 1), ("a", "y", "p", 5, 10)],
+                          ("d0", "d1", "d2"), ("g", "m"))
+        for exploration in ("bfs", "dfs"):
+            spec = CrawlSpec(models=[IdModel(["g"], gate=True), EntityWeightModel("m")],
+                             thresholds={"g": 3.0, "total_weight": 5.0},
+                             dimension_order=["d0", "d1", "d2"], exploration=exploration)
+            result, instr = self.crawl(cube, spec)
+            assert instr.get("regions_evaluated") == 13
+            assert instr.get("regions_skipped") == 2
+            assert len(result.entries) == 8
+
+    def test_bfs_and_dfs_give_equal_entries(self):
+        rng = random.Random(29)
+        skipped = 0
+        for _ in range(40):
+            table, schema = random_table(rng, n_measures=1)
+            cube = BaseTableGroupByCube(table, schema)
+            top_n = rng.choice([None, ("total_weight", rng.randint(1, 6))])
+            thresholds = {} if top_n else {"total_weight": rng.randint(0, 40)}
+            batch_size = rng.choice([1, 3, 64])
+            results = []
+            for exploration in ("bfs", "dfs"):
+                spec = CrawlSpec(models=[EntityWeightModel("m0")], top_n=top_n,
+                                 thresholds=thresholds, exploration=exploration,
+                                 batch_size=batch_size)
+                result, instr = self.crawl(cube, spec)
+                results.append(result.entries)
+                skipped += instr.get("regions_skipped")
+            assert results[0] == results[1]
+        assert skipped > 0
+
+
 class TestGating:
     def make_timeseries_cube(self):
         rows = []
