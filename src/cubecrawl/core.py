@@ -17,7 +17,8 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import partial, reduce, total_ordering
-from operator import add, itemgetter
+from itertools import compress, repeat
+from operator import add, is_not, itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, SchemaError, SpecError
@@ -547,7 +548,9 @@ class RegionCursor:
     """A cube bound at one region: cheap views, child values, and refinement.
 
     This cursor answers through the cube's own ``view``, ``region_values`` and
-    ``bind``; a cube with a faster way to refine a region subclasses it.
+    ``bind``; a cube with a faster way to refine a region subclasses it: a base
+    table's ``_TableCursor`` holds the region's row ids, and a cellset's
+    ``_CellCursor`` its probe cell.
     """
 
     def __init__(self, cube: "AbstractCube", region: Region):
@@ -670,10 +673,13 @@ class BaseTableGroupByCube(AbstractCube):
 
 def _getter(positions: Sequence[int]):
     """The function from a sequence to the tuple of its items at ``positions``: one
-    C-level ``itemgetter`` for two positions or more, which alone returns a tuple."""
+    C-level ``itemgetter``, which returns a tuple only for two positions or more."""
     if len(positions) > 1:
         return itemgetter(*positions)
-    return lambda seq: tuple([seq[p] for p in positions])
+    if positions:
+        get = itemgetter(*positions)
+        return lambda seq: (get(seq),)
+    return lambda seq: ()
 
 
 def _split(coded: tuple[list[int], list], row_ids: Sequence[int]) -> dict[Any, list[int]]:
@@ -739,11 +745,31 @@ class _TableCursor(RegionCursor):
         return _TableCursor(self.cube, self.region.with_binding(dim, value), rows, {})
 
 
+def cell_key(names: Sequence[str], region: Region, attrs: Sequence[str]) -> tuple:
+    """The lookup key of a view of ``region`` with attributes ``attrs`` in a cellset over
+    the dimensions ``names``: its shape, the (bound, free) dimension sets, and its probe."""
+    bound = frozenset(region.dims)
+    return (bound, frozenset(attrs) - bound), _probe(names, region)
+
+
+def _probe(names: Sequence[str], region: Region) -> tuple | None:
+    """The cell of ``region`` in a cellset over ``names``: its bound values, with ANY
+    elsewhere.  A cell's values are its mask's dimensions, so a region that binds ANY
+    has no cell, and no probe: None."""
+    bindings = region.bindings()
+    if any(v is ANY for v in bindings.values()):
+        return None
+    return tuple(bindings.get(d, ANY) for d in names)
+
+
 class CellsetCube(AbstractCube):
     """Materialized cube: full-width cells (value or ANY per dimension) -> measure
     tuple in ``schema.measure_names`` order; ``cells`` is the by-name view.
 
-    Every view is a ``cells_at`` lookup, also for crawl results, GLOBAL joins and stores."""
+    Every view is a lookup: ``bind`` gives a ``_CellCursor`` holding the region's
+    probe cell, and a view with free attributes reads the cells of its (bound, free)
+    shape grouped by that probe, ``cells_for`` a ``cell_key``.  Crawl results and GLOBAL
+    joins bind this cursor, and a chunk store looks one ``cell_key`` up in each chunk."""
 
     def __init__(self, schema: DimensionSchema, cells: Mapping[tuple, Sequence]):
         self._schema = schema
@@ -757,9 +783,11 @@ class CellsetCube(AbstractCube):
                 raise SchemaError(f"cell {cell!r} holds {len(values)} measures, not {n_measures}")
             norm[cell] = values
         self._cells = norm
+        self._at = {d: i for i, d in enumerate(schema.dimension_names)}
         # mask index, built by the first view that groups: concrete dimension names -> cells
         self._by_mask: dict[frozenset, list[tuple]] | None = None
         self._by_shape: dict[tuple, dict[tuple, list[tuple]]] = {}
+        self._plans: dict[FeatureRequest, tuple] = {}
 
     @property
     def schema(self) -> DimensionSchema:
@@ -774,43 +802,120 @@ class CellsetCube(AbstractCube):
     def to_cellset(self) -> "CellsetCube":
         return self
 
-    def cells_at(self, region: Region, attrs: Sequence[str]) -> list[tuple]:
-        """The cells of a view of ``region`` with attributes ``attrs``: a mask's cells are
-        grouped once per (bound, free) shape, by the cell with its free attributes ANY.
+    def _index(self, dim: str) -> int:
+        at = self._at.get(dim)
+        if at is None:
+            raise SchemaError(f"unknown dimension {dim!r}")
+        return at
 
-        Without free attributes the view is the region's one cell, found by a probe."""
-        names = self._schema.dimension_names
-        bound = frozenset(region.dims)
-        free = frozenset(attrs) - bound
-        bindings = region.bindings()
-        probe = tuple(bindings.get(d, ANY) for d in names)
-        if not free:
-            # a cell's values are its mask's dimensions, so a region binding ANY has no cell
-            found = probe in self._cells and sum(v is not ANY for v in probe) == len(bound)
-            return [probe] if found else []
-        groups = self._by_shape.get((bound, free))
+    def cells_at(self, region: Region, attrs: Sequence[str]) -> list[tuple]:
+        """The cells of a view of ``region`` with attributes ``attrs``."""
+        return self.cells_for(cell_key(self._schema.dimension_names, region, attrs))
+
+    def cells_for(self, key: tuple) -> list[tuple]:
+        """The cells of the view that ``key``, a ``cell_key``, names: without free
+        attributes the probe's one cell, else the probe's group among the cells of the
+        shape's mask, which are grouped once per shape by the cell with its free
+        attributes ANY."""
+        shape, probe = key
+        if not shape[1]:
+            return [probe] if probe in self._cells else []
+        groups = self._by_shape.get(shape)
         if groups is None:
-            if self._by_mask is None:
-                self._by_mask = {}
-                for cell in self._cells:
-                    mask = frozenset(d for d, v in zip(names, cell) if v is not ANY)
-                    self._by_mask.setdefault(mask, []).append(cell)
-            groups = self._by_shape[(bound, free)] = {}
-            for cell in self._by_mask.get(bound | free, ()):
-                key = tuple(ANY if d in free else v for d, v in zip(names, cell))
-                groups.setdefault(key, []).append(cell)
+            groups = self._by_shape[shape] = self._group(*shape)
         return groups.get(probe, [])
 
+    def _plan(self, request: FeatureRequest) -> tuple:
+        """A request's attributes as a set, and the getters of a view row's attributes
+        from a cell and of its measures from the cell's measures; the request is
+        validated once, by its first view."""
+        plan = self._plans.get(request)
+        if plan is None:
+            request.validate(self._schema)
+            attrs, names = request.attribute_features, self._schema.measure_names
+            plan = self._plans[request] = (
+                frozenset(attrs), _getter([self._at[a] for a in attrs]),
+                _getter([names.index(m) for m in request.metric_features]))
+        return plan
+
+    def _group(self, bound: frozenset, free: frozenset) -> dict[tuple, list[tuple]]:
+        if self._by_mask is None:
+            self._by_mask = self._masks()
+        names = self._schema.dimension_names
+        # each key slot's position in a cell followed by ANY
+        fill = _getter([len(names) if d in free else i for i, d in enumerate(names)])
+        cells = self._by_mask.get(bound | free, ())
+        groups: defaultdict[tuple, list[tuple]] = defaultdict(list)
+        for key, cell in zip(map(fill, map(add, cells, repeat((ANY,)))), cells):
+            groups[key].append(cell)
+        return groups
+
+    def _masks(self) -> dict[frozenset, list[tuple]]:
+        """The cells by mask, read a column at a time: one flag tuple per cell and one
+        frozenset per distinct mask."""
+        names = self._schema.dimension_names
+        cells = list(self._cells)
+        columns = [map(is_not, map(itemgetter(i), cells), repeat(ANY)) for i in range(len(names))]
+        by_flags: defaultdict[tuple, list[tuple]] = defaultdict(list)
+        for flags, cell in zip(zip(*columns) if names else repeat(()), cells):
+            by_flags[flags].append(cell)
+        return {frozenset(compress(names, flags)): group for flags, group in by_flags.items()}
+
     def view(self, region: Region, request: FeatureRequest) -> FeatureFrame:
-        self._check(region, request)
-        at = [self._schema.dim_index(a) for a in request.attribute_features]
-        names = self._schema.measure_names
-        picks = [names.index(m) for m in request.metric_features]
-        rows = []
-        for cell in self.cells_at(region, request.attribute_features):
-            values = self._cells[cell]
-            rows.append((tuple(cell[i] for i in at), tuple(values[j] for j in picks)))
+        return self.bind(region).view(request)
+
+    def region_values(self, region: Region, dim: str) -> tuple:
+        return self.bind(region).values(dim)
+
+    def bind(self, region: Region) -> "_CellCursor":
+        for dim in region.dims:
+            self._index(dim)
+        return _CellCursor(self, region, frozenset(region.dims),
+                           _probe(self._schema.dimension_names, region))
+
+
+class _CellCursor(RegionCursor):
+    """A cellset region's probe cell, which ``cell_key`` defines: its bound values with
+    ANY elsewhere, or None for a region that binds ANY, which has no cells.
+
+    ``child`` sets one slot of the probe; a view without free attributes is one
+    lookup of the probe, and any other view, and ``values``, read the probe's group
+    of its shape.
+    """
+
+    def __init__(self, cube: CellsetCube, region: Region, bound: frozenset, probe):
+        super().__init__(cube, region)
+        self._bound = bound
+        self.probe = probe
+
+    def view(self, request):
+        # ``bind`` and ``child`` have checked the region's dimensions
+        cube = self.cube
+        attrs, at, picks = cube._plan(request)
+        free = attrs - self._bound
+        if free:
+            cells = cube.cells_for(((self._bound, free), self.probe))
+            rows = [(at(cell), picks(cube._cells[cell])) for cell in cells]
+        else:
+            values = cube._cells.get(self.probe)
+            rows = [] if values is None else [(at(self.probe), picks(values))]
         return FeatureFrame(request.attribute_features, request.metric_features, rows)
+
+    def values(self, dim):
+        i = self.cube._index(dim)
+        if dim in self._bound:
+            return (self.region.get(dim),) if self.probe in self.cube._cells else ()
+        cells = self.cube.cells_for(((self._bound, frozenset((dim,))), self.probe))
+        # in the order of a view's rows: NULL sorts after every value
+        return tuple(sorted(cell[i] for cell in cells))
+
+    def child(self, dim, value):
+        region = self.region.with_binding(dim, value)
+        i = self.cube._index(dim)
+        probe = self.probe
+        if probe is not None:
+            probe = None if value is ANY else probe[:i] + (value,) + probe[i + 1:]
+        return _CellCursor(self.cube, region, self._bound | {dim}, probe)
 
 
 def build_cellset(cube: AbstractCube, dims: Sequence[str],

@@ -40,6 +40,7 @@ from .core import (
     RegionCursor,
     Table,
     _count,
+    _getter,
     _sequence,
     finite_number,
     integer,
@@ -92,7 +93,8 @@ class CrawlSpec:
 
 
 class ResultCube(AbstractCube):
-    """Crawl output: region -> signal vector, itself viewable as a cube."""
+    """Crawl output: region -> signal vector, itself viewable as a cube through the
+    cellset of its entries, built on first use, and that cellset's cursor."""
 
     def __init__(self, dimensions: Sequence[str], signal_names: Sequence[str],
                  entries: Mapping[Region, Mapping[str, float]], source_schema: DimensionSchema):
@@ -110,19 +112,20 @@ class ResultCube(AbstractCube):
     def to_cellset(self) -> CellsetCube:
         if self._cellset is None:
             names = self._schema.dimension_names
-            cells = {}
-            for region, signals in self.entries.items():
-                bindings = region.bindings()
-                cell = tuple(bindings.get(d, ANY) for d in names)
-                try:
-                    cells[cell] = tuple(signals[s] for s in self.signal_names)
-                except KeyError as exc:
-                    raise SchemaError(f"measure {exc.args[0]!r} not stored in cellset") from None
+            values = _getter(self.signal_names)
+            try:
+                cells = {tuple(map(r.bindings().get, names, itertools.repeat(ANY))): values(s)
+                         for r, s in self.entries.items()}
+            except KeyError as exc:
+                raise SchemaError(f"measure {exc.args[0]!r} not stored in cellset") from None
             self._cellset = CellsetCube(self._schema, cells)
         return self._cellset
 
     def view(self, region, request):
         return self.to_cellset().view(region, request)
+
+    def bind(self, region):
+        return self.to_cellset().bind(region)
 
     def records(self) -> list[tuple[Region, dict[str, float]]]:
         """Entries in insertion order; ``sorted_records`` gives canonical order."""

@@ -7,7 +7,8 @@ once, at construction, the cells of each side's ``to_cellset()`` (a cellset
 side as it is, any other cube built once), with ANY a key value like any other
 (Gray et al.'s ALL): each left cell meets exactly the right cells that the
 LOCAL view at the union of their masks joins it with.  Every later view is a
-cellset lookup, so both strategies answer every (region, request) identically.
+cellset lookup, and ``bind`` gives the joined cellset's own cursor, so both
+strategies answer every (region, request) identically.
 
 View semantics: each side is aggregated at its own granularity and the frames
 are joined on the join dimensions that appear among the requested attributes.
@@ -34,6 +35,7 @@ from .core import (
     Instrumentation,
     Measure,
     Region,
+    RegionCursor,
     _getter,
     _sequence,
 )
@@ -144,6 +146,13 @@ class JoinedCube(AbstractCube):
             return self._cellset.view(region, request)  # checks against the same schema
         self._check(region, request)
         return self._local_view(region, request)
+
+    def bind(self, region: Region) -> RegionCursor:
+        """GLOBAL: the joined cellset's cursor, whose views take prefixed measure names
+        only; LOCAL: a cursor through ``view``."""
+        if self._cellset is not None:
+            return self._cellset.bind(region)
+        return super().bind(region)
 
     def _side_inputs(self, region: Region, request: FeatureRequest, side: str):
         dims = self._left_dims if side == "left" else self._right_dims

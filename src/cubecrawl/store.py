@@ -49,7 +49,9 @@ from .core import (
     FeatureRequest,
     Instrumentation,
     Region,
+    _getter,
     build_cellset,
+    cell_key,
     format_value,
     schema_from_dict,
     schema_to_dict,
@@ -398,9 +400,11 @@ class _PartitionedStore(AbstractCube):
     """Shared view assembly for the chunked and re-chunked encodings.
 
     A view is a lookup: a decoded chunk is a ``CellsetCube`` over the cell
-    dimensions, and a re-chunked store finds the slices to read in a cellset of its
-    slice keys, both through ``cells_at``.  ``view`` merges the (partition value, cell,
-    measures) rows that each kind's ``_partition_rows`` yields for its partition values.
+    dimensions, so a chunked view computes one ``cell_key`` and looks it up in each
+    chunk it reads, and a re-chunked store finds the slices to read in a cellset of
+    its slice keys.  ``view`` merges the (partition value, cell, measures) rows that
+    each kind's ``_partition_rows`` yields for its partition values.  A store binds
+    the generic ``RegionCursor``, whose every view is such a merge.
     Each part is decoded at most once per store: ``_read`` keeps the decoded
     form of every part that decoded cleanly, so later views reuse it (a
     chunk's ``CellsetCube`` with its lookup index, or a slice's cells, each
@@ -487,13 +491,14 @@ class _PartitionedStore(AbstractCube):
                     )
 
         cell_attrs = tuple(a for a in attrs if a != self.partition_dim)
-        at = [self.cell_dims.index(a) for a in cell_attrs]
+        at = _getter([self.cell_dims.index(a) for a in cell_attrs])
         names = self._schema.measure_names
         picks = [names.index(m) for m in request.metric_features]
+        pick = _getter(picks)
         where = attrs.index(self.partition_dim) if timeseries else None
         rows: dict[tuple, list] = {}
         for value, cell, measures in self._partition_rows(Region(bindings), cell_attrs, values):
-            key = tuple(cell[i] for i in at)
+            key = at(cell)
             if where is not None:
                 key = key[:where] + (value,) + key[where:]
             if key in rows:
@@ -501,7 +506,7 @@ class _PartitionedStore(AbstractCube):
                 for i, j in enumerate(picks):
                     acc[i] += measures[j]
             else:
-                rows[key] = [measures[j] for j in picks]
+                rows[key] = list(pick(measures))
         if not rows and not attrs and region.degree == 0:
             rows[()] = [0 for _ in request.metric_features]
         return FeatureFrame(attrs, request.metric_features,
@@ -530,10 +535,12 @@ class ChunkStore(_PartitionedStore):
         return CellsetCube(self._cell_schema, cells)
 
     def _partition_rows(self, region, attrs, wanted):
+        # every chunk is a cellset over the cell schema, so one key looks each one up
+        key = cell_key(self.cell_dims, region, attrs)
         for value, part in self._parts:
             if value in wanted:
                 chunk = self._read(value, part)
-                for cell in chunk.cells_at(region, attrs):
+                for cell in chunk.cells_for(key):
                     yield value, cell, chunk._cells[cell]
 
 

@@ -17,19 +17,22 @@ from cubecrawl import (
     EMPTY_REGION,
     BaseTableGroupByCube,
     CellsetCube,
+    CrawlSpec,
     Dimension,
     DimensionSchema,
     FeatureFrame,
     FeatureRequest,
+    IdModel,
     Measure,
     Region,
     Table,
     build_cellset,
     filter_by_region,
     region_precedes,
+    top_down_crawl,
 )
 import cubecrawl.core
-from cubecrawl.core import ANY, NULL, sum_in_order
+from cubecrawl.core import ANY, NULL, RegionCursor, _CellCursor, sum_in_order
 from cubecrawl.errors import DataError, SchemaError
 
 from conftest import (T1_COLUMNS, T1_ROWS, assert_values_match_view, random_table, t1_cube,
@@ -450,6 +453,77 @@ class TestCellset:
         cellset = build_cellset(sales_cube, ["Device", "Browser"])
         assert cellset.region_values(Region({"Device": "iPhone"}), "Browser") == ("Safari",)
         assert sales_cube.region_values(Region({"Device": "iPhone"}), "Browser") == ("Safari",)
+
+
+def _cells_view(cellset, region, request):
+    """The view of ``region`` read off the cells one at a time: each cell whose slots
+    hold the region's values, a value at every other requested attribute and ANY
+    elsewhere gives a row."""
+    names = cellset.schema.dimension_names
+    bindings = region.bindings()
+    concrete = set(bindings) | set(request.attribute_features)
+    rows = []
+    for cell, measures in cellset.cells.items():
+        slots = dict(zip(names, cell))
+        if all((slots[d] is not ANY) == (d in concrete) for d in names) \
+                and all(slots[d] == v for d, v in bindings.items()):
+            rows.append((tuple(slots[a] for a in request.attribute_features),
+                         tuple(measures[m] for m in request.metric_features)))
+    return FeatureFrame(request.attribute_features, request.metric_features, rows)
+
+
+class TestCellCursor:
+    """A cellset's own cursor answers as the generic cursor, which goes through the
+    cube's ``view``, ``region_values`` and ``bind``, and as the cells read one by one,
+    for a cellset built from a table, the same cells in another order, and a crawl
+    result with holes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tables(), st.lists(st.sampled_from(_DIMS), unique=True, max_size=3),
+           st.integers(-3, 6), st.data())
+    def test_bind_and_child_chains_answer_as_a_generic_cursor(self, table, dims, threshold,
+                                                              data):
+        cube, _ = table
+        # a crawl result holds only the regions whose "i" passes: a cellset with holes
+        result = top_down_crawl(cube, CrawlSpec(models=[IdModel(["i"])], dimensions=dims,
+                                                thresholds={"i": threshold}))
+        values = st.sampled_from(["a", "b", "z", NULL, ANY])
+        built = build_cellset(cube, dims)
+        # cells in any order: ``values`` must sort as a view's rows do
+        shuffled = CellsetCube(built.schema, dict(data.draw(st.permutations(
+            list(built._cells.items())), label="cell order")))
+        for kind in (built, shuffled, result):
+            cellset = kind.to_cellset()
+            bindings = data.draw(st.lists(st.tuples(st.sampled_from(dims), values),
+                                          unique_by=operator.itemgetter(0)) if dims
+                                 else st.just([]), label="bindings")
+            region = Region(bindings)
+            split = data.draw(st.integers(0, len(bindings)), label="split")
+            chained = kind.bind(Region(bindings[:split]))
+            for d, v in bindings[split:]:
+                chained = chained.child(d, v)
+            generic = RegionCursor(kind, region)
+            measures = kind.schema.measure_names
+            requests = [FeatureRequest(attrs, measures)
+                        for k in range(3) for attrs in itertools.permutations(dims, k)]
+            for cursor in (kind.bind(region), chained):
+                assert type(cursor) is _CellCursor and cursor.region == region
+                for request in requests:
+                    assert cursor.view(request) == generic.view(request) == \
+                        _cells_view(cellset, region, request), (region, request)
+                for d in dims:
+                    assert cursor.values(d) == generic.values(d) == _cells_view(
+                        cellset, region, FeatureRequest((d,), ())).attribute_column(d)
+                    if d in region:
+                        continue
+                    for v in generic.values(d) + ("z", NULL, ANY):
+                        child, generic_child = cursor.child(d, v), generic.child(d, v)
+                        assert child.region == generic_child.region
+                        for request in requests[:1 + len(dims)]:
+                            assert child.view(request) == generic_child.view(request) == \
+                                _cells_view(cellset, child.region, request)
+                        for e in dims:
+                            assert child.values(e) == generic_child.values(e)
 
 
 class TestFeatureFrame:

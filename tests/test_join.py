@@ -18,15 +18,18 @@ from cubecrawl import (
     JoinedCube,
     JoinSpec,
     Measure,
+    PushdownTerm,
     Region,
     Table,
+    apply_pushdown,
     join_cubes,
     load_cellset,
     materialize,
     naive_crawl,
+    region_children,
     top_down_crawl,
 )
-from cubecrawl.core import ANY, NULL
+from cubecrawl.core import ANY, NULL, RegionCursor, _CellCursor
 from cubecrawl.errors import JoinError, RequestError, SchemaError, SpecError
 
 from conftest import assert_values_match_view, random_table, t1_cube
@@ -216,13 +219,62 @@ class TestStrategyEquivalence:
         left, right = two_sided_tables(random.Random(73))
         glob = join_cubes(left, right, JoinSpec(on=("k0", "k1")), "global")
         checks = []
-        check = AbstractCube._check
-        monkeypatch.setattr(AbstractCube, "_check",
-                            lambda cube, *args: checks.append(cube) or check(cube, *args))
+        validate = FeatureRequest.validate
+        monkeypatch.setattr(FeatureRequest, "validate",
+                            lambda request, schema: checks.append(request)
+                            or validate(request, schema))
         glob.view(Region({"k0": "v0"}), FeatureRequest(("la",), ("left.m_left",)))
         assert len(checks) == 1
         with pytest.raises(SchemaError):
             glob.view(Region({"nope": "v0"}), FeatureRequest((), ("left.m_left",)))
+
+
+class TestCellsetCursors:
+    """A GLOBAL join and a crawl result bind their cellset's cursor, and a crawl, the
+    children it reaches and a pushdown read the same through it as through the
+    generic cursor, which goes through the cube's ``view``."""
+
+    @staticmethod
+    def _answers(cube, m0, m1, regions):
+        model = IdModel([m0], apriori={m0: True}, pushdown=[PushdownTerm(m1, ">=", 4)])
+        spec = CrawlSpec(models=[model], thresholds={m0: 6})
+        return (list(top_down_crawl(cube, spec).entries.items()),
+                [region_children(region, spec, cube) for region in regions],
+                [apply_pushdown(model, cube, region) for region in regions])
+
+    def test_crawls_read_through_the_cellset_cursor_as_through_the_generic_one(
+            self, monkeypatch):
+        left, right = two_sided_tables(random.Random(29))
+        glob = join_cubes(left, right, JoinSpec(on=("k0", "k1")), "global")
+        m0, m1 = "left.m_left", "right.m_right"
+        result = top_down_crawl(glob, CrawlSpec(models=[IdModel([m0, m1])],
+                                                thresholds={m1: 3}))
+        regions = list(result.entries)[:40] + [Region({"k0": "none"}), Region({"k0": ANY}),
+                                               Region({"k0": "v0", "rb": ANY})]
+        for cube in (glob, result):
+            assert type(cube.bind(EMPTY_REGION)) is _CellCursor
+            own = self._answers(cube, m0, m1, regions)
+            with monkeypatch.context() as patched:
+                patched.setattr(type(cube), "bind", AbstractCube.bind)
+                assert type(cube.bind(EMPTY_REGION)) is RegionCursor
+                assert self._answers(cube, m0, m1, regions) == own, type(cube).__name__
+            assert any(own[1]) and len(set(own[2])) == 2
+
+    def test_a_global_join_takes_unprefixed_measures_in_views_only(self):
+        left, right = two_sided_tables(random.Random(31))
+        glob = join_cubes(left, right, JoinSpec(on=("k0", "k1")), "global")
+        assert glob.view(EMPTY_REGION, FeatureRequest(("la",), ("m_left",))).measure_names \
+            == ("left.m_left",)
+        # a crawl validates its models against the joined schema before any view
+        with pytest.raises(SchemaError, match="unknown measure 'm_left'"):
+            top_down_crawl(glob, CrawlSpec(models=[EntityWeightModel("m_left")]))
+        with pytest.raises(SchemaError, match="unknown measure 'm_left'"):
+            glob.bind(EMPTY_REGION).view(FeatureRequest((), ("m_left",)))
+
+    def test_a_local_join_binds_the_generic_cursor(self):
+        left, right = two_sided_tables(random.Random(37))
+        local = join_cubes(left, right, JoinSpec(on=("k0", "k1")), "local")
+        assert type(local.bind(Region({"k0": "v0"}))) is RegionCursor
 
 
 _KEY_VALUES = {"string": st.sampled_from(["a", "b", "c"]), "integer": st.integers(-1, 1),

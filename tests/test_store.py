@@ -28,8 +28,9 @@ from cubecrawl import (
     rechunk,
     top_down_crawl,
 )
+import cubecrawl.store
 from cubecrawl.cli import main
-from cubecrawl.core import ANY, NULL
+from cubecrawl.core import ANY, NULL, RegionCursor
 from cubecrawl.errors import RequestError, SchemaError, SpecError, StoreError
 from cubecrawl.store import _canonical_items
 
@@ -454,6 +455,41 @@ class TestDecodeOnce:
             for attrs in ((), ("date",), ("Device",), ("Device", "date")):
                 request = FeatureRequest(attrs, ("Revenue",))
                 assert chunked.view(region, request) == cube.view(region, request)
+
+    def test_a_chunked_view_looks_one_cell_key_up_in_every_chunk(self, tmp_path, monkeypatch):
+        # device CC sells on even dates only, so its cells are absent from half the chunks
+        rows = [(device, f"d{i:02d}", 10 * i + len(device)) for i in range(6)
+                for device in ("A", "B", "CC") if device != "CC" or i % 2 == 0]
+        schema = DimensionSchema((Dimension("Device"), Dimension("date")),
+                                 (Measure.sum("Revenue"),))
+        cube = BaseTableGroupByCube(Table.from_rows(["Device", "date", "Revenue"], rows), schema)
+        chunked = chunk_by_partition(cube, "date", ["Device"], tmp_path / "chunks")
+        keys = []
+        cell_key = cubecrawl.store.cell_key
+        monkeypatch.setattr(cubecrawl.store, "cell_key",
+                            lambda *args: keys.append(args) or cell_key(*args))
+        for region in (EMPTY_REGION, Region({"Device": "CC"}), Region({"Device": "Z"}),
+                       Region({"Device": ANY})):
+            for attrs in ((), ("Device",), ("date",), ("date", "Device")):
+                keys.clear()
+                request = FeatureRequest(attrs, ("Revenue",))
+                frame = chunked.view(region, request)
+                assert len(keys) == 1
+                union = {}
+                for date, part in chunked._parts:
+                    chunk = chunked._read(date, part)
+                    for cell in chunk.cells_at(region, [a for a in attrs if a != "date"]):
+                        slots = {"Device": cell[0], "date": date}
+                        key = tuple(slots[a] for a in attrs)
+                        union[key] = union.get(key, 0) + chunk.cells[cell]["Revenue"]
+                assert {a: m for a, (m,) in frame.iter_rows()} == union, (region, attrs)
+                assert frame == cube.view(region, request)
+
+    def test_partitioned_stores_bind_the_generic_cursor(self, tmp_path):
+        chunked = chunk_by_partition(daily_cube(n_days=3), "date", ["Device"],
+                                     tmp_path / "chunks")
+        for store in (chunked, rechunk(chunked, tmp_path / "slices")):
+            assert type(store.bind(Region({"Device": "A"}))) is RegionCursor
 
     def test_rechunk_reads_through_the_decoded_chunks(self, tmp_path):
         chunked = chunk_by_partition(daily_cube(n_days=4), "date", ["Device"],
