@@ -107,6 +107,13 @@ def _sequence(value, what: str) -> tuple:
         raise SpecError(f"{what} must be a sequence, got {value!r}") from None
 
 
+def _mapping(value, what: str) -> dict:
+    """``value`` as a dict; anything but a mapping is a SpecError naming ``what``."""
+    if not isinstance(value, Mapping):
+        raise SpecError(f"{what} must be a mapping, got {value!r}")
+    return dict(value)
+
+
 def format_value(value) -> str:
     """Stable text form of a dimension value (used by keys, CSV, stores)."""
     if value is NULL:
@@ -544,55 +551,61 @@ class Instrumentation:
         }
 
 
-class RegionCursor:
+class RegionCursor(ABC):
     """A cube bound at one region: cheap views, child values, and refinement.
 
-    This cursor answers through the cube's own ``view``, ``region_values`` and
-    ``bind``; a cube with a faster way to refine a region subclasses it: a base
-    table's ``_TableCursor`` holds the region's row ids, and a cellset's
-    ``_CellCursor`` its probe cell.
+    Every cube's ``bind`` returns its own subclass, and ``AbstractCube.view`` and
+    ``region_values`` read through it: a base table's ``_TableCursor`` holds the
+    region's row ids, a cellset's ``_CellCursor`` its probe cell, a partitioned
+    store's ``_StoreCursor`` its partitions and one cell cursor for every part, and a
+    LOCAL join's ``_JoinCursor`` its sides' cursors.
     """
 
     def __init__(self, cube: "AbstractCube", region: Region):
         self.cube = cube
         self.region = region
 
-    def view(self, request: FeatureRequest) -> FeatureFrame:
-        return self.cube.view(self.region, request)
+    @abstractmethod
+    def view(self, request: FeatureRequest) -> FeatureFrame: ...
 
+    @abstractmethod
     def values(self, dim: str) -> tuple:
-        return self.cube.region_values(self.region, dim)
+        """Distinct values of ``dim`` observed inside the region, sorted."""
 
+    @abstractmethod
     def child(self, dim: str, value) -> "RegionCursor":
-        return self.cube.bind(self.region.with_binding(dim, value))
+        """The cursor of the region with ``dim=value`` added."""
+
+    def refine(self, region: Region) -> "RegionCursor":
+        """This cursor's child by each binding of ``region`` in turn: a ``bind`` refines
+        its cube's root cursor so."""
+        cursor = self
+        for dim, value in region.items():
+            cursor = cursor.child(dim, value)
+        return cursor
 
 
 class AbstractCube(ABC):
-    """The cube contract: a function (region, feature request) -> FeatureFrame."""
+    """The cube contract: a function (region, feature request) -> FeatureFrame, read
+    through the cursor that ``bind`` gives at the region."""
 
     @property
     @abstractmethod
     def schema(self) -> DimensionSchema: ...
 
     @abstractmethod
-    def view(self, region: Region, request: FeatureRequest) -> FeatureFrame: ...
+    def bind(self, region: Region) -> RegionCursor: ...
+
+    def view(self, region: Region, request: FeatureRequest) -> FeatureFrame:
+        return self.bind(region).view(request)
 
     def region_values(self, region: Region, dim: str) -> tuple:
         """Distinct values of ``dim`` observed inside ``region``, sorted."""
-        frame = self.view(region, FeatureRequest((dim,), ()))
-        return frame.attribute_column(dim)
-
-    def bind(self, region: Region) -> RegionCursor:
-        return RegionCursor(self, region)
+        return self.bind(region).values(dim)
 
     def to_cellset(self) -> "CellsetCube":
         """The cube materialized as a cellset over all of its dimensions."""
         return build_cellset(self, self.schema.dimension_names)
-
-    def _check(self, region: Region, request: FeatureRequest) -> None:
-        request.validate(self.schema)
-        for dim in region.dims:
-            self.schema.dimension(dim)
 
 
 class BaseTableGroupByCube(AbstractCube):
@@ -632,43 +645,34 @@ class BaseTableGroupByCube(AbstractCube):
 
     def _aggregate(self, groups: Mapping[tuple, Sequence[int]],
                    request: FeatureRequest) -> FeatureFrame:
-        """One row per group: each measure over the group's ascending row ids."""
+        """One row per group: each measure over the group's ascending row ids.  A float
+        SUM that is not finite is a DataError."""
         measures = [self._schema.measure(m) for m in request.metric_features]
-        sources = [(m.agg, [self._table.column(s) for s in m.sources]) for m in measures]
+        sources = [(m, [self._table.column(s) for s in m.sources]) for m in measures]
         rows = []
         for key, ids in groups.items():
             gather = _getter(ids)
             vals = []
-            for agg, cols in sources:
-                if agg == "sum":
+            for m, cols in sources:
+                if m.agg == "sum":
                     gathered = gather(cols[0])
                     total = sum(gathered)
                     if type(total) is float:
                         # ``sum`` compensates floats from Python 3.12: add them again
                         # left to right in table order, so float sums keep their bytes
                         total = sum_in_order(gathered)
+                        if not finite_number(total):
+                            raise DataError(f"measure {m.name!r}: the SUM of {len(ids)} rows "
+                                            f"is {total!r}, not a finite number")
                     vals.append(total)
                 else:
                     vals.append(len(set(zip(*map(gather, cols)))))
             rows.append((key, tuple(vals)))
         return FeatureFrame(request.attribute_features, request.metric_features, rows)
 
-    def view(self, region: Region, request: FeatureRequest) -> FeatureFrame:
-        return self.bind(region).view(request)
-
-    def region_values(self, region: Region, dim: str) -> tuple:
-        return self.bind(region).values(dim)
-
     def bind(self, region: Region) -> RegionCursor:
-        root = _TableCursor(self, EMPTY_REGION, self._all_rows, self._root_partitions)
-        if not region.degree:
-            return root
-        postings = (root._partition(d).get(v, ()) for d, v in region.items())
-        rows, *others = sorted(postings, key=len)
-        for other in others:
-            members = set(other)
-            rows = tuple(i for i in rows if i in members)
-        return _TableCursor(self, region, rows, {})
+        return _TableCursor(self, EMPTY_REGION, self._all_rows,
+                            self._root_partitions).refine(region)
 
 
 def _getter(positions: Sequence[int]):
@@ -745,31 +749,14 @@ class _TableCursor(RegionCursor):
         return _TableCursor(self.cube, self.region.with_binding(dim, value), rows, {})
 
 
-def cell_key(names: Sequence[str], region: Region, attrs: Sequence[str]) -> tuple:
-    """The lookup key of a view of ``region`` with attributes ``attrs`` in a cellset over
-    the dimensions ``names``: its shape, the (bound, free) dimension sets, and its probe."""
-    bound = frozenset(region.dims)
-    return (bound, frozenset(attrs) - bound), _probe(names, region)
-
-
-def _probe(names: Sequence[str], region: Region) -> tuple | None:
-    """The cell of ``region`` in a cellset over ``names``: its bound values, with ANY
-    elsewhere.  A cell's values are its mask's dimensions, so a region that binds ANY
-    has no cell, and no probe: None."""
-    bindings = region.bindings()
-    if any(v is ANY for v in bindings.values()):
-        return None
-    return tuple(bindings.get(d, ANY) for d in names)
-
-
 class CellsetCube(AbstractCube):
     """Materialized cube: full-width cells (value or ANY per dimension) -> measure
     tuple in ``schema.measure_names`` order; ``cells`` is the by-name view.
 
     Every view is a lookup: ``bind`` gives a ``_CellCursor`` holding the region's
     probe cell, and a view with free attributes reads the cells of its (bound, free)
-    shape grouped by that probe, ``cells_for`` a ``cell_key``.  Crawl results and GLOBAL
-    joins bind this cursor, and a chunk store looks one ``cell_key`` up in each chunk."""
+    shape grouped by that probe.  Crawl results and GLOBAL joins bind this cursor, and
+    a partitioned store reads its parts through cursors of it."""
 
     def __init__(self, schema: DimensionSchema, cells: Mapping[tuple, Sequence]):
         self._schema = schema
@@ -808,23 +795,6 @@ class CellsetCube(AbstractCube):
             raise SchemaError(f"unknown dimension {dim!r}")
         return at
 
-    def cells_at(self, region: Region, attrs: Sequence[str]) -> list[tuple]:
-        """The cells of a view of ``region`` with attributes ``attrs``."""
-        return self.cells_for(cell_key(self._schema.dimension_names, region, attrs))
-
-    def cells_for(self, key: tuple) -> list[tuple]:
-        """The cells of the view that ``key``, a ``cell_key``, names: without free
-        attributes the probe's one cell, else the probe's group among the cells of the
-        shape's mask, which are grouped once per shape by the cell with its free
-        attributes ANY."""
-        shape, probe = key
-        if not shape[1]:
-            return [probe] if probe in self._cells else []
-        groups = self._by_shape.get(shape)
-        if groups is None:
-            groups = self._by_shape[shape] = self._group(*shape)
-        return groups.get(probe, [])
-
     def _plan(self, request: FeatureRequest) -> tuple:
         """A request's attributes as a set, and the getters of a view row's attributes
         from a cell and of its measures from the cell's measures; the request is
@@ -861,26 +831,18 @@ class CellsetCube(AbstractCube):
             by_flags[flags].append(cell)
         return {frozenset(compress(names, flags)): group for flags, group in by_flags.items()}
 
-    def view(self, region: Region, request: FeatureRequest) -> FeatureFrame:
-        return self.bind(region).view(request)
-
-    def region_values(self, region: Region, dim: str) -> tuple:
-        return self.bind(region).values(dim)
-
     def bind(self, region: Region) -> "_CellCursor":
-        for dim in region.dims:
-            self._index(dim)
-        return _CellCursor(self, region, frozenset(region.dims),
-                           _probe(self._schema.dimension_names, region))
+        return _CellCursor(self, EMPTY_REGION, frozenset(), (ANY,) * len(self._at)).refine(region)
 
 
 class _CellCursor(RegionCursor):
-    """A cellset region's probe cell, which ``cell_key`` defines: its bound values with
-    ANY elsewhere, or None for a region that binds ANY, which has no cells.
+    """A cellset region's probe cell: its bound values with ANY elsewhere, or None for
+    a region that binds ANY, which has no cells: a cell's values are its mask's
+    dimensions.
 
-    ``child`` sets one slot of the probe; a view without free attributes is one
-    lookup of the probe, and any other view, and ``values``, read the probe's group
-    of its shape.
+    ``child`` sets one slot of the probe.  ``cells`` gives the cells of a view, which
+    ``view`` and ``values`` read: without free attributes one lookup of the probe,
+    else the probe's group of the view's (bound, free) shape.
     """
 
     def __init__(self, cube: CellsetCube, region: Region, bound: frozenset, probe):
@@ -888,26 +850,38 @@ class _CellCursor(RegionCursor):
         self._bound = bound
         self.probe = probe
 
+    def cells(self, attrs: Iterable[str], cellset: CellsetCube | None = None) -> list[tuple]:
+        """The cells of the region's view with the attributes ``attrs`` in the cursor's
+        cellset, or in ``cellset``, another over the same dimensions: the probe's group
+        among the cells of the view's shape's mask, which are grouped once per shape by
+        the cell with its free attributes ANY."""
+        cube = cellset or self.cube
+        free = frozenset(attrs) - self._bound
+        if not free:
+            return [self.probe] if self.probe in cube._cells else []
+        shape = (self._bound, free)
+        groups = cube._by_shape.get(shape)
+        if groups is None:
+            groups = cube._by_shape[shape] = cube._group(*shape)
+        return groups.get(self.probe, [])
+
     def view(self, request):
         # ``bind`` and ``child`` have checked the region's dimensions
         cube = self.cube
         attrs, at, picks = cube._plan(request)
-        free = attrs - self._bound
-        if free:
-            cells = cube.cells_for(((self._bound, free), self.probe))
-            rows = [(at(cell), picks(cube._cells[cell])) for cell in cells]
-        else:
+        if attrs <= self._bound:  # the probe's one cell, looked up once
             values = cube._cells.get(self.probe)
             rows = [] if values is None else [(at(self.probe), picks(values))]
+        else:
+            rows = [(at(cell), picks(cube._cells[cell])) for cell in self.cells(attrs)]
         return FeatureFrame(request.attribute_features, request.metric_features, rows)
 
     def values(self, dim):
         i = self.cube._index(dim)
         if dim in self._bound:
             return (self.region.get(dim),) if self.probe in self.cube._cells else ()
-        cells = self.cube.cells_for(((self._bound, frozenset((dim,))), self.probe))
         # in the order of a view's rows: NULL sorts after every value
-        return tuple(sorted(cell[i] for cell in cells))
+        return tuple(sorted(cell[i] for cell in self.cells((dim,))))
 
     def child(self, dim, value):
         region = self.region.with_binding(dim, value)

@@ -41,6 +41,7 @@ from .core import (
     Table,
     _count,
     _getter,
+    _mapping,
     _sequence,
     finite_number,
     integer,
@@ -121,9 +122,6 @@ class ResultCube(AbstractCube):
             self._cellset = CellsetCube(self._schema, cells)
         return self._cellset
 
-    def view(self, region, request):
-        return self.to_cellset().view(region, request)
-
     def bind(self, region):
         return self.to_cellset().bind(region)
 
@@ -169,11 +167,13 @@ class _Resolved:
 
     def __init__(self, spec: CrawlSpec, cube: AbstractCube):
         schema = cube.schema
-        self.models = tuple(spec.models)
+        self.models = _sequence(spec.models, "models")
         if not self.models:
             raise SpecError("a crawl needs at least one model")
         declared: dict[str, RegionAnalysisModel] = {}
         for model in self.models:
+            if not isinstance(model, RegionAnalysisModel):
+                raise SpecError(f"a crawl's models must be analysis models, got {model!r}")
             model.validate_against(schema)
             for s in model.signal_names:
                 if s in declared:
@@ -186,7 +186,9 @@ class _Resolved:
         # signal -> [(test, bound, prunes)]: a region fails iff not test(signal, bound),
         # and only a failed minimum on an apriori signal prunes its children
         self.thresholds: dict[str, list[tuple]] = {}
-        for key, value in dict(spec.thresholds).items():
+        for key, value in _mapping(spec.thresholds, "thresholds").items():
+            if not isinstance(key, str):
+                raise SpecError(f"a threshold is keyed by a signal name, got {key!r}")
             negated = key.startswith("-")
             name = key[1:] if negated else key
             if name not in declared:
@@ -254,7 +256,7 @@ class _Resolved:
         self.dimension_values = None
         if spec.dimension_values is not None:
             self.dimension_values = {}
-            for d, values in spec.dimension_values.items():
+            for d, values in _mapping(spec.dimension_values, "dimension_values").items():
                 schema.dimension(d)
                 self.dimension_values[d] = set(_sequence(values, f"dimension_values[{d!r}]"))
 
@@ -267,7 +269,10 @@ class _Resolved:
 
         self.top_n = None
         if spec.top_n is not None:
-            signal, n = spec.top_n
+            top_n = _sequence(spec.top_n, "top_n")
+            if len(top_n) != 2 or not isinstance(top_n[0], str):
+                raise SpecError(f"top_n must be a (signal, n) pair, got {spec.top_n!r}")
+            signal, n = top_n
             if signal not in declared:
                 raise SpecError(f"top-n signal {signal!r} is not declared by any model")
             self.top_n = (signal, _top_n_count(n))
@@ -283,7 +288,8 @@ class _Resolved:
         if isinstance(spec.dimension_order, str):
             if spec.dimension_order != "ascending_cardinality":
                 raise SpecError(f"unknown dimension order {spec.dimension_order!r}")
-            cards = {d: len(cube.region_values(EMPTY_REGION, d)) for d in self.dims}
+            root = cube.bind(EMPTY_REGION)
+            cards = {d: len(root.values(d)) for d in self.dims}
             order = sorted(self.dims, key=lambda d: (cards[d], d))
         else:
             order = list(spec.dimension_order)

@@ -2,13 +2,16 @@
 
 Both strategies run one hash join of (attributes, measures) rows on their
 join-dimension values, ``_join_rows``.  The LOCAL strategy defers all work:
-each view joins the rows of both sides' frames.  The GLOBAL strategy joins
-once, at construction, the cells of each side's ``to_cellset()`` (a cellset
-side as it is, any other cube built once), with ANY a key value like any other
-(Gray et al.'s ALL): each left cell meets exactly the right cells that the
-LOCAL view at the union of their masks joins it with.  Every later view is a
+``bind`` gives a ``_JoinCursor`` over each side's cursor at its projection of
+the region, and each view joins the rows of both sides' views.  The GLOBAL
+strategy joins once, at construction, the cells of each side's ``to_cellset()``
+(a cellset side as it is, any other cube built once), with ANY a key value like
+any other (Gray et al.'s ALL): each left cell meets exactly the right cells that
+the LOCAL view at the union of their masks joins it with.  Every later view is a
 cellset lookup, and ``bind`` gives the joined cellset's own cursor, so both
-strategies answer every (region, request) identically.
+strategies answer every (region, request) identically.  Measures are named with
+their side's prefix: ``JoinedCube.view`` also resolves an unambiguous
+unprefixed name, and a cursor of either strategy takes prefixed names only.
 
 View semantics: each side is aggregated at its own granularity and the frames
 are joined on the join dimensions that appear among the requested attributes.
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 
 from .core import (
     ANY,
+    EMPTY_REGION,
     AbstractCube,
     CellsetCube,
     DimensionSchema,
@@ -136,67 +140,79 @@ class JoinedCube(AbstractCube):
             raise RequestError(f"measure name {name!r} is ambiguous; use a side prefix")
         raise SchemaError(f"unknown measure {name!r}")
 
-    def _canonical_request(self, request: FeatureRequest) -> FeatureRequest:
-        metrics = tuple(self.resolve_measure(m) for m in request.metric_features)
-        return FeatureRequest(request.attribute_features, metrics)
-
     def view(self, region: Region, request: FeatureRequest) -> FeatureFrame:
-        request = self._canonical_request(request)
-        if self._cellset is not None:
-            return self._cellset.view(region, request)  # checks against the same schema
-        self._check(region, request)
-        return self._local_view(region, request)
+        metrics = tuple(map(self.resolve_measure, request.metric_features))
+        return super().view(region, FeatureRequest(request.attribute_features, metrics))
 
     def bind(self, region: Region) -> RegionCursor:
-        """GLOBAL: the joined cellset's cursor, whose views take prefixed measure names
-        only; LOCAL: a cursor through ``view``."""
+        """GLOBAL: the joined cellset's cursor; LOCAL: a ``_JoinCursor`` over each side's
+        cursor at its projection of ``region``."""
         if self._cellset is not None:
             return self._cellset.bind(region)
-        return super().bind(region)
+        return _JoinCursor(self, EMPTY_REGION, self.left.bind(EMPTY_REGION),
+                           self.right.bind(EMPTY_REGION)).refine(region)
 
-    def _side_inputs(self, region: Region, request: FeatureRequest, side: str):
-        dims = self._left_dims if side == "left" else self._right_dims
-        bindings = {d: v for d, v in region.items() if d in dims}
-        attrs = tuple(a for a in request.attribute_features if a in dims)
-        metrics = tuple(orig for m in request.metric_features
-                        for s, orig in (self._measure_map[m],) if s == side)
-        return Region(bindings), FeatureRequest(attrs, metrics)
+    def to_cellset(self) -> CellsetCube:
+        """GLOBAL returns the cellset it joined at construction; LOCAL builds one
+        with one view join per mask of the merged dimensions."""
+        return self._cellset or super().to_cellset()
 
-    def _local_view(self, region: Region, request: FeatureRequest) -> FeatureFrame:
-        left_region, left_request = self._side_inputs(region, request, "left")
-        right_region, right_request = self._side_inputs(region, request, "right")
-        left_frame = self.left.view(left_region, left_request)
-        right_frame = self.right.view(right_region, right_request)
-        self.counters["local_view_joins"] += 1
 
-        l_attrs, r_attrs = left_request.attribute_features, right_request.attribute_features
-        keys = [a for a in l_attrs if a in self._join_dims]
-        rest = tuple(a for a in r_attrs if a in self._right_only)
+class _JoinCursor(RegionCursor):
+    """A LOCAL join bound at a region: each side's cursor at its projection of the
+    region.  ``child`` refines the side that has the dimension, or both sides for a
+    join dimension, and a view joins the two sides' views with ``_join_rows``."""
+
+    def __init__(self, cube: JoinedCube, region: Region, left: RegionCursor,
+                 right: RegionCursor):
+        super().__init__(cube, region)
+        self.left = left
+        self.right = right
+
+    def view(self, request):
+        cube = self.cube
+        request.validate(cube.schema)
+        frames = []
+        for side, cursor, dims in (("left", self.left, cube._left_dims),
+                                   ("right", self.right, cube._right_dims)):
+            attrs = tuple(a for a in request.attribute_features if a in dims)
+            metrics = tuple(orig for m in request.metric_features
+                            for s, orig in (cube._measure_map[m],) if s == side)
+            frames.append(cursor.view(FeatureRequest(attrs, metrics)))
+        left_frame, right_frame = frames
+        l_attrs, r_attrs = left_frame.attribute_names, right_frame.attribute_names
+        cube.counters["local_view_joins"] += 1
+
+        keys = [a for a in l_attrs if a in cube._join_dims]
+        rest = tuple(a for a in r_attrs if a in cube._right_only)
         # unmatched left rows have no right-side values at all, so they drop out
         # of any view whose region or attributes touch a right-only dimension
-        right_only_involved = rest or any(d in self._right_only for d in region.dims)
-        pad = ((), (None,) * len(right_request.metric_features))
+        right_only_involved = rest or any(d in cube._right_only for d in self.region.dims)
+        pad = ((), (None,) * len(right_frame.measure_names))
         rows = _join_rows(left_frame.iter_rows(), right_frame.iter_rows(),
                           _getter([l_attrs.index(k) for k in keys]),
                           _getter([r_attrs.index(k) for k in keys]),
                           _getter([r_attrs.index(a) for a in rest]),
-                          None if right_only_involved or self.spec.kind != "left" else pad)
+                          None if right_only_involved or cube.spec.kind != "left" else pad)
         # a joined row holds the left attributes then the right-only ones, and the
         # left measures then the right ones: put both in the request's order
         joined_attrs = l_attrs + rest
         joined_metrics = sorted(request.metric_features,
-                                key=lambda m: self._measure_map[m][0] == "right")
+                                key=lambda m: cube._measure_map[m][0] == "right")
         attrs = _getter([joined_attrs.index(a) for a in request.attribute_features])
         metrics = _getter([joined_metrics.index(m) for m in request.metric_features])
         return FeatureFrame(request.attribute_features, request.metric_features,
                             [(attrs(a), metrics(m)) for a, m in rows.items()])
 
-    def to_cellset(self) -> CellsetCube:
-        """GLOBAL returns the cellset it joined at construction; LOCAL builds one
-        with one view join per mask of the merged dimensions."""
-        if self._cellset is not None:
-            return self._cellset
-        return super().to_cellset()
+    def values(self, dim):
+        return self.view(FeatureRequest((dim,), ())).attribute_column(dim)
+
+    def child(self, dim, value):
+        cube = self.cube
+        cube.schema.dimension(dim)
+        left = self.left.child(dim, value) if dim in cube._left_dims else self.left
+        right = self.right.child(dim, value) if dim in cube._right_dims else self.right
+        return _JoinCursor(cube, self.region.with_binding(dim, value), left, right)
 
 
 def join_cubes(left: AbstractCube, right: AbstractCube, spec: JoinSpec,

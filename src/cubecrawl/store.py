@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from itertools import accumulate, chain, groupby, repeat
-from operator import itemgetter
+from operator import add, itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -49,14 +50,16 @@ from .core import (
     FeatureRequest,
     Instrumentation,
     Region,
+    RegionCursor,
+    _CellCursor,
     _getter,
     build_cellset,
-    cell_key,
+    finite_number,
     format_value,
     schema_from_dict,
     schema_to_dict,
 )
-from .errors import RequestError, SchemaError, SpecError, StoreError
+from .errors import DataError, RequestError, SchemaError, SpecError, StoreError
 
 MAGIC = b"CCSTORE1"
 FORMAT_VERSION = 1
@@ -112,22 +115,31 @@ def decode_value(data: Mapping, dim: Dimension):
 
 def _pack_column(name: str, role: int, col_type: int, column: Sequence) -> bytes:
     """One column of a part: its header, a marker per row, then the payload, where each
-    non-value row holds its type's zero."""
+    non-value row holds its type's zero.  ``struct`` refuses an int that its slot cannot
+    hold, and a FLOAT64 slot refuses a float that is not finite."""
     markers = bytes(map(_MARK_OF.get, column, repeat(_MARK_VALUE)))
     fill = dict.fromkeys(_MARK_OF, _ZERO[col_type])
     values = list(map(fill.get, column, column))  # a value stands for itself
     text = name.encode()
     head = struct.pack(f"<H{len(text)}sBB", len(text), text, role, col_type)
     if col_type != _STRING:
+        if col_type == _FLOAT64 and not all(map(math.isfinite, values)):
+            raise OverflowError(f"{name!r} holds a number that is not finite")
         return b"".join([head, markers, struct.pack(f"<{len(values)}{_SLOT[col_type]}", *values)])
     blobs = [str(v).encode() for v in values]
     offsets = struct.pack(f"<{len(blobs) + 1}I", 0, *accumulate(map(len, blobs)))
     return b"".join([head, markers, offsets, b"".join(blobs)])
 
 
-def _write_part(path: Path, dims: Sequence[Dimension], measure_names: Sequence[str],
-                rows: Sequence[tuple[tuple, Sequence]]) -> dict:
-    """Write one part file of (cell, measure tuple) rows, a column at a time; returns its entry."""
+# the values of each numeric column type: the i64 range, and finite floats
+_HOLDS = {_INT64: lambda v: -2 ** 63 <= v < 2 ** 63, _FLOAT64: finite_number}
+
+
+def _pack_part(dims: Sequence[Dimension], measure_names: Sequence[str],
+               rows: Sequence[tuple[tuple, Sequence]]) -> bytes:
+    """One part file of (cell, measure tuple) rows, packed a column at a time.  A measure
+    column is INT64 when it holds ints only, besides the None of an absent join side.  A
+    value past its column type's range is a DataError naming the column and the cell."""
     names = [d.name for d in dims] + list(measure_names)
     cells, measures = [cell for cell, _ in rows], [values for _, values in rows]
     columns = chain((list(map(itemgetter(j), cells)) for j in range(len(dims))),
@@ -136,25 +148,37 @@ def _write_part(path: Path, dims: Sequence[Dimension], measure_names: Sequence[s
     types = [_DOMAIN_TYPE[d.domain] for d in dims] + [
         _INT64 if set(map(type, map(itemgetter(j), measures))) <= {int, type(None)} else _FLOAT64
         for j in range(len(measure_names))]
-    data = b"".join([MAGIC, struct.pack("<IIQ", FORMAT_VERSION, len(names), len(rows)),
-                     *map(_pack_column, names, roles, types, columns)])
-    path.write_bytes(data)
-    return {"file": path.name, "rows": len(rows), "checksum": _checksum(data)}
+    try:
+        return b"".join([MAGIC, struct.pack("<IIQ", FORMAT_VERSION, len(names), len(rows)),
+                         *map(_pack_column, names, roles, types, columns)])
+    except (struct.error, OverflowError):
+        for cell, values in rows:
+            for name, col_type, value in zip(names, types, cell + tuple(values)):
+                if col_type in _HOLDS and value not in _MARK_OF and not _HOLDS[col_type](value):
+                    raise DataError(f"column {name!r} holds {value!r} at the cell {cell!r}, "
+                                    f"which a store cannot hold") from None
+        raise
 
 
 def _write_store(path, manifest: dict, dims: Sequence[Dimension], measure_names: Sequence[str],
                  parts: Iterable[tuple[str, object, Sequence]]) -> None:
     """Create the directory at ``path``, write each (file name, manifest key, rows) of
     ``parts`` as a part over ``dims`` and ``measure_names``, then the manifest: ``manifest``
-    plus the keys every store shares.  Only a writer past all it can fail at passes lazy parts.
+    plus the keys every store shares.
 
-    A store at ``path`` is replaced: its part files that the new store does not write
-    go.  Any other non-empty ``path`` is a StoreError, before anything is written."""
+    Every part is packed before the directory is made, so input that fails, a value
+    no column can hold among it, leaves ``path`` as it was.  A store at ``path`` is
+    replaced: its part files that the new store does not write go.  Any other non-empty
+    ``path`` is a StoreError, before any part is computed."""
     path = Path(path)
     old_parts = _old_parts(path)
+    packed = [(name, key, len(rows), _pack_part(dims, measure_names, rows))
+              for name, key, rows in parts]
     path.mkdir(parents=True, exist_ok=True)
-    entries = [dict(_write_part(path / name, dims, measure_names, rows), key=key)
-               for name, key, rows in parts]
+    entries = []
+    for name, key, n_rows, data in packed:
+        (path / name).write_bytes(data)
+        entries.append({"file": name, "rows": n_rows, "checksum": _checksum(data), "key": key})
     payload = dict(manifest, format="cube-store", version=FORMAT_VERSION,
                    sort="canonical-cell-key", parts=entries)
     (path / MANIFEST_NAME).write_text(json.dumps(payload, indent=1, sort_keys=True),
@@ -208,6 +232,8 @@ def _read_column(r: _Reader, path: Path, n_rows: int, role: int, col_type: int) 
         # struct reads any nonzero byte as True; a BOOL slot holds 0 or 1
         if col_type == _BOOL and r.data[r.pos - n_rows:r.pos].translate(None, b"\0\1"):
             raise StoreError(f"{path.name}: bad boolean value")
+        if col_type == _FLOAT64 and not all(map(math.isfinite, raw)):
+            raise StoreError(f"{path.name}: a FLOAT64 value is not finite")
     else:
         offsets = r.unpack(f"<{n_rows + 1}I")
         blob = r.take(offsets[-1])
@@ -385,7 +411,6 @@ def chunk_by_partition(cube: BaseTableGroupByCube, partition_dim: str,
     view_schema = DimensionSchema(
         tuple(d for d in schema.dimensions if d.name in dims or d.name == partition_dim),
         schema.measures)
-    # past the checks nothing fails, so each chunk is built as its part is written
     parts = ((f"chunk-{i:05d}.bin", encode_value(value),
               _canonical_items(build_cellset(cube, dims, Region({partition_dim: value}))._cells))
              for i, value in enumerate(values))
@@ -397,14 +422,9 @@ def chunk_by_partition(cube: BaseTableGroupByCube, partition_dim: str,
 
 
 class _PartitionedStore(AbstractCube):
-    """Shared view assembly for the chunked and re-chunked encodings.
-
-    A view is a lookup: a decoded chunk is a ``CellsetCube`` over the cell
-    dimensions, so a chunked view computes one ``cell_key`` and looks it up in each
-    chunk it reads, and a re-chunked store finds the slices to read in a cellset of
-    its slice keys.  ``view`` merges the (partition value, cell, measures) rows that
-    each kind's ``_partition_rows`` yields for its partition values.  A store binds
-    the generic ``RegionCursor``, whose every view is such a merge.
+    """Shared cursor assembly for the chunked and re-chunked encodings: a store binds a
+    ``_StoreCursor``, and each kind's ``_rows`` yields the (partition value, cell,
+    measures) rows of its view, reading each part it consults through ``_read``.
     Each part is decoded at most once per store: ``_read`` keeps the decoded
     form of every part that decoded cleanly, so later views reuse it (a
     chunk's ``CellsetCube`` with its lookup index, or a slice's cells, each
@@ -425,13 +445,14 @@ class _PartitionedStore(AbstractCube):
             tuple(self._schema.dimension(d) for d in self.cell_dims), self._schema.measures)
         self.counters = (instrumentation or Instrumentation()).counters
         self._decoded: dict = {}
+        self._open()
 
     @property
     def schema(self) -> DimensionSchema:
         return self._schema
 
     def partition_values(self) -> tuple:
-        raise NotImplementedError
+        return self._values
 
     def _read(self, key, part: dict):
         """The decoded form of the part at ``key``, counting one logical read.
@@ -454,18 +475,15 @@ class _PartitionedStore(AbstractCube):
     def _form(self, cells: dict[tuple, tuple]):
         return cells
 
+    def bind(self, region: Region) -> "_StoreCursor":
+        return _StoreCursor(self, EMPTY_REGION, frozenset(self._values),
+                            self._keys.bind(EMPTY_REGION)).refine(region)
+
     def view(self, region: Region, request: FeatureRequest,
              partition_range: tuple | None = None) -> FeatureFrame:
-        """The frame from the partitions in the inclusive ``partition_range``, or all.  A view
-        that binds or requests the partition reads their stored totals as they are; any other
-        adds them in partition order, so a float SUM can differ from the live cube's."""
-        self._check(region, request)
-        bindings = region.bindings()
-        partition_binding = bindings.pop(self.partition_dim, None)
-
-        values = set(self.partition_values())
-        if partition_binding is not None:
-            values = {v for v in values if v == partition_binding}
+        """The frame from the partitions in the inclusive ``partition_range``, or all: the
+        view of the store's cursor at ``region`` restricted to those partitions."""
+        cursor = self.bind(region)
         if partition_range is not None:
             if not (isinstance(partition_range, (tuple, list)) and len(partition_range) == 2):
                 raise RequestError(f"partition_range {partition_range!r} is not a (lo, hi) pair")
@@ -476,41 +494,68 @@ class _PartitionedStore(AbstractCube):
                 if not (bound is None or bound is NULL or type(bound) is domain):
                     raise RequestError(f"partition_range bound {bound!r} is not a value of "
                                        f"{self.partition_dim!r}")
-            values = {v for v in values if (lo is None or v >= lo) and (hi is None or v <= hi)}
+            cursor.partitions = frozenset(v for v in cursor.partitions
+                                          if (lo is None or v >= lo) and (hi is None or v <= hi))
+        return cursor.view(request)
 
-        attrs = request.attribute_features
-        timeseries = self.partition_dim in attrs
+
+class _StoreCursor(RegionCursor):
+    """A partitioned store bound at a region: the partition values it reads, and the
+    probe, a ``_CellCursor`` at the region's cell bindings in a cellset of the store's
+    slice keys (none for a chunked store).  The probe finds a view's cells in every
+    part, since a chunk is a ``CellsetCube`` over the cell dimensions and a slice's
+    key a cell.  ``child`` on the partition dimension keeps the partition of its
+    value, and on a cell dimension refines the probe.  ``view`` merges the parts'
+    rows once, in partition order: a view that binds or requests the partition reads
+    the stored totals as they are; any other adds them, so a float SUM can differ
+    from the live cube's."""
+
+    def __init__(self, cube: _PartitionedStore, region: Region, partitions: frozenset,
+                 probe: _CellCursor):
+        super().__init__(cube, region)
+        self.partitions = partitions
+        self.probe = probe
+
+    def view(self, request):
+        store = self.cube
+        request.validate(store.schema)
+        attrs, partition_dim = request.attribute_features, store.partition_dim
+        timeseries = partition_dim in attrs
         # merging rows across partitions is only sound for SUM; a single bound
         # partition value or a timeseries view never merges across partitions
-        if not timeseries and partition_binding is None:
-            for m in request.metric_features:
-                if self._schema.measure(m).agg != "sum":
-                    raise StoreError(
-                        f"measure {m!r} cannot be re-aggregated across partitions; "
-                        f"request {self.partition_dim!r} as an attribute instead"
-                    )
+        merges = not timeseries and partition_dim not in self.region
+        for m in request.metric_features if merges else ():
+            if store.schema.measure(m).agg != "sum":
+                raise StoreError(f"measure {m!r} cannot be re-aggregated across partitions; "
+                                 f"request {partition_dim!r} as an attribute instead")
+        # a timeseries row's key reads its cell followed by its partition value
+        cells = store.cell_dims + (partition_dim,)
+        at = _getter([cells.index(a) for a in attrs])
+        metrics = request.metric_features
+        pick = _getter([store.schema.measure_names.index(m) for m in metrics])
+        rows: dict[tuple, tuple] = {}
+        for value, cell, measures in store._rows(self.partitions, self.probe,
+                                                 frozenset(attrs) - {partition_dim}):
+            key = at(cell + (value,)) if timeseries else at(cell)
+            total = rows.get(key)
+            if total is None:
+                rows[key] = pick(measures)
+            elif metrics:
+                rows[key] = tuple(map(add, total, pick(measures)))
+        if merges and not all(map(finite_number, chain.from_iterable(rows.values()))):
+            raise DataError(f"a SUM over the partitions of {store.path} is not a finite number")
+        if not rows and not attrs and not self.region.degree:
+            rows[()] = (0,) * len(metrics)
+        return FeatureFrame(attrs, metrics, rows.items())
 
-        cell_attrs = tuple(a for a in attrs if a != self.partition_dim)
-        at = _getter([self.cell_dims.index(a) for a in cell_attrs])
-        names = self._schema.measure_names
-        picks = [names.index(m) for m in request.metric_features]
-        pick = _getter(picks)
-        where = attrs.index(self.partition_dim) if timeseries else None
-        rows: dict[tuple, list] = {}
-        for value, cell, measures in self._partition_rows(Region(bindings), cell_attrs, values):
-            key = at(cell)
-            if where is not None:
-                key = key[:where] + (value,) + key[where:]
-            if key in rows:
-                acc = rows[key]
-                for i, j in enumerate(picks):
-                    acc[i] += measures[j]
-            else:
-                rows[key] = list(pick(measures))
-        if not rows and not attrs and region.degree == 0:
-            rows[()] = [0 for _ in request.metric_features]
-        return FeatureFrame(attrs, request.metric_features,
-                            [(k, tuple(v)) for k, v in rows.items()])
+    def values(self, dim):
+        return self.view(FeatureRequest((dim,), ())).attribute_column(dim)
+
+    def child(self, dim, value):
+        region = self.region.with_binding(dim, value)
+        if dim == self.cube.partition_dim:
+            return _StoreCursor(self.cube, region, self.partitions & {value}, self.probe)
+        return _StoreCursor(self.cube, region, self.partitions, self.probe.child(dim, value))
 
 
 class ChunkStore(_PartitionedStore):
@@ -519,28 +564,24 @@ class ChunkStore(_PartitionedStore):
     _kind = "chunked"
     _read_counter = "chunk_reads"
 
-    def __init__(self, path, instrumentation: Instrumentation | None = None,
-                 opened: tuple[dict, DimensionSchema] | None = None):
-        super().__init__(path, instrumentation, opened)
+    def _open(self):
         partition = self._schema.dimension(self.partition_dim)
         self._parts = [(decode_value(p["key"], partition), p) for p in self.manifest["parts"]]
         if len({v for v, _ in self._parts}) != len(self._parts):
             raise StoreError("manifest lists a chunk key twice")
+        self._values = tuple(v for v, _ in self._parts)
         self._part_dims = self._cell_schema.dimensions
-
-    def partition_values(self) -> tuple:
-        return tuple(v for v, _ in self._parts)
+        # a chunk has no key to find: the probe binds an empty cellset of its dimensions
+        self._keys = CellsetCube(DimensionSchema(self._part_dims, ()), {})
 
     def _form(self, cells: dict[tuple, tuple]) -> CellsetCube:
         return CellsetCube(self._cell_schema, cells)
 
-    def _partition_rows(self, region, attrs, wanted):
-        # every chunk is a cellset over the cell schema, so one key looks each one up
-        key = cell_key(self.cell_dims, region, attrs)
+    def _rows(self, partitions, probe, attrs):
         for value, part in self._parts:
-            if value in wanted:
+            if value in partitions:
                 chunk = self._read(value, part)
-                for cell in chunk.cells_for(key):
+                for cell in probe.cells(attrs, chunk):
                     yield value, cell, chunk._cells[cell]
 
 
@@ -566,9 +607,7 @@ class RechunkedStore(_PartitionedStore):
     _kind = "rechunked"
     _read_counter = "slice_reads"
 
-    def __init__(self, path, instrumentation: Instrumentation | None = None,
-                 opened: tuple[dict, DimensionSchema] | None = None):
-        super().__init__(path, instrumentation, opened)
+    def _open(self):
         cell_dims = self._cell_schema.dimensions
         self._slices = {tuple(decode_value(v, d) for v, d in zip(p["key"], cell_dims)): p
                         for p in self.manifest["parts"]}
@@ -579,13 +618,10 @@ class RechunkedStore(_PartitionedStore):
         self._values = tuple(decode_value(v, self._part_dims[0])
                              for v in self.manifest["partition_values"])
 
-    def partition_values(self) -> tuple:
-        return self._values
-
-    def _partition_rows(self, region, attrs, wanted):
-        for cell in self._keys.cells_at(region, attrs):
+    def _rows(self, partitions, probe, attrs):
+        for cell in probe.cells(attrs):
             for (value,), measures in self._read(cell, self._slices[cell]).items():
-                if value in wanted:
+                if value in partitions:
                     yield value, cell, measures
 
 

@@ -11,7 +11,8 @@ import itertools
 import math
 import operator
 
-from cubecrawl.core import ANY, NULL
+from cubecrawl.core import (ANY, NULL, AbstractCube, FeatureFrame, FeatureRequest,
+                            RegionCursor)
 
 
 def rows_matching(rows, bindings):
@@ -35,6 +36,51 @@ def group_by(rows, attrs, sum_cols=(), distinct_cols=()):
             agg[name] = len({tuple(m[c] for c in cols) for m in members})
         out[key] = agg
     return out
+
+
+def cells_view(cellset, region, request):
+    """The view of ``region`` read off the cells one at a time: each cell whose slots
+    hold the region's values, a value at every other requested attribute and ANY
+    elsewhere gives a row."""
+    names = cellset.schema.dimension_names
+    bindings = region.bindings()
+    concrete = set(bindings) | set(request.attribute_features)
+    rows = []
+    for cell, measures in cellset.cells.items():
+        slots = dict(zip(names, cell))
+        if all((slots[d] is not ANY) == (d in concrete) for d in names) \
+                and all(slots[d] == v for d, v in bindings.items()):
+            rows.append((tuple(slots[a] for a in request.attribute_features),
+                         tuple(measures[m] for m in request.metric_features)))
+    return FeatureFrame(request.attribute_features, request.metric_features, rows)
+
+
+class ViewCube(AbstractCube):
+    """A cube whose every view is ``answer(region, request)``, an oracle's frame, with
+    a cursor that reads a region's values and children off those views alone: the
+    reference a cube's own cursor is checked against."""
+
+    def __init__(self, schema, answer):
+        self._schema = schema
+        self.answer = answer
+
+    @property
+    def schema(self):
+        return self._schema
+
+    def bind(self, region):
+        return ViewCursor(self, region)
+
+
+class ViewCursor(RegionCursor):
+    def view(self, request):
+        return self.cube.answer(self.region, request)
+
+    def values(self, dim):
+        return self.view(FeatureRequest((dim,), ())).attribute_column(dim)
+
+    def child(self, dim, value):
+        return ViewCursor(self.cube, self.region.with_binding(dim, value))
 
 
 def apriori_itemsets(transactions, min_support):

@@ -753,6 +753,79 @@ class TestMaterializeCommand:
         assert record["message"] == \
             f"{tmp_path / 't.csv'}:3: measure source 'Revenue': {cell!r} is not a finite number"
 
+    @staticmethod
+    def numbers_source(tmp_path, rows) -> dict:
+        """A base-table source of (d, date, m) rows, written to ``numbers.csv``."""
+        (tmp_path / "numbers.csv").write_text(
+            "d,date,m\n" + "".join(f"{d},{date},{m}\n" for d, date, m in rows))
+        schema = {"dimensions": [{"name": "d"}, {"name": "date"}],
+                  "measures": [{"name": "m", "agg": "sum", "sources": ["m"]}]}
+        return {"kind": "base_table", "csv": str(tmp_path / "numbers.csv"), "schema": schema}
+
+    @staticmethod
+    def store_section(command, source) -> dict:
+        if command == "join":
+            return {"join": {"left": source, "right": source, "on": ["d", "date"],
+                             "strategy": "global"}}
+        if command == "chunk":
+            return {"materialize": {"action": "chunk", "source": source,
+                                    "partition_dim": "date"}}
+        return {"materialize": {"action": "materialize", "source": source}}
+
+    @pytest.mark.parametrize("command", ["materialize", "chunk", "join"])
+    @pytest.mark.parametrize("rows, message", [
+        ([("a", "d0", 2 ** 63 - 1), ("a", "d0", 1)],
+         "column {m!r} holds 9223372036854775808 at the cell"),
+        ([("a", "d0", -2 ** 63), ("a", "d0", -1)],
+         "column {m!r} holds -9223372036854775809 at the cell"),
+        ([("a", "d0", 1e308), ("a", "d0", 1e308)],
+         "measure 'm': the SUM of 2 rows is inf, not a finite number"),
+    ], ids=["past-i64-max", "past-i64-min", "float-overflow"])
+    def test_a_sum_no_store_column_holds_is_one_error_record(self, tmp_path, capsys, command,
+                                                             rows, message):
+        section = self.store_section(command, self.numbers_source(tmp_path, rows))
+        config = write_config(tmp_path / "store.json", {"spec_version": 1, **section})
+        store_dir = tmp_path / "store"
+        cli_command = "join" if command == "join" else "materialize"
+        assert main([cli_command, "--config", str(config), "--output", str(store_dir)]) == 4
+        assert not store_dir.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)["error"]
+        assert (record["type"], record["exit_code"]) == ("DataError", 4)
+        # a joined cube names its measures with their side's prefix
+        assert message.format(m="left.m" if command == "join" else "m") in record["message"]
+
+    def test_a_sum_at_the_edge_of_the_i64_range_keeps_its_bytes(self, tmp_path):
+        rows = [("a", "d0", 2 ** 62), ("a", "d0", 2 ** 62 - 1), ("b", "d1", -2 ** 63)]
+        section = self.store_section("materialize", self.numbers_source(tmp_path, rows[:2]))
+        config = write_config(tmp_path / "store.json", {"spec_version": 1, **section})
+        assert main(["materialize", "--config", str(config),
+                     "--output", str(tmp_path / "store")]) == 0
+        assert load_cellset(tmp_path / "store").cells[("a", "d0")] == {"m": 2 ** 63 - 1}
+        section = self.store_section("chunk", self.numbers_source(tmp_path, rows[2:]))
+        config = write_config(tmp_path / "chunk.json", {"spec_version": 1, **section})
+        assert main(["materialize", "--config", str(config),
+                     "--output", str(tmp_path / "chunks")]) == 0
+
+    def test_a_merge_across_chunks_past_the_float_range_is_one_error_record(self, tmp_path,
+                                                                             capsys):
+        # each chunk holds a finite SUM; their merge across dates is not finite
+        source = self.numbers_source(tmp_path, [("a", "d0", 1e308), ("a", "d1", 1e308)])
+        config = write_config(tmp_path / "chunk.json",
+                              {"spec_version": 1, **self.store_section("chunk", source)})
+        assert main(["materialize", "--config", str(config),
+                     "--output", str(tmp_path / "chunks")]) == 0
+        config = write_config(tmp_path / "cells.json", {"spec_version": 1, "materialize": {
+            "action": "materialize", "source": {"kind": "store", "path": str(tmp_path / "chunks")},
+            "dims": ["d"]}})
+        assert main(["materialize", "--config", str(config),
+                     "--output", str(tmp_path / "cells")]) == 4
+        assert not (tmp_path / "cells").exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)["error"]
+        assert (record["type"], record["exit_code"]) == ("DataError", 4)
+        assert "is not a finite number" in record["message"]
+
     def test_a_result_header_naming_a_column_twice_is_one_error_record(self, tmp_path, capsys):
         crawl_out = tmp_path / "crawl.csv"
         crawl_out.write_text("region,total_weight,total_weight\n,125.0,1.0\n")

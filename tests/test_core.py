@@ -421,13 +421,13 @@ class TestCellset:
 
     def test_a_view_without_free_attributes_is_one_probe(self, sales_cube):
         cellset = build_cellset(sales_cube, ["Device", "Browser"])
-        assert cellset.cells_at(EMPTY_REGION, ()) == [(ANY, ANY)]
-        assert cellset.cells_at(Region({"Device": "Pixel"}), ("Device",)) == [("Pixel", ANY)]
-        assert cellset.cells_at(Region({"Device": "Nokia"}), ()) == []
+        assert cellset.bind(EMPTY_REGION).cells(()) == [(ANY, ANY)]
+        assert cellset.bind(Region({"Device": "Pixel"})).cells(("Device",)) == [("Pixel", ANY)]
+        assert cellset.bind(Region({"Device": "Nokia"})).cells(()) == []
         # a region may bind ANY, which names the aggregated cell but is no value of it
         request = FeatureRequest((), ("Revenue",))
         for region in (Region({"Device": ANY}), Region({"Device": "Pixel", "Browser": ANY})):
-            assert cellset.cells_at(region, ()) == []
+            assert cellset.bind(region).cells(()) == []
             assert cellset.view(region, request) == sales_cube.view(region, request)
             assert cellset.view(region, request).n_rows == 0
         assert cellset._by_shape == {}
@@ -435,7 +435,7 @@ class TestCellset:
     def test_the_mask_index_is_built_by_the_first_grouping_view(self, sales_cube):
         cellset = build_cellset(sales_cube, ["Device", "Browser"])
         assert cellset._by_mask is None
-        assert cellset.cells_at(EMPTY_REGION, ()) == [(ANY, ANY)]
+        assert cellset.bind(EMPTY_REGION).cells(()) == [(ANY, ANY)]
         assert cellset._by_mask is None  # a probe needs no index
         request = FeatureRequest(("Device",), ("Revenue",))
         assert cellset.view(EMPTY_REGION, request) == sales_cube.view(EMPTY_REGION, request)
@@ -455,34 +455,17 @@ class TestCellset:
         assert sales_cube.region_values(Region({"Device": "iPhone"}), "Browser") == ("Safari",)
 
 
-def _cells_view(cellset, region, request):
-    """The view of ``region`` read off the cells one at a time: each cell whose slots
-    hold the region's values, a value at every other requested attribute and ANY
-    elsewhere gives a row."""
-    names = cellset.schema.dimension_names
-    bindings = region.bindings()
-    concrete = set(bindings) | set(request.attribute_features)
-    rows = []
-    for cell, measures in cellset.cells.items():
-        slots = dict(zip(names, cell))
-        if all((slots[d] is not ANY) == (d in concrete) for d in names) \
-                and all(slots[d] == v for d, v in bindings.items()):
-            rows.append((tuple(slots[a] for a in request.attribute_features),
-                         tuple(measures[m] for m in request.metric_features)))
-    return FeatureFrame(request.attribute_features, request.metric_features, rows)
-
-
 class TestCellCursor:
-    """A cellset's own cursor answers as the generic cursor, which goes through the
-    cube's ``view``, ``region_values`` and ``bind``, and as the cells read one by one,
-    for a cellset built from a table, the same cells in another order, and a crawl
-    result with holes."""
+    """A cellset's own cursor answers as the cells read one by one, and a region's
+    values as the distinct values of the view of that one attribute, for a cellset
+    built from a table, the same cells in another order, and a crawl result with
+    holes."""
 
     @settings(max_examples=150, deadline=None)
     @given(_tables(), st.lists(st.sampled_from(_DIMS), unique=True, max_size=3),
            st.integers(-3, 6), st.data())
-    def test_bind_and_child_chains_answer_as_a_generic_cursor(self, table, dims, threshold,
-                                                              data):
+    def test_bind_and_child_chains_answer_as_the_cells_read_one_by_one(self, table, dims,
+                                                                        threshold, data):
         cube, _ = table
         # a crawl result holds only the regions whose "i" passes: a cellset with holes
         result = top_down_crawl(cube, CrawlSpec(models=[IdModel(["i"])], dimensions=dims,
@@ -502,28 +485,54 @@ class TestCellCursor:
             chained = kind.bind(Region(bindings[:split]))
             for d, v in bindings[split:]:
                 chained = chained.child(d, v)
-            generic = RegionCursor(kind, region)
             measures = kind.schema.measure_names
             requests = [FeatureRequest(attrs, measures)
                         for k in range(3) for attrs in itertools.permutations(dims, k)]
+
+            def values_of(region, d):
+                return oracles.cells_view(cellset, region, FeatureRequest((d,), ())).attribute_column(d)
+
             for cursor in (kind.bind(region), chained):
                 assert type(cursor) is _CellCursor and cursor.region == region
                 for request in requests:
-                    assert cursor.view(request) == generic.view(request) == \
-                        _cells_view(cellset, region, request), (region, request)
+                    assert cursor.view(request) == kind.view(region, request) == \
+                        oracles.cells_view(cellset, region, request), (region, request)
                 for d in dims:
-                    assert cursor.values(d) == generic.values(d) == _cells_view(
-                        cellset, region, FeatureRequest((d,), ())).attribute_column(d)
+                    assert cursor.values(d) == kind.region_values(region, d) == \
+                        values_of(region, d)
                     if d in region:
                         continue
-                    for v in generic.values(d) + ("z", NULL, ANY):
-                        child, generic_child = cursor.child(d, v), generic.child(d, v)
-                        assert child.region == generic_child.region
+                    for v in values_of(region, d) + ("z", NULL, ANY):
+                        child = cursor.child(d, v)
+                        assert child.region == region.with_binding(d, v)
                         for request in requests[:1 + len(dims)]:
-                            assert child.view(request) == generic_child.view(request) == \
-                                _cells_view(cellset, child.region, request)
+                            assert child.view(request) == \
+                                oracles.cells_view(cellset, child.region, request)
                         for e in dims:
-                            assert child.values(e) == generic_child.values(e)
+                            assert child.values(e) == values_of(child.region, e)
+
+
+class TestEveryCubeBindsItsOwnCursor:
+    """``bind`` is the one read of every cube kind, and the cursor it gives is a direct
+    subclass of ``RegionCursor``: the benchmark's tracer finds cursors there alone."""
+
+    def test_every_cube_kind_binds_a_direct_region_cursor_subclass(self, sales_cube, tmp_path):
+        from cubecrawl import JoinSpec, chunk_by_partition, join_cubes, rechunk
+
+        result = top_down_crawl(sales_cube, CrawlSpec(models=[IdModel(["Revenue"])],
+                                                      dimensions=["Device"]))
+        chunked = chunk_by_partition(sales_cube, "Device", ["Browser"], tmp_path / "chunks")
+        spec = JoinSpec(on=("Device",))
+        cubes = {"base table": sales_cube, "cellset": build_cellset(sales_cube, ["Device"]),
+                 "crawl result": result, "chunked store": chunked,
+                 "re-chunked store": rechunk(chunked, tmp_path / "slices"),
+                 "LOCAL join": join_cubes(sales_cube, result, spec, "local"),
+                 "GLOBAL join": join_cubes(sales_cube, result, spec, "global")}
+        direct = RegionCursor.__subclasses__()
+        for kind, cube in cubes.items():
+            for region in (EMPTY_REGION, Region({"Device": "Pixel"})):
+                assert type(cube.bind(region)) in direct, kind
+        assert len({type(cube.bind(EMPTY_REGION)) for cube in cubes.values()}) == 4
 
 
 class TestFeatureFrame:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -111,6 +112,18 @@ class TestSpecArguments:
         for crawl in (top_down_crawl, naive_crawl):
             with pytest.raises(SpecError, match=field if field != "top_n" else "top-n"):
                 crawl(self.cube(), self.spec(**{field: value}))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("models", [None], "models"), ("models", None, "models"),
+        ("dimension_values", ["d"], "dimension_values"),
+        ("thresholds", {None: 1}, "threshold"), ("thresholds", [("m", 1)], "thresholds"),
+        ("top_n", ("m", 1, 2), "top_n"), ("top_n", (["m"], 1), "top_n"),
+    ])
+    def test_a_spec_field_of_the_wrong_shape_is_a_spec_error(self, field, value, message):
+        spec = dataclasses.replace(self.spec(), **{field: value})
+        for crawl in (top_down_crawl, naive_crawl):
+            with pytest.raises(SpecError, match=message):
+                crawl(self.cube(), spec)
 
     def test_a_hierarchy_member_must_be_a_schema_dimension(self):
         for crawl in (top_down_crawl, naive_crawl):

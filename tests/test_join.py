@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cubecrawl import (
     EMPTY_REGION,
-    AbstractCube,
     BaseTableGroupByCube,
     CrawlSpec,
     Dimension,
@@ -29,7 +28,8 @@ from cubecrawl import (
     region_children,
     top_down_crawl,
 )
-from cubecrawl.core import ANY, NULL, RegionCursor, _CellCursor
+from cubecrawl.core import ANY, NULL, FeatureFrame, _CellCursor
+from cubecrawl.join import _JoinCursor
 from cubecrawl.errors import JoinError, RequestError, SchemaError, SpecError
 
 from conftest import assert_values_match_view, random_table, t1_cube
@@ -229,10 +229,39 @@ class TestStrategyEquivalence:
             glob.view(Region({"nope": "v0"}), FeatureRequest((), ("left.m_left",)))
 
 
+def _table_rows(cube):
+    """The rows of a base-table cube as dicts."""
+    columns = cube.table.columns
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+def _oracle_join(left, right, spec):
+    """The reference cube of a join of two base-table cubes: every view is
+    ``oracles.join_view`` over their rows, with the measures in the request's order."""
+    rows = [_table_rows(left), _table_rows(right)]
+    dims = (left.schema.dimension_names, right.schema.dimension_names)
+    glob = join_cubes(left, right, spec, "global")
+
+    def answer(region, request):
+        sides = [[m.split(".", 1)[1] for m in request.metric_features
+                  if m.split(".", 1)[0] == prefix]
+                 for prefix in (spec.left_prefix, spec.right_prefix)]
+        joined = [f"{p}.{m}" for p, side in zip((spec.left_prefix, spec.right_prefix), sides)
+                  for m in side]
+        order = [joined.index(m) for m in request.metric_features]
+        got = oracles.join_view(rows[0], rows[1], spec.on, region.bindings(),
+                                request.attribute_features, *sides, spec.kind, dims=dims)
+        return FeatureFrame(request.attribute_features, request.metric_features,
+                            [(k, tuple(v[i] for i in order)) for k, v in got.items()])
+
+    return oracles.ViewCube(glob.schema, answer)
+
+
 class TestCellsetCursors:
     """A GLOBAL join and a crawl result bind their cellset's cursor, and a crawl, the
-    children it reaches and a pushdown read the same through it as through the
-    generic cursor, which goes through the cube's ``view``."""
+    children it reaches and a pushdown read the same through it as through a reference
+    cube that reads values and children off an oracle's views: the rows joined by
+    ``oracles.join_view``, and the crawl result's cells read one by one."""
 
     @staticmethod
     def _answers(cube, m0, m1, regions):
@@ -242,22 +271,22 @@ class TestCellsetCursors:
                 [region_children(region, spec, cube) for region in regions],
                 [apply_pushdown(model, cube, region) for region in regions])
 
-    def test_crawls_read_through_the_cellset_cursor_as_through_the_generic_one(
-            self, monkeypatch):
+    def test_crawls_read_through_the_cellset_cursor_as_through_the_oracle(self):
         left, right = two_sided_tables(random.Random(29))
-        glob = join_cubes(left, right, JoinSpec(on=("k0", "k1")), "global")
+        spec = JoinSpec(on=("k0", "k1"))
+        glob = join_cubes(left, right, spec, "global")
         m0, m1 = "left.m_left", "right.m_right"
         result = top_down_crawl(glob, CrawlSpec(models=[IdModel([m0, m1])],
                                                 thresholds={m1: 3}))
         regions = list(result.entries)[:40] + [Region({"k0": "none"}), Region({"k0": ANY}),
                                                Region({"k0": "v0", "rb": ANY})]
-        for cube in (glob, result):
+        cells = result.to_cellset()
+        references = (_oracle_join(left, right, spec), oracles.ViewCube(
+            result.schema, lambda region, request: oracles.cells_view(cells, region, request)))
+        for cube, reference in zip((glob, result), references):
             assert type(cube.bind(EMPTY_REGION)) is _CellCursor
             own = self._answers(cube, m0, m1, regions)
-            with monkeypatch.context() as patched:
-                patched.setattr(type(cube), "bind", AbstractCube.bind)
-                assert type(cube.bind(EMPTY_REGION)) is RegionCursor
-                assert self._answers(cube, m0, m1, regions) == own, type(cube).__name__
+            assert self._answers(reference, m0, m1, regions) == own, type(cube).__name__
             assert any(own[1]) and len(set(own[2])) == 2
 
     def test_a_global_join_takes_unprefixed_measures_in_views_only(self):
@@ -271,10 +300,19 @@ class TestCellsetCursors:
         with pytest.raises(SchemaError, match="unknown measure 'm_left'"):
             glob.bind(EMPTY_REGION).view(FeatureRequest((), ("m_left",)))
 
-    def test_a_local_join_binds_the_generic_cursor(self):
+    def test_a_local_join_binds_a_cursor_over_its_sides_cursors(self):
         left, right = two_sided_tables(random.Random(37))
         local = join_cubes(left, right, JoinSpec(on=("k0", "k1")), "local")
-        assert type(local.bind(Region({"k0": "v0"}))) is RegionCursor
+        cursor = local.bind(Region({"k0": "v0", "rb": "e1"}))
+        assert type(cursor) is _JoinCursor
+        assert (cursor.left.region, cursor.right.region) == \
+            (Region({"k0": "v0"}), Region({"k0": "v0", "rb": "e1"}))
+        # a join dimension refines both sides, a one-sided dimension its side only
+        keyed = cursor.child("k1", "v1")
+        child = keyed.child("la", "e0")
+        assert child.left.region == Region({"k0": "v0", "k1": "v1", "la": "e0"})
+        assert child.right is keyed.right
+        assert keyed.right.region == Region({"k0": "v0", "k1": "v1", "rb": "e1"})
 
 
 _KEY_VALUES = {"string": st.sampled_from(["a", "b", "c"]), "integer": st.integers(-1, 1),
@@ -334,6 +372,66 @@ class TestOnePassJoin:
                 assert got == want, mask
         local = join_cubes(left, right, spec, "local")
         assert local.to_cellset().cells == cells
+
+
+class TestLocalAndGlobalCursors:
+    """A LOCAL join's cursor and a GLOBAL join's answer every request alike, bound at a
+    region or reached by a chain of children, and both take prefixed measure names
+    only; ``JoinedCube.view`` resolves an unprefixed name on both alike."""
+
+    VALUES = ["a", "b", 0, 1, True, "x", "y", "zz", NULL, ANY]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), domain=st.sampled_from(sorted(_KEY_VALUES)),
+           kind=st.sampled_from(["inner", "left"]))
+    def test_local_and_global_cursors_answer_every_request_alike(self, data, domain, kind):
+        keys = {"k": domain}
+        left, _, _, lm = data.draw(_join_side(keys, "la", "ml"), label="left")
+        right, _, _, rm = data.draw(_join_side(keys, "rb", "mr"), label="right")
+        spec = JoinSpec(on=("k",), kind=kind)
+        local, glob = (join_cubes(left, right, spec, strategy) for strategy in ("local", "global"))
+        dims = glob.schema.dimension_names
+        measures = (f"left.{lm}", f"right.{rm}")
+        requests = [FeatureRequest(attrs, metrics)
+                    for k in range(3) for attrs in itertools.permutations(dims, k)
+                    for metrics in ((), measures[:1], measures[1:], measures, measures[::-1])]
+        bindings = data.draw(st.lists(st.tuples(st.sampled_from(dims),
+                                                st.sampled_from(self.VALUES)),
+                                      unique_by=lambda b: b[0], max_size=3), label="bindings")
+        region = Region(bindings)
+        split = data.draw(st.integers(0, len(bindings)), label="split")
+        cursors = []
+        for cube in (local, glob):
+            chained = cube.bind(Region(bindings[:split]))
+            for d, v in bindings[split:]:
+                chained = chained.child(d, v)
+            cursors.append((cube.bind(region), chained))
+        (local_bound, local_chained), (glob_bound, glob_chained) = cursors
+        assert type(local_bound) is type(local_chained) is _JoinCursor
+        for request in requests:
+            want = glob_bound.view(request)
+            for cursor in (glob_chained, local_bound, local_chained):
+                assert cursor.view(request) == want, (region, request)
+        for d in dims:
+            want = glob_bound.values(d)
+            assert all(cursor.values(d) == want
+                       for cursor in (glob_chained, local_bound, local_chained))
+            if d not in region:
+                for v in want + ("zz", NULL, ANY):
+                    for request in requests[:6]:
+                        assert local_bound.child(d, v).view(request) == \
+                            glob_bound.child(d, v).view(request)
+        unprefixed = FeatureRequest((), (lm,))
+        for cursor in (local_bound, glob_bound):
+            with pytest.raises(SchemaError, match=f"unknown measure {lm!r}"):
+                cursor.view(unprefixed)
+        if lm == rm:  # both sides are crawl results, whose signal names agree
+            for cube in (local, glob):
+                with pytest.raises(RequestError, match="ambiguous"):
+                    cube.view(region, unprefixed)
+        else:
+            assert local.view(region, unprefixed) == glob.view(region, unprefixed) == \
+                glob_bound.view(FeatureRequest((), measures[:1]))
 
 
 class TestMaterializeJoinedCube:

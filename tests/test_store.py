@@ -1,5 +1,9 @@
+import itertools
 import json
+import math
 import random
+import struct
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,7 @@ from cubecrawl import (
     Dimension,
     DimensionSchema,
     EntityWeightModel,
+    FeatureFrame,
     FeatureRequest,
     Measure,
     Region,
@@ -30,9 +35,9 @@ from cubecrawl import (
 )
 import cubecrawl.store
 from cubecrawl.cli import main
-from cubecrawl.core import ANY, NULL, RegionCursor
+from cubecrawl.core import ANY, NULL, _CellCursor
 from cubecrawl.errors import RequestError, SchemaError, SpecError, StoreError
-from cubecrawl.store import _canonical_items
+from cubecrawl.store import _StoreCursor, _canonical_items
 
 from conftest import assert_values_match_view, random_table, t1_cube
 import oracles
@@ -456,7 +461,7 @@ class TestDecodeOnce:
                 request = FeatureRequest(attrs, ("Revenue",))
                 assert chunked.view(region, request) == cube.view(region, request)
 
-    def test_a_chunked_view_looks_one_cell_key_up_in_every_chunk(self, tmp_path, monkeypatch):
+    def test_a_chunked_view_looks_one_probe_up_in_every_chunk(self, tmp_path):
         # device CC sells on even dates only, so its cells are absent from half the chunks
         rows = [(device, f"d{i:02d}", 10 * i + len(device)) for i in range(6)
                 for device in ("A", "B", "CC") if device != "CC" or i % 2 == 0]
@@ -464,32 +469,32 @@ class TestDecodeOnce:
                                  (Measure.sum("Revenue"),))
         cube = BaseTableGroupByCube(Table.from_rows(["Device", "date", "Revenue"], rows), schema)
         chunked = chunk_by_partition(cube, "date", ["Device"], tmp_path / "chunks")
-        keys = []
-        cell_key = cubecrawl.store.cell_key
-        monkeypatch.setattr(cubecrawl.store, "cell_key",
-                            lambda *args: keys.append(args) or cell_key(*args))
         for region in (EMPTY_REGION, Region({"Device": "CC"}), Region({"Device": "Z"}),
                        Region({"Device": ANY})):
+            cursor = chunked.bind(region)
+            # one cell cursor at the region serves every chunk
+            assert type(cursor.probe) is _CellCursor and cursor.probe.region == region
+            assert cursor.partitions == set(chunked.partition_values())
             for attrs in ((), ("Device",), ("date",), ("date", "Device")):
-                keys.clear()
                 request = FeatureRequest(attrs, ("Revenue",))
-                frame = chunked.view(region, request)
-                assert len(keys) == 1
+                frame = cursor.view(request)
                 union = {}
                 for date, part in chunked._parts:
                     chunk = chunked._read(date, part)
-                    for cell in chunk.cells_at(region, [a for a in attrs if a != "date"]):
+                    cells = chunk.bind(region).cells([a for a in attrs if a != "date"])
+                    assert cursor.probe.cells([a for a in attrs if a != "date"], chunk) == cells
+                    for cell in cells:
                         slots = {"Device": cell[0], "date": date}
                         key = tuple(slots[a] for a in attrs)
                         union[key] = union.get(key, 0) + chunk.cells[cell]["Revenue"]
                 assert {a: m for a, (m,) in frame.iter_rows()} == union, (region, attrs)
                 assert frame == cube.view(region, request)
 
-    def test_partitioned_stores_bind_the_generic_cursor(self, tmp_path):
+    def test_partitioned_stores_bind_their_own_cursor(self, tmp_path):
         chunked = chunk_by_partition(daily_cube(n_days=3), "date", ["Device"],
                                      tmp_path / "chunks")
         for store in (chunked, rechunk(chunked, tmp_path / "slices")):
-            assert type(store.bind(Region({"Device": "A"}))) is RegionCursor
+            assert type(store.bind(Region({"Device": "A"}))) is _StoreCursor
 
     def test_rechunk_reads_through_the_decoded_chunks(self, tmp_path):
         chunked = chunk_by_partition(daily_cube(n_days=4), "date", ["Device"],
@@ -586,6 +591,81 @@ class TestStoreAsCube:
             (chunked.counters["chunk_reads"] - chunk_start)
 
 
+@st.composite
+def _partitioned_tables(draw):
+    """A small base table, possibly empty, with NULL values in every dimension, the
+    partition ``p`` among them, and its rows as dicts."""
+    rows = draw(st.lists(st.fixed_dictionaries({
+        "d0": st.sampled_from(["a", "b", NULL]), "d1": st.sampled_from([0, 1, NULL]),
+        "p": st.sampled_from(["p0", "p1", "p2", NULL]), "m": st.integers(-5, 5)}), max_size=12))
+    schema = DimensionSchema((Dimension("d0"), Dimension("d1", "integer"), Dimension("p")),
+                             (Measure.sum("m"),))
+    table = Table({c: [r[c] for r in rows] for c in ("d0", "d1", "p", "m")})
+    return BaseTableGroupByCube(table, schema), rows
+
+
+def _store_oracle(rows, region, attrs, window=(None, None)):
+    """The view of ``region`` by ``attrs`` over the partitions in the inclusive
+    ``window`` from the brute-force group-by of ``rows``."""
+    lo, hi = window
+    rows = [r for r in oracles.rows_matching(rows, region.bindings())
+            if (lo is None or r["p"] >= lo) and (hi is None or r["p"] <= hi)]
+    groups = oracles.group_by(rows, attrs, ["m"])
+    if not attrs and not region.degree and not groups:
+        groups = {(): {"m": 0}}  # the grand total of no rows
+    return FeatureFrame(attrs, ("m",), [(key, (agg["m"],)) for key, agg in groups.items()])
+
+
+class TestStoreCursor:
+    """A partitioned store's own cursor answers as the brute-force group-by of the rows,
+    bound at a region or reached by a chain of children, on chunked and re-chunked
+    stores, at regions with absent values, NULL and ANY, and through windows."""
+
+    DIMS = ("d0", "d1", "p")
+    VALUES = {"d0": ["a", "b", "z", NULL, ANY], "d1": [0, 1, 7, NULL, ANY],
+              "p": ["p0", "p2", "p9", NULL, ANY]}
+
+    @settings(max_examples=60, deadline=None)
+    @given(_partitioned_tables(), st.data())
+    def test_bind_child_chains_and_windows_answer_as_the_group_by(self, table, data):
+        cube, rows = table
+        requests = [FeatureRequest(attrs, ("m",))
+                    for k in range(3) for attrs in itertools.permutations(self.DIMS, k)]
+        with tempfile.TemporaryDirectory() as tmp:
+            chunked = chunk_by_partition(cube, "p", ["d0", "d1"], Path(tmp) / "chunks")
+            for store in (chunked, rechunk(chunked, Path(tmp) / "slices")):
+                bound = data.draw(st.lists(st.sampled_from(self.DIMS), unique=True, max_size=3),
+                                  label="bound")
+                bindings = [(d, data.draw(st.sampled_from(self.VALUES[d]), label=d))
+                            for d in bound]
+                region = Region(bindings)
+                split = data.draw(st.integers(0, len(bindings)), label="split")
+                chained = store.bind(Region(bindings[:split]))
+                for d, v in bindings[split:]:
+                    chained = chained.child(d, v)
+                for cursor in (store.bind(region), chained):
+                    assert type(cursor) is _StoreCursor and cursor.region == region
+                    for request in requests:
+                        assert cursor.view(request) == store.view(region, request) == \
+                            _store_oracle(rows, region, request.attribute_features), request
+                    for d in self.DIMS:
+                        observed = _store_oracle(rows, region, (d,)).attribute_column(d)
+                        assert cursor.values(d) == store.region_values(region, d) == observed
+                        if d in region:
+                            continue
+                        for v in observed + tuple(self.VALUES[d][2:]):
+                            child = cursor.child(d, v)
+                            assert child.region == region.with_binding(d, v)
+                            for request in requests[:4]:
+                                assert child.view(request) == _store_oracle(
+                                    rows, child.region, request.attribute_features)
+                window = tuple(data.draw(st.sampled_from(["p0", "p1", "p2", NULL, None]),
+                                         label=bound) for bound in ("lo", "hi"))
+                for request in requests:
+                    assert store.view(region, request, partition_range=window) == \
+                        _store_oracle(rows, region, request.attribute_features, window)
+
+
 class TestDecoderFuzz:
     """A part whose checksum matches but whose bytes do not decode is a StoreError."""
 
@@ -657,16 +737,29 @@ class TestDecoderFuzz:
         with pytest.raises(StoreError, match="bad boolean value"):
             load_cellset(store_dir)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_float_that_is_not_finite(self, tmp_path, value):
+        schema = DimensionSchema((Dimension("d"),), (Measure.sum("m"),))
+        cube = BaseTableGroupByCube(Table.from_rows(["d", "m"], [("a", 0.5)]), schema)
+        store_dir = tmp_path / "store"
+        materialize(cube, ["d"], store_dir)
+        part = json.loads((store_dir / "manifest.json").read_text())["parts"][0]["file"]
+        data = (store_dir / part).read_bytes()
+        self._replace_part(store_dir, 0, data.replace(struct.pack("<d", 0.5),
+                                                      struct.pack("<d", value)))
+        with pytest.raises(StoreError, match="FLOAT64 value is not finite"):
+            load_cellset(store_dir)
+
     @pytest.mark.parametrize("kind, dims", [("chunked", ("Device",)), ("rechunked", ("date",)),
                                             ("cellset", ("Device", "date"))],
                              ids=["chunked-Device", "rechunked-date", "cellset-Device-date"])
     def test_part_listing_a_cell_twice(self, tmp_path, kind, dims):
-        from cubecrawl.store import _write_part
+        from cubecrawl.store import _pack_part
 
         store_dir = self._stores(tmp_path)[kind]
-        _write_part(tmp_path / "twice.bin", tuple(Dimension(d) for d in dims), ("Revenue", "ids"),
-                    [(("d00",) * len(dims), (1, 1))] * 2)
-        self._replace_part(store_dir, 0, (tmp_path / "twice.bin").read_bytes())
+        self._replace_part(store_dir, 0, _pack_part(tuple(Dimension(d) for d in dims),
+                                                    ("Revenue", "ids"),
+                                                    [(("d00",) * len(dims), (1, 1))] * 2))
         with pytest.raises(StoreError, match="a cell is listed twice"):
             self._read_all(store_dir)
 
