@@ -107,6 +107,14 @@ def _sequence(value, what: str) -> tuple:
         raise SpecError(f"{what} must be a sequence, got {value!r}") from None
 
 
+def _names(value, what: str) -> tuple:
+    """``value`` as a tuple of strings; else a SpecError naming ``what``."""
+    names = _sequence(value, what)
+    if not all(isinstance(name, str) for name in names):
+        raise SpecError(f"{what} must hold names only, got {names!r}")
+    return names
+
+
 def _mapping(value, what: str) -> dict:
     """``value`` as a dict; anything but a mapping is a SpecError naming ``what``."""
     if not isinstance(value, Mapping):
@@ -320,6 +328,8 @@ class FeatureRequest:
         object.__setattr__(self, "attribute_features", tuple(self.attribute_features))
         object.__setattr__(self, "metric_features", tuple(self.metric_features))
         for names, what in ((self.attribute_features, "attribute"), (self.metric_features, "metric")):
+            if not all(isinstance(name, str) for name in names):
+                raise SchemaError(f"{what} features are named by strings, got {names!r}")
             if len(set(names)) != len(names):
                 raise SchemaError(f"duplicate {what} feature in request")
 
@@ -333,23 +343,17 @@ class FeatureRequest:
 class FeatureFrame:
     """Grouped result table: distinct attribute tuples plus aggregated measures.
 
-    Rows are sorted by attribute tuple so equal views compare equal.  Measure
-    cells are numbers, or None for an absent-side sentinel in left joins.
+    ``rows`` maps each attribute tuple to its measures, so rows are distinct by
+    construction; they are kept sorted by attribute tuple so equal views compare
+    equal.  Measures are numbers, or None for an absent side in a left join.
     """
 
     __slots__ = ("attribute_names", "measure_names", "_rows")
 
-    def __init__(self, attribute_names, measure_names, rows):
+    def __init__(self, attribute_names, measure_names, rows: Mapping[tuple, tuple]):
         self.attribute_names = tuple(attribute_names)
         self.measure_names = tuple(measure_names)
-        rows = [(tuple(a), tuple(m)) for a, m in rows]
-        rows.sort(key=itemgetter(0))
-        if len({r[0] for r in rows}) != len(rows):
-            raise SchemaError("feature frame attribute tuples are not distinct")
-        for a, m in rows:
-            if len(a) != len(self.attribute_names) or len(m) != len(self.measure_names):
-                raise SchemaError("feature frame row width mismatch")
-        self._rows = tuple(rows)
+        self._rows = tuple(sorted(rows.items(), key=itemgetter(0)))
 
     @property
     def n_rows(self) -> int:
@@ -558,7 +562,8 @@ class RegionCursor(ABC):
     ``region_values`` read through it: a base table's ``_TableCursor`` holds the
     region's row ids, a cellset's ``_CellCursor`` its probe cell, a partitioned
     store's ``_StoreCursor`` its partitions and one cell cursor for every part, and a
-    LOCAL join's ``_JoinCursor`` its sides' cursors.
+    LOCAL join's ``_JoinCursor`` its sides' cursors.  ``values`` reads a view, but
+    the table and cell cursors override it with a faster body.
     """
 
     def __init__(self, cube: "AbstractCube", region: Region):
@@ -568,9 +573,9 @@ class RegionCursor(ABC):
     @abstractmethod
     def view(self, request: FeatureRequest) -> FeatureFrame: ...
 
-    @abstractmethod
     def values(self, dim: str) -> tuple:
-        """Distinct values of ``dim`` observed inside the region, sorted."""
+        """Distinct values of ``dim`` in the region, sorted: its view's attribute column."""
+        return self.view(FeatureRequest((dim,), ())).attribute_column(dim)
 
     @abstractmethod
     def child(self, dim: str, value) -> "RegionCursor":
@@ -649,7 +654,7 @@ class BaseTableGroupByCube(AbstractCube):
         SUM that is not finite is a DataError."""
         measures = [self._schema.measure(m) for m in request.metric_features]
         sources = [(m, [self._table.column(s) for s in m.sources]) for m in measures]
-        rows = []
+        rows = {}
         for key, ids in groups.items():
             gather = _getter(ids)
             vals = []
@@ -667,7 +672,7 @@ class BaseTableGroupByCube(AbstractCube):
                     vals.append(total)
                 else:
                     vals.append(len(set(zip(*map(gather, cols)))))
-            rows.append((key, tuple(vals)))
+            rows[key] = tuple(vals)
         return FeatureFrame(request.attribute_features, request.metric_features, rows)
 
     def bind(self, region: Region) -> RegionCursor:
@@ -869,12 +874,8 @@ class _CellCursor(RegionCursor):
         # ``bind`` and ``child`` have checked the region's dimensions
         cube = self.cube
         attrs, at, picks = cube._plan(request)
-        if attrs <= self._bound:  # the probe's one cell, looked up once
-            values = cube._cells.get(self.probe)
-            rows = [] if values is None else [(at(self.probe), picks(values))]
-        else:
-            rows = [(at(cell), picks(cube._cells[cell])) for cell in self.cells(attrs)]
-        return FeatureFrame(request.attribute_features, request.metric_features, rows)
+        return FeatureFrame(request.attribute_features, request.metric_features,
+                            {at(cell): picks(cube._cells[cell]) for cell in self.cells(attrs)})
 
     def values(self, dim):
         i = self.cube._index(dim)

@@ -42,6 +42,7 @@ from .core import (
     _count,
     _getter,
     _mapping,
+    _names,
     _sequence,
     finite_number,
     integer,
@@ -202,10 +203,10 @@ class _Resolved:
 
         # crawl dimensions
         grouping_sets = None if spec.grouping_sets is None else [
-            _sequence(g, "a grouping_sets member")
+            _names(g, "a grouping_sets member")
             for g in _sequence(spec.grouping_sets, "grouping_sets")]
         if spec.dimensions is not None:
-            dims = _sequence(spec.dimensions, "dimensions")
+            dims = _names(spec.dimensions, "dimensions")
         elif grouping_sets is not None:
             dims = tuple(dict.fromkeys(d for g in grouping_sets for d in g))
         else:
@@ -222,7 +223,7 @@ class _Resolved:
 
         hierarchies = (schema.hierarchies if spec.hierarchies is None
                        else _sequence(spec.hierarchies, "hierarchies"))
-        self.hierarchies = tuple(_sequence(h, "a hierarchies member") for h in hierarchies)
+        self.hierarchies = tuple(_names(h, "a hierarchies member") for h in hierarchies)
         for d in itertools.chain.from_iterable(self.hierarchies):
             schema.dimension(d)
         self.order = self._resolve_order(spec, cube)
@@ -258,7 +259,12 @@ class _Resolved:
             self.dimension_values = {}
             for d, values in _mapping(spec.dimension_values, "dimension_values").items():
                 schema.dimension(d)
-                self.dimension_values[d] = set(_sequence(values, f"dimension_values[{d!r}]"))
+                values = _sequence(values, f"dimension_values[{d!r}]")
+                try:
+                    self.dimension_values[d] = set(values)
+                except TypeError:
+                    raise SpecError(f"dimension_values[{d!r}] holds an unhashable value, "
+                                    f"got {values!r}") from None
 
         if spec.exploration not in ("bfs", "dfs"):
             raise SpecError(f"unknown exploration strategy {spec.exploration!r}")
@@ -292,7 +298,7 @@ class _Resolved:
             cards = {d: len(root.values(d)) for d in self.dims}
             order = sorted(self.dims, key=lambda d: (cards[d], d))
         else:
-            order = list(spec.dimension_order)
+            order = list(_names(spec.dimension_order, "dimension_order"))
             if sorted(order) != sorted(self.dims):
                 raise SpecError("dimension_order must list exactly the crawl dimensions")
         # hierarchy chains must appear coarse-to-fine in the order

@@ -202,10 +202,7 @@ class _JoinCursor(RegionCursor):
         attrs = _getter([joined_attrs.index(a) for a in request.attribute_features])
         metrics = _getter([joined_metrics.index(m) for m in request.metric_features])
         return FeatureFrame(request.attribute_features, request.metric_features,
-                            [(attrs(a), metrics(m)) for a, m in rows.items()])
-
-    def values(self, dim):
-        return self.view(FeatureRequest((dim,), ())).attribute_column(dim)
+                            {attrs(a): metrics(m) for a, m in rows.items()})
 
     def child(self, dim, value):
         cube = self.cube

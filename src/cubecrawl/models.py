@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .attribution import ATTRIBUTION_KINDS, SegmentedMetrics, attribution_signals
-from .core import (DimensionSchema, FeatureFrame, FeatureRequest, Region, _count, _sequence,
-                   finite_number, sum_in_order)
+from .core import (DimensionSchema, FeatureFrame, FeatureRequest, Region, _count, _names,
+                   _sequence, finite_number, sum_in_order)
 from .errors import ContractError, DataError, ModelError, SchemaError, SpecError
 
 #: comparator -> (test, is_minimum) of thresholds and pushdown terms; only a failed minimum
@@ -40,7 +40,9 @@ class PushdownTerm:
     value: float
 
     def __post_init__(self):
-        if self.op not in COMPARATORS:
+        if not isinstance(self.measure, str):
+            raise SpecError(f"a pushdown term's measure is a name, got {self.measure!r}")
+        if not isinstance(self.op, str) or self.op not in COMPARATORS:
             raise SpecError(f"unknown pushdown comparator {self.op!r}")
         if not finite_number(self.value):
             raise SpecError(f"pushdown value {self.value!r} is not a finite number")
@@ -70,12 +72,17 @@ class RegionAnalysisModel:
         gate: bool = False,
         pushdown: Sequence[PushdownTerm] = (),
     ):
+        if not isinstance(name, str):
+            raise SpecError(f"a model's name must be a string, got {name!r}")
         self.name = name
         self.request = request
         self.population_request = population_request
         self.signals = signals
         self.gate = bool(gate)
-        self.pushdown = tuple(pushdown)
+        self.pushdown = _sequence(pushdown, f"model {name!r} pushdown")
+        for term in self.pushdown:
+            if not isinstance(term, PushdownTerm):
+                raise SpecError(f"model {name!r} pushdown holds {term!r}, not a PushdownTerm")
         if len({s.name for s in self.signals}) != len(self.signals):
             raise SpecError(f"model {name!r} declares duplicate signal names")
 
@@ -182,7 +189,7 @@ class IdModel(RegionAnalysisModel):
 
     def __init__(self, metrics: Sequence[str], apriori: Mapping[str, bool] | None = None,
                  name: str = "id", gate: bool = False, pushdown: Sequence[PushdownTerm] = ()):
-        metrics = _sequence(metrics, "IdModel metrics")
+        metrics = _names(metrics, "IdModel metrics")
         if not isinstance(apriori, (Mapping, type(None))):
             raise SpecError(f"IdModel apriori must map metrics to flags, got {apriori!r}")
         self._explicit_apriori = dict(apriori or {})

@@ -116,23 +116,26 @@ def decode_value(data: Mapping, dim: Dimension):
 def _pack_column(name: str, role: int, col_type: int, column: Sequence) -> bytes:
     """One column of a part: its header, a marker per row, then the payload, where each
     non-value row holds its type's zero.  ``struct`` refuses an int that its slot cannot
-    hold, and a FLOAT64 slot refuses a float that is not finite."""
+    hold, and a FLOAT64 slot refuses a float that is not finite and an int that is no
+    float exactly."""
     markers = bytes(map(_MARK_OF.get, column, repeat(_MARK_VALUE)))
     fill = dict.fromkeys(_MARK_OF, _ZERO[col_type])
     values = list(map(fill.get, column, column))  # a value stands for itself
     text = name.encode()
     head = struct.pack(f"<H{len(text)}sBB", len(text), text, role, col_type)
     if col_type != _STRING:
-        if col_type == _FLOAT64 and not all(map(math.isfinite, values)):
-            raise OverflowError(f"{name!r} holds a number that is not finite")
+        if col_type == _FLOAT64 and not (all(map(math.isfinite, values))
+                                         and values == list(map(float, values))):
+            raise OverflowError(f"{name!r} holds a number that is no finite float")
         return b"".join([head, markers, struct.pack(f"<{len(values)}{_SLOT[col_type]}", *values)])
     blobs = [str(v).encode() for v in values]
     offsets = struct.pack(f"<{len(blobs) + 1}I", 0, *accumulate(map(len, blobs)))
     return b"".join([head, markers, offsets, b"".join(blobs)])
 
 
-# the values of each numeric column type: the i64 range, and finite floats
-_HOLDS = {_INT64: lambda v: -2 ** 63 <= v < 2 ** 63, _FLOAT64: finite_number}
+# the values of each numeric column type: the i64 range, and finite floats exactly
+_HOLDS = {_INT64: lambda v: -2 ** 63 <= v < 2 ** 63,
+          _FLOAT64: lambda v: finite_number(v) and float(v) == v}
 
 
 def _pack_part(dims: Sequence[Dimension], measure_names: Sequence[str],
@@ -546,10 +549,7 @@ class _StoreCursor(RegionCursor):
             raise DataError(f"a SUM over the partitions of {store.path} is not a finite number")
         if not rows and not attrs and not self.region.degree:
             rows[()] = (0,) * len(metrics)
-        return FeatureFrame(attrs, metrics, rows.items())
-
-    def values(self, dim):
-        return self.view(FeatureRequest((dim,), ())).attribute_column(dim)
+        return FeatureFrame(attrs, metrics, rows)
 
     def child(self, dim, value):
         region = self.region.with_binding(dim, value)

@@ -11,7 +11,7 @@ import itertools
 import math
 import operator
 
-from cubecrawl.core import (ANY, NULL, AbstractCube, FeatureFrame, FeatureRequest,
+from cubecrawl.core import (ANY, NULL, AbstractCube, FeatureFrame, FeatureRequest, Region,
                             RegionCursor)
 
 
@@ -45,13 +45,13 @@ def cells_view(cellset, region, request):
     names = cellset.schema.dimension_names
     bindings = region.bindings()
     concrete = set(bindings) | set(request.attribute_features)
-    rows = []
+    rows = {}
     for cell, measures in cellset.cells.items():
         slots = dict(zip(names, cell))
         if all((slots[d] is not ANY) == (d in concrete) for d in names) \
                 and all(slots[d] == v for d, v in bindings.items()):
-            rows.append((tuple(slots[a] for a in request.attribute_features),
-                         tuple(measures[m] for m in request.metric_features)))
+            rows[tuple(slots[a] for a in request.attribute_features)] = \
+                tuple(measures[m] for m in request.metric_features)
     return FeatureFrame(request.attribute_features, request.metric_features, rows)
 
 
@@ -209,6 +209,55 @@ def ranked_top_n(entries, sigma, n, dimension_names):
     descending, then ``region_text_key`` ascending, as (region, signals) pairs."""
     return sorted(entries.items(), key=lambda item: (
         -item[1][sigma], region_text_key(item[0], dimension_names)))[:n]
+
+
+_PASSES = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+
+def brute_force_crawl(rows, dimension_names, spec):
+    """A crawl's entries computed from the rows alone: every observed region of every
+    grouping set the spec admits, with each model's signals read off the region's
+    sums, emitted when every pushdown term and threshold passes; with ``spec.top_n``
+    the first n of them by ``ranked_top_n``.  Models are entity weights or ids, the
+    two kinds the crawl properties draw.  Returns (region, signals) pairs."""
+    if spec.grouping_sets is not None:
+        sets = {frozenset(g) for g in spec.grouping_sets}
+    else:
+        dims = spec.dimensions or dimension_names
+        sets = {frozenset(c) for k in range(len(dims) + 1)
+                for c in itertools.combinations(dims, k)}
+    max_degree = len(dimension_names) if spec.max_degree is None else spec.max_degree
+    sets = {g for g in sets if len(g) <= max_degree and all(
+        all(p in g for p in chain[:i]) for chain in spec.hierarchies or ()
+        for i, d in enumerate(chain) if d in g)}
+    allowed = spec.dimension_values or {}
+    measures = sorted({m for model in spec.models for m in model.request.metric_features}
+                      | {t.measure for model in spec.models for t in model.pushdown})
+    entries = {}
+    for group in sets:
+        attrs = [d for d in dimension_names if d in group]
+        for key, sums in group_by(rows, attrs, measures).items():
+            if any(d in allowed and v not in allowed[d] for d, v in zip(attrs, key)):
+                continue
+            signals = {}
+            for model in spec.models:
+                if type(model).__name__ == "EntityWeightModel":
+                    signals["total_weight"] = float(sums[model.metric])
+                else:  # an IdModel passes its measures' sums through
+                    signals.update((m, float(sums[m])) for m in model.request.metric_features)
+            passed = all(_PASSES[t.op](sums[t.measure], t.value)
+                         for model in spec.models for t in model.pushdown)
+            for name, value in spec.thresholds.items():
+                if name.startswith("-"):  # a maximum: the signal is at most -value
+                    passed = passed and signals[name[1:]] <= -value
+                else:
+                    passed = passed and signals[name] >= value
+            if passed:
+                entries[Region(dict(zip(attrs, key)))] = signals
+    if spec.top_n is None:
+        return list(entries.items())
+    sigma, n = spec.top_n
+    return ranked_top_n(entries, sigma, n, dimension_names)
 
 
 def value_sort_key(value):

@@ -780,7 +780,10 @@ class TestMaterializeCommand:
          "column {m!r} holds -9223372036854775809 at the cell"),
         ([("a", "d0", 1e308), ("a", "d0", 1e308)],
          "measure 'm': the SUM of 2 rows is inf, not a finite number"),
-    ], ids=["past-i64-max", "past-i64-min", "float-overflow"])
+        # a column that holds a float is FLOAT64, where 2**53 + 1 would round
+        ([("a", "d0", 2 ** 53 + 1), ("b", "d0", 0.5)],
+         "column {m!r} holds 9007199254740993 at the cell"),
+    ], ids=["past-i64-max", "past-i64-min", "float-overflow", "int-no-float-holds"])
     def test_a_sum_no_store_column_holds_is_one_error_record(self, tmp_path, capsys, command,
                                                              rows, message):
         section = self.store_section(command, self.numbers_source(tmp_path, rows))

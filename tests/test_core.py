@@ -225,7 +225,7 @@ def _oracle_frame(rows, region, attrs, measures):
     if not attrs and not region.degree and not rows:
         groups = {(): {m: 0 for m in measures}}  # an empty table's grand total
     return FeatureFrame(attrs, measures,
-                        [(key, tuple(agg[m] for m in measures)) for key, agg in groups.items()])
+                        {key: tuple(agg[m] for m in measures) for key, agg in groups.items()})
 
 
 class TestTableViews:
@@ -537,10 +537,8 @@ class TestEveryCubeBindsItsOwnCursor:
 
 class TestFeatureFrame:
     def test_rows_sorted_and_distinct(self):
-        frame = FeatureFrame(("x",), ("m",), [(("b",), (1,)), (("a",), (2,))])
+        frame = FeatureFrame(("x",), ("m",), {("b",): (1,), ("a",): (2,)})
         assert [a for a, _ in frame.iter_rows()] == [("a",), ("b",)]
-        with pytest.raises(SchemaError):
-            FeatureFrame(("x",), ("m",), [(("a",), (1,)), (("a",), (2,))])
 
     def test_duplicate_request_features_rejected(self):
         with pytest.raises(SchemaError):

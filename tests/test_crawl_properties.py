@@ -39,7 +39,7 @@ from cubecrawl import (
     topn_crawl,
 )
 
-from oracles import group_by, ranked_top_n, rows_matching
+from oracles import brute_force_crawl, group_by, ranked_top_n, rows_matching
 
 DOMAIN_VALUES = {
     "string": ("a", "b", "c"),
@@ -161,13 +161,18 @@ def _a_degree_three_skip():
 @example(_a_failed_maximum_beside_a_minimum())
 @example(_a_degree_three_skip())
 def test_top_down_crawl_matches_naive_crawl(case):
+    """The pruned crawl gives the naive crawl's entries, and the brute-force crawl's,
+    which shares no code with either."""
     cube, spec = case
     pruned = top_down_crawl(cube, spec)
     naive = naive_crawl(cube, spec)
+    columns = cube.table.columns
+    rows = [dict(zip(columns, r)) for r in zip(*columns.values())]
+    brute = brute_force_crawl(rows, cube.schema.dimension_names, spec)
     if spec.top_n is None:
-        assert pruned.entries == naive.entries
+        assert pruned.entries == naive.entries == dict(brute)
     else:
-        assert list(pruned.entries.items()) == list(naive.entries.items())
+        assert list(pruned.entries.items()) == list(naive.entries.items()) == brute
 
 
 def _exactly(items):

@@ -252,7 +252,7 @@ def _oracle_join(left, right, spec):
         got = oracles.join_view(rows[0], rows[1], spec.on, region.bindings(),
                                 request.attribute_features, *sides, spec.kind, dims=dims)
         return FeatureFrame(request.attribute_features, request.metric_features,
-                            [(k, tuple(v[i] for i in order)) for k, v in got.items()])
+                            {k: tuple(v[i] for i in order) for k, v in got.items()})
 
     return oracles.ViewCube(glob.schema, answer)
 

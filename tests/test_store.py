@@ -613,7 +613,7 @@ def _store_oracle(rows, region, attrs, window=(None, None)):
     groups = oracles.group_by(rows, attrs, ["m"])
     if not attrs and not region.degree and not groups:
         groups = {(): {"m": 0}}  # the grand total of no rows
-    return FeatureFrame(attrs, ("m",), [(key, (agg["m"],)) for key, agg in groups.items()])
+    return FeatureFrame(attrs, ("m",), {key: (agg["m"],) for key, agg in groups.items()})
 
 
 class TestStoreCursor:
