@@ -4,27 +4,33 @@ A run is described by a JSON config plus a handful of flags.  The config is
 versioned via ``spec_version`` and strictly validated: unknown keys and
 wrongly typed values are rejected (exit 2), and integers must be JSON
 integers.  Each key is read once, by one type-checked reader, straight into
-the object its command uses.  Results are emitted as JSON lines
-(lossless) or CSV, with regions flattened to ``dim=value`` pairs joined by
-``;``.  Exit codes: 0 success, 2 config/spec errors, 3 I/O errors, 4 engine
-errors, 5 safety-cap refusals.
+the object its command uses: a model kind's params are the keywords of its
+class in ``MODEL_KINDS``, each read by the one reader of its name; a join or
+materialize source, and a join, become the function that loads their cube;
+the attribute and materialize sections stay the dicts their readers return.
+Results are emitted as JSON lines (lossless) or CSV, with regions flattened
+to ``dim=value`` pairs joined by ``;``, into a sibling file that replaces the
+output only once it is whole.  Exit codes: 0 success, 2 config/spec errors,
+3 I/O errors, 4 engine errors, 5 safety-cap refusals.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import store as store_mod
 from .attribution import ATTRIBUTION_KINDS, SegmentedMetrics, attribution_signals
 from .core import (
     NULL,
+    AbstractCube,
     BaseTableGroupByCube,
     DimensionSchema,
     Instrumentation,
@@ -50,7 +56,7 @@ from .errors import (
     StoreError,
 )
 from .join import JoinSpec, join_cubes
-from .models import build_model
+from .models import MODEL_KINDS, build_model
 
 SPEC_VERSION = 1
 
@@ -166,30 +172,28 @@ def _pushdown_term(value, where: str) -> tuple:
             _number(number, f"{where}[2]"))
 
 
-# model kind -> reader of each of its params; build_model checks which are required
-_MODEL_PARAMS = {
-    "id": {"metrics": _names, "apriori": _nullable(_map(_boolean)), "name": _string},
-    "entity_weight": {"metric": _string, "min_weight_pushdown": _nullable(_number),
-                      "name": _string},
-    "frequent_itemset": {"support_measure": _string, "name": _string},
-    "diff": {"weight_measure": _string, "segment_dim": _string, "test_value": _scalar,
-             "epsilon": _number, "name": _string},
-    "entity": {"entity_columns": _names, "name": _string},
-    "entity_measure": {"entity_columns": _names, "entity_measure": _string, "name": _string},
-    "window_outlier": {"date_dim": _string, "metric": _string, "window": _integer,
-                       "name": _string},
-    "attribution": {"numerator": _string, "denominator": _nullable(_string),
-                    "segment_dim": _string, "test_value": _scalar, "name": _string},
+# param name -> its reader, alike in every model kind that takes it; build_model
+# checks which of a kind's params are required
+_PARAMS = {
+    "name": _string, "metrics": _names, "apriori": _nullable(_map(_boolean)),
+    "metric": _string, "min_weight_pushdown": _nullable(_number),
+    "support_measure": _string, "weight_measure": _string, "segment_dim": _string,
+    "test_value": _scalar, "epsilon": _number, "entity_columns": _names,
+    "entity_measure": _string, "date_dim": _string, "window": _integer,
+    "numerator": _string, "denominator": _nullable(_string),
 }
 
-_MODEL_KEYS = {"model": _choice(*_MODEL_PARAMS), "params": _object, "gate": _boolean,
+_MODEL_KEYS = {"model": _choice(*MODEL_KINDS), "params": _object, "gate": _boolean,
                "pushdown": _list(_pushdown_term)}
 
 
 def _model(data, where: str):
+    """A model of the kind ``model``, whose params are its class's keywords."""
     fields = _section(data, where, _MODEL_KEYS, ("model",))
     kind = fields.pop("model")
-    params = _section(fields.pop("params", {}), f"{where}.params", _MODEL_PARAMS[kind])
+    names = inspect.signature(MODEL_KINDS[kind]).parameters.keys() - {"gate", "pushdown"}
+    params = _section(fields.pop("params", {}), f"{where}.params",
+                      {name: _PARAMS[name] for name in names})
     return build_model(kind, params, **fields)
 
 
@@ -223,6 +227,44 @@ def _crawl(data, where: str) -> tuple[CrawlSpec, str]:
     return CrawlSpec(**fields), mode
 
 
+def _source(data, where: str) -> Callable[[Instrumentation], AbstractCube]:
+    """A join or materialize input as the function that loads its cube, given the run's
+    instrumentation: a base table, a store directory, or a crawl output CSV, read as a
+    crawl result over its region ``dimensions`` with its ``signals`` as SUM measures."""
+    _expect(data, where, ("kind", "csv", "schema", "constants", "path", "dimensions", "signals"),
+            ("kind",))
+    kind = data["kind"]
+    rest = {k: v for k, v in data.items() if k != "kind"}
+    if kind == "base_table":
+        table = InputConfig.from_dict(rest, where)
+        return lambda instr: table.load_cube()
+    if kind == "store":
+        path = _section(rest, where, {"path": _path}, ("path",))["path"]
+        return lambda instr: store_mod.load_store(path, instr)
+    if kind == "result_csv":
+        fields = _section(rest, where, {"path": _path, "dimensions": _list(_object),
+                                        "signals": _names}, ("path", "dimensions", "signals"))
+        measures = [{"name": s, "agg": "sum", "sources": [s]} for s in fields["signals"]]
+        schema = _schema({"dimensions": fields["dimensions"], "measures": measures}, where)
+        return lambda instr: _load_result_csv(fields["path"], schema)
+    raise ConfigError(f"{where}.kind: unknown source kind {kind!r}")
+
+
+_JOIN_KEYS = {"left": _source, "right": _source, "on": _names, "left_prefix": _string,
+              "right_prefix": _string, "kind": _string, "strategy": _string}
+
+
+def _join(data, where: str) -> Callable[[Instrumentation], AbstractCube]:
+    """The join section as the function that loads the joined cube, given the run's
+    instrumentation: both sources load, then join by ``strategy``."""
+    fields = _section(data, where, _JOIN_KEYS, ("left", "right", "on"))
+    left, right = fields.pop("left"), fields.pop("right")
+    strategy = fields.pop("strategy", "global")
+    spec = JoinSpec(**fields)
+    return lambda instr: join_cubes(left(instr), right(instr), spec, strategy=strategy,
+                                    instrumentation=instr)
+
+
 _ATTR_COLUMNS = ("region", "w_control", "w_test", "s_control", "s_test")
 _ATTR_KEYS = {
     "metrics_csv": _path,
@@ -232,101 +274,16 @@ _ATTR_KEYS = {
         value, where, dict.fromkeys(_ATTR_COLUMNS[1:], _number), ("w_control", "w_test"))),
 }
 
+_MATERIALIZE_KEYS = {"action": _choice("materialize", "chunk", "rechunk"), "source": _source,
+                     "dims": _nullable(_names), "partition_dim": _nullable(_string)}
 
-@dataclass
-class AttributeConfig:
-    metrics_csv: str
-    kind: str = "density"
-    columns: dict = field(default_factory=dict)
-    population: dict | None = None
-
-    @classmethod
-    def from_dict(cls, data: Mapping, where: str) -> "AttributeConfig":
-        return cls(**_section(data, where, _ATTR_KEYS, ("metrics_csv",)))
-
-    def column(self, role: str) -> str:
-        return self.columns.get(role, role)
-
-
-@dataclass
-class SourceConfig:
-    """A join or materialize input: a base table, a store directory, or a crawl output CSV.
-
-    ``table`` is set for a base table; ``schema`` (region dimensions, signals
-    as SUM measures) for a crawl output CSV at ``path``.
-    """
-
-    table: InputConfig | None = None
-    path: str | None = None
-    schema: DimensionSchema | None = None
-
-    @classmethod
-    def from_dict(cls, data: Mapping, where: str) -> "SourceConfig":
-        _expect(data, where, ("kind", "csv", "schema", "constants", "path", "dimensions", "signals"),
-                ("kind",))
-        kind = data["kind"]
-        rest = {k: v for k, v in data.items() if k != "kind"}
-        if kind == "base_table":
-            return cls(table=InputConfig.from_dict(rest, where))
-        if kind == "store":
-            return cls(**_section(rest, where, {"path": _path}, ("path",)))
-        if kind == "result_csv":
-            fields = _section(rest, where, {"path": _path, "dimensions": _list(_object),
-                                            "signals": _names}, ("path", "dimensions", "signals"))
-            measures = [{"name": s, "agg": "sum", "sources": [s]} for s in fields["signals"]]
-            return cls(path=fields["path"],
-                       schema=_schema({"dimensions": fields["dimensions"], "measures": measures},
-                                      where))
-        raise ConfigError(f"{where}.kind: unknown source kind {kind!r}")
-
-    def load_cube(self, instr: Instrumentation):
-        if self.table is not None:
-            return self.table.load_cube()
-        if self.schema is None:
-            return store_mod.load_store(self.path, instr)
-        return _load_result_csv(self.path, self.schema)
-
-
-_JOIN_KEYS = {"left": SourceConfig.from_dict, "right": SourceConfig.from_dict, "on": _names,
-              "left_prefix": _string, "right_prefix": _string, "kind": _string,
-              "strategy": _string}
-
-
-@dataclass
-class JoinConfig:
-    left: SourceConfig
-    right: SourceConfig
-    spec: JoinSpec
-    strategy: str
-
-    @classmethod
-    def from_dict(cls, data: Mapping, where: str) -> "JoinConfig":
-        fields = _section(data, where, _JOIN_KEYS, ("left", "right", "on"))
-        left, right = fields.pop("left"), fields.pop("right")
-        strategy = fields.pop("strategy", "global")
-        return cls(left, right, JoinSpec(**fields), strategy)
-
-
-_MATERIALIZE_KEYS = {"action": _choice("materialize", "chunk", "rechunk"),
-                     "source": SourceConfig.from_dict, "dims": _nullable(_names),
-                     "partition_dim": _nullable(_string)}
-
-
-@dataclass
-class MaterializeConfig:
-    action: str
-    source: SourceConfig
-    dims: list | None = None
-    partition_dim: str | None = None
-
-    @classmethod
-    def from_dict(cls, data: Mapping, where: str) -> "MaterializeConfig":
-        return cls(**_section(data, where, _MATERIALIZE_KEYS, ("action", "source")))
-
-
-_SECTIONS = {"input": InputConfig.from_dict, "crawl": _crawl,
-             "attribute": AttributeConfig.from_dict, "join": JoinConfig.from_dict,
-             "materialize": MaterializeConfig.from_dict}
+_SECTIONS = {
+    "input": InputConfig.from_dict, "crawl": _crawl,
+    "attribute": lambda data, where: _section(data, where, _ATTR_KEYS, ("metrics_csv",)),
+    "join": _join,
+    "materialize": lambda data, where: _section(data, where, _MATERIALIZE_KEYS,
+                                                ("action", "source")),
+}
 
 
 @dataclass
@@ -334,9 +291,9 @@ class RunConfig:
     input: InputConfig | None = None
     crawl: CrawlSpec | None = None
     crawl_mode: str = "pruned"  # the crawl section's "mode": "pruned" or "naive"
-    attribute: AttributeConfig | None = None
-    join: JoinConfig | None = None
-    materialize: MaterializeConfig | None = None
+    attribute: dict | None = None
+    join: Callable[[Instrumentation], AbstractCube] | None = None
+    materialize: dict | None = None
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":
@@ -409,31 +366,31 @@ def _reads_back(record: dict, schema: DimensionSchema) -> bool:
 
 
 def write_records(records: list[dict], signal_names: Sequence[str], fmt: str, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                out = {"region": rec["region"], "signals": rec["signals"]}
-                if "error" in rec:
-                    out["error"] = rec["error"]
-                fh.write(json.dumps(out, separators=(", ", ": ")) + "\n")
-        return
-    if fmt != "csv":
+    """Write ``records`` as ``fmt`` to ``path``, whole: see ``store.write_whole``."""
+    if fmt not in ("jsonl", "csv"):
         raise ConfigError(f"unknown output format {fmt!r}")
-    has_error = any("error" in rec for rec in records)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["region"] + list(signal_names) + (["error"] if has_error else [])
-        writer.writerow(header)
-        for rec in records:
-            row = [rec["region_key"]]
-            for s in signal_names:
-                v = rec["signals"].get(s)
-                row.append("" if v is None else repr(float(v)))
-            if has_error:
-                row.append(rec.get("error", ""))
-            writer.writerow(row)
+
+    def write(into: Path) -> None:
+        with open(into, "w", newline=None if fmt == "jsonl" else "", encoding="utf-8") as fh:
+            if fmt == "jsonl":
+                for rec in records:
+                    out = {"region": rec["region"], "signals": rec["signals"]}
+                    if "error" in rec:
+                        out["error"] = rec["error"]
+                    fh.write(json.dumps(out, separators=(", ", ": ")) + "\n")
+                return
+            has_error = any("error" in rec for rec in records)
+            writer = csv.writer(fh)
+            writer.writerow(["region"] + list(signal_names) + (["error"] if has_error else []))
+            for rec in records:
+                row = [rec["region_key"]]
+                for s in signal_names:
+                    v = rec["signals"].get(s)
+                    row.append("" if v is None else repr(float(v)))
+                if has_error:
+                    row.append(rec.get("error", ""))
+                writer.writerow(row)
+    store_mod.write_whole(path, write)
 
 
 def _positions(path, header: Sequence[str], columns: Sequence[str]) -> list[int]:
@@ -494,19 +451,21 @@ def cmd_crawl(config: RunConfig, args, instr: Instrumentation) -> int:
 
 def cmd_attribute(config: RunConfig, args, instr: Instrumentation) -> int:
     cfg = _require(config.attribute, "attribute")
-    kind = ATTRIBUTION_KINDS[cfg.kind]
-    path = cfg.metrics_csv
+    kind_name = cfg.get("kind", "density")
+    kind = ATTRIBUTION_KINDS[kind_name]
+    path = cfg["metrics_csv"]
     try:
         header, *rows = read_csv(path)
     except OSError as exc:
         raise StoreError(f"cannot read metrics CSV: {exc}") from None
-    columns = [cfg.column(role) for role in _ATTR_COLUMNS[1:1 + kind.totals]]
-    region_at, *metrics_at = _positions(path, header, [cfg.column("region"), *columns])
+    names = cfg.get("columns", {})
+    columns = [names.get(role, role) for role in _ATTR_COLUMNS[1:1 + kind.totals]]
+    region_at, *metrics_at = _positions(path, header, [names.get("region", "region"), *columns])
 
     # the row with the empty region is the population: it is never scored as a region,
     # and a config 'population' section takes its place
-    population = (None if cfg.population is None else
-                  [cfg.population.get(role, 0.0) for role in _ATTR_COLUMNS[1:]])
+    given = cfg.get("population")
+    population = None if given is None else [given.get(role, 0.0) for role in _ATTR_COLUMNS[1:]]
     first = {}  # region text -> the line that lists it first
     body = []  # (region text, the totals it lists)
     for line, row in rows:
@@ -536,7 +495,7 @@ def cmd_attribute(config: RunConfig, args, instr: Instrumentation) -> int:
         record = {"region": region, "region_key": region, "signals": {}}
         try:
             record["signals"] = attribution_signals(SegmentedMetrics.of(totals, population),
-                                                    cfg.kind)
+                                                    kind_name)
             total += record["signals"]["ras"]
         except DomainError as exc:
             record["error"] = str(exc)
@@ -560,31 +519,28 @@ def cmd_attribute(config: RunConfig, args, instr: Instrumentation) -> int:
 
 
 def cmd_join(config: RunConfig, args, instr: Instrumentation) -> int:
-    cfg = _require(config.join, "join")
-    left = cfg.left.load_cube(instr)
-    right = cfg.right.load_cube(instr)
-    joined = join_cubes(left, right, cfg.spec, strategy=cfg.strategy, instrumentation=instr)
+    joined = _require(config.join, "join")(instr)
     store_mod.materialize(joined, joined.schema.dimension_names, args.output)
     return EXIT_OK
 
 
 def cmd_materialize(config: RunConfig, args, instr: Instrumentation) -> int:
     cfg = _require(config.materialize, "materialize")
-    cube = cfg.source.load_cube(instr)
-    if cfg.action == "rechunk":
+    cube = cfg["source"](instr)
+    dims, partition_dim = cfg.get("dims"), cfg.get("partition_dim")
+    if cfg["action"] == "rechunk":
         if not isinstance(cube, store_mod.ChunkStore):
             raise ConfigError("rechunk needs a 'store' source pointing at a chunked store")
         store_mod.rechunk(cube, args.output)
-    elif cfg.action == "materialize":
-        dims = cfg.dims if cfg.dims is not None else list(cube.schema.dimension_names)
+    elif cfg["action"] == "materialize":
+        dims = dims if dims is not None else list(cube.schema.dimension_names)
         store_mod.materialize(cube, dims, args.output)
     else:
-        if cfg.partition_dim is None:
+        if partition_dim is None:
             raise ConfigError("chunk action needs 'partition_dim'")
-        dims = cfg.dims
         if dims is None:
-            dims = [d for d in cube.schema.dimension_names if d != cfg.partition_dim]
-        store_mod.chunk_by_partition(cube, cfg.partition_dim, dims, args.output)
+            dims = [d for d in cube.schema.dimension_names if d != partition_dim]
+        store_mod.chunk_by_partition(cube, partition_dim, dims, args.output)
     return EXIT_OK
 
 

@@ -97,6 +97,13 @@ def _count(value, what: str) -> int:
     return value
 
 
+def _flag(value, what: str) -> bool:
+    """``value`` if it is a bool, else a SpecError naming ``what``."""
+    if not isinstance(value, bool):
+        raise SpecError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def _sequence(value, what: str) -> tuple:
     """``value`` as a tuple; a string would be read as its characters, so it is refused."""
     if isinstance(value, str):

@@ -40,6 +40,7 @@ from .core import (
     RegionCursor,
     Table,
     _count,
+    _flag,
     _getter,
     _mapping,
     _names,
@@ -282,10 +283,7 @@ class _Resolved:
             if signal not in declared:
                 raise SpecError(f"top-n signal {signal!r} is not declared by any model")
             self.top_n = (signal, _top_n_count(n))
-        if not isinstance(spec.allow_exhaustive_topn, bool):
-            raise SpecError(f"allow_exhaustive_topn must be true or false, "
-                            f"got {spec.allow_exhaustive_topn!r}")
-        self.allow_exhaustive_topn = spec.allow_exhaustive_topn
+        self.allow_exhaustive_topn = _flag(spec.allow_exhaustive_topn, "allow_exhaustive_topn")
         if spec.naive_cap is not None:
             _count(spec.naive_cap, "naive_cap")
         self.schema = schema

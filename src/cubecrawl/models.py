@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .attribution import ATTRIBUTION_KINDS, SegmentedMetrics, attribution_signals
-from .core import (DimensionSchema, FeatureFrame, FeatureRequest, Region, _count, _names,
-                   _sequence, finite_number, sum_in_order)
+from .core import (DimensionSchema, FeatureFrame, FeatureRequest, Region, _count, _flag,
+                   _names, _sequence, finite_number, sum_in_order)
 from .errors import ContractError, DataError, ModelError, SchemaError, SpecError
 
 #: comparator -> (test, is_minimum) of thresholds and pushdown terms; only a failed minimum
@@ -78,7 +78,7 @@ class RegionAnalysisModel:
         self.request = request
         self.population_request = population_request
         self.signals = signals
-        self.gate = bool(gate)
+        self.gate = _flag(gate, f"model {name!r} gate")
         self.pushdown = _sequence(pushdown, f"model {name!r} pushdown")
         for term in self.pushdown:
             if not isinstance(term, PushdownTerm):
@@ -194,8 +194,7 @@ class IdModel(RegionAnalysisModel):
             raise SpecError(f"IdModel apriori must map metrics to flags, got {apriori!r}")
         self._explicit_apriori = dict(apriori or {})
         for m, flag in self._explicit_apriori.items():
-            if not isinstance(flag, bool):
-                raise SpecError(f"apriori flag of {m!r} must be true or false, got {flag!r}")
+            _flag(flag, f"apriori flag of {m!r}")
         signals = tuple(SignalSpec(m, self._explicit_apriori.get(m, False)) for m in metrics)
         super().__init__(name, FeatureRequest((), metrics), signals,
                          gate=gate, pushdown=pushdown)
@@ -450,6 +449,6 @@ def build_model(kind: str, params: Mapping, gate: bool = False,
     except TypeError as exc:
         raise SpecError(f"model {kind!r}: {exc}") from None
     model = cls(**params)
-    model.gate = bool(gate)
+    model.gate = _flag(gate, f"model {kind!r} gate")
     model.pushdown = model.pushdown + terms
     return model

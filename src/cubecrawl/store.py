@@ -6,8 +6,9 @@ cellset, a cellset chunked by a partition dimension (one chunk per partition
 value, the cellset of the cube at that value), and the re-chunked form where
 each region's rows across all partition values sit in one contiguous slice.
 Each kind's writer only computes its parts; one writer, ``_write_store``,
-creates the directory once all that can fail on the input has run, so input
-that fails leaves no directory behind, then writes the parts and the manifest.
+writes them once all that can fail on the input has run, with the manifest,
+into a new sibling directory that then takes the place of the target, so a
+write that fails leaves the target as it was.
 An opened partitioned store decodes a part on its first read only, verifying
 its checksum, and keeps the decoded form.  Reads are counted twice over:
 logical reads (``chunk_reads`` and ``slice_reads``, one per part a view
@@ -31,11 +32,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import shutil
+import stat
 import struct
 from itertools import accumulate, chain, groupby, repeat
 from operator import add, itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     ANY,
@@ -165,41 +169,88 @@ def _pack_part(dims: Sequence[Dimension], measure_names: Sequence[str],
 
 def _write_store(path, manifest: dict, dims: Sequence[Dimension], measure_names: Sequence[str],
                  parts: Iterable[tuple[str, object, Sequence]]) -> None:
-    """Create the directory at ``path``, write each (file name, manifest key, rows) of
-    ``parts`` as a part over ``dims`` and ``measure_names``, then the manifest: ``manifest``
-    plus the keys every store shares.
+    """Write each (file name, manifest key, rows) of ``parts`` as a part over ``dims`` and
+    ``measure_names``, then the manifest: ``manifest`` plus the keys every store shares.
 
-    Every part is packed before the directory is made, so input that fails, a value
-    no column can hold among it, leaves ``path`` as it was.  A store at ``path`` is
-    replaced: its part files that the new store does not write go.  Any other non-empty
-    ``path`` is a StoreError, before any part is computed."""
+    A store at ``path``, or a missing or empty directory, is replaced whole; any other
+    ``path`` is a StoreError, before any part is computed.  Every part is packed before
+    anything is written, into a new sibling directory that takes the place of ``path``
+    once it is whole, so a write that fails, on its input or on the disk, leaves ``path``
+    as it was and no sibling behind."""
     path = Path(path)
-    old_parts = _old_parts(path)
+    if path.exists() and (not path.is_dir() or any(path.iterdir())):
+        try:
+            _read_manifest(path)
+        except StoreError:
+            raise StoreError(f"{path} is not empty and holds no cube store to replace") from None
     packed = [(name, key, len(rows), _pack_part(dims, measure_names, rows))
               for name, key, rows in parts]
-    path.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for name, key, n_rows, data in packed:
-        (path / name).write_bytes(data)
-        entries.append({"file": name, "rows": n_rows, "checksum": _checksum(data), "key": key})
-    payload = dict(manifest, format="cube-store", version=FORMAT_VERSION,
-                   sort="canonical-cell-key", parts=entries)
-    (path / MANIFEST_NAME).write_text(json.dumps(payload, indent=1, sort_keys=True),
-                                      encoding="utf-8")
-    for name in old_parts - {entry["file"] for entry in entries}:
-        (path / name).unlink(missing_ok=True)
+
+    def write(into: Path) -> None:
+        entries = []
+        for name, key, n_rows, data in packed:
+            (into / name).write_bytes(data)
+            entries.append({"file": name, "rows": n_rows, "checksum": _checksum(data), "key": key})
+        payload = dict(manifest, format="cube-store", version=FORMAT_VERSION,
+                       sort="canonical-cell-key", parts=entries)
+        (into / MANIFEST_NAME).write_text(json.dumps(payload, indent=1, sort_keys=True),
+                                          encoding="utf-8")
+    write_whole(path, write, is_dir=True)
 
 
-def _old_parts(path: Path) -> set[str]:
-    """The part files of the store a write to ``path`` replaces: none for a missing or
-    empty directory, and a StoreError for anything else that is not a store."""
-    if not path.exists() or path.is_dir() and not any(path.iterdir()):
-        return set()
+_DESCRIPTOR_PATHS = ("/dev/stdin", "/dev/stdout", "/dev/stderr", "/dev/fd/", "/proc/")
+
+
+def write_whole(path, write: Callable[[Path], None], is_dir: bool = False) -> None:
+    """Call ``write`` with a new sibling of ``path`` (a directory made for it if
+    ``is_dir``, else a file name for it to open) and put the sibling in the place of
+    ``path`` once ``write`` returns, so a write that fails leaves ``path`` as it was and
+    no sibling behind.  A symlink is written through; a replaced target keeps its mode
+    but not its owner or hard links.  A target that exists and is not a regular file (a
+    directory, if ``is_dir``), such as a device or a FIFO, or a file named by a file
+    descriptor (``/dev/stdout``, ``/dev/fd/3``), is handed to ``write`` to write in place,
+    as ``open(path, "w")`` would."""
     try:
-        manifest, _ = _read_manifest(path)
-    except StoreError:
-        raise StoreError(f"{path} is not empty and holds no cube store to replace") from None
-    return {part["file"] for part in manifest["parts"]}
+        old = os.stat(path)
+    except FileNotFoundError:
+        old = None
+    path = Path(path).absolute()
+    if old is not None and (not (stat.S_ISDIR if is_dir else stat.S_ISREG)(old.st_mode)
+                            or not is_dir and str(path).startswith(_DESCRIPTOR_PATHS)):
+        write(path)
+        return
+    path = path.resolve()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fresh = _sibling(path)
+    if is_dir:
+        fresh.mkdir()
+    aside = _sibling(path) if old is not None and is_dir else None
+    try:
+        write(fresh)
+        if old is not None:
+            os.chmod(fresh, stat.S_IMODE(old.st_mode))
+        if aside is not None:
+            os.replace(path, aside)  # a directory that cannot be renamed fails here
+        try:
+            os.replace(fresh, path)
+        except BaseException:
+            if aside is not None:
+                os.replace(aside, path)
+            raise
+    except BaseException:
+        if is_dir:
+            shutil.rmtree(fresh, ignore_errors=True)
+        else:
+            fresh.unlink(missing_ok=True)
+        raise
+    if aside is not None:
+        shutil.rmtree(aside, ignore_errors=True)
+
+
+def _sibling(path: Path) -> Path:
+    """A new name beside ``path``, for what is written whole before it takes the place of
+    ``path``."""
+    return path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
 
 
 class _Reader:

@@ -1,5 +1,8 @@
 import csv
+import itertools
 import json
+import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -9,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubecrawl import CrawlSpec, SegmentedMetrics, load_cellset
+from cubecrawl import CrawlSpec, SegmentedMetrics, cli, load_cellset
 from cubecrawl.attribution import ATTRIBUTION_KINDS, attribution_signals
-from cubecrawl.cli import RunConfig, load_config, main
+from cubecrawl.cli import RunConfig, load_config, main, write_records
 from cubecrawl.errors import DomainError
 
 from conftest import T1_ROWS
@@ -260,6 +263,55 @@ class TestConfigHandling:
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"]["message"] == \
             "materialize.source.constants.k: expected an integer, got 'seven'"
+
+    # each bad section keeps the (type, exit code, message) of its one error record
+    @pytest.mark.parametrize("command, section, error", [
+        ("join", lambda base: {"join": {"left": {"kind": "lake"}, "right": base, "on": ["Device"]}},
+         ("ConfigError", 2, "join.left.kind: unknown source kind 'lake'")),
+        ("join", lambda base: {"join": {"left": base, "right": {"kind": "store"},
+                                        "on": ["Device"]}},
+         ("ConfigError", 2, "join.right: missing keys ['path']")),
+        ("join", lambda base: {"join": {"left": base, "right": base, "on": ["Device"],
+                                        "strategy": "sideways"}},
+         ("SpecError", 2, "unknown join strategy 'sideways'")),
+        ("materialize", lambda base: {"materialize": {"action": "materialize", "source": {
+            "kind": "result_csv", "path": "crawl.csv", "dimensions": [{"name": "Device"}],
+            "signals": "w"}}},
+         ("ConfigError", 2, "materialize.source.signals: expected a list, got 'w'")),
+        ("materialize", lambda base: {"materialize": {"action": "chunk", "source": base}},
+         ("ConfigError", 2, "chunk action needs 'partition_dim'")),
+        ("materialize", lambda base: {"materialize": {"action": "rechunk", "source": base}},
+         ("ConfigError", 2, "rechunk needs a 'store' source pointing at a chunked store")),
+        ("attribute", lambda base: {"attribute": {"metrics_csv": "m.csv", "kind": "x"}},
+         ("ConfigError", 2, "attribute.kind: expected one of ['density', 'summable'], got 'x'")),
+        ("attribute", lambda base: {"attribute": {"metrics_csv": "m.csv",
+                                                  "columns": {"region": 5}}},
+         ("ConfigError", 2, "attribute.columns.region: expected a string, got 5")),
+        ("crawl", lambda base: {"crawl": {"models": [{"model": "window_outlier", "params": {
+            "date_dim": "date", "metric": "Revenue", "window": 2.5}}]}},
+         ("ConfigError", 2, "crawl.models[0].params.window: expected an integer, got 2.5")),
+        ("crawl", lambda base: {"crawl": {"models": [{"model": "entity_weight", "params": {
+            "metric": "Revenue", "bogus": 1}}]}},
+         ("ConfigError", 2, "crawl.models[0].params: unknown keys ['bogus']")),
+        ("crawl", lambda base: {"crawl": {"models": [{"model": "lasso"}]}},
+         ("ConfigError", 2, "crawl.models[0].model: expected one of ['id', 'entity_weight', "
+                            "'frequent_itemset', 'diff', 'entity', 'entity_measure', "
+                            "'window_outlier', 'attribution'], got 'lasso'")),
+    ], ids=["source-kind", "store-no-path", "join-strategy", "signals-not-list",
+            "chunk-no-partition", "rechunk-base-table", "attribute-kind", "column-not-string",
+            "window-not-integer", "unknown-param", "unknown-model"])
+    def test_a_bad_section_keeps_its_error_record(self, tmp_path, capsys, command, section,
+                                                  error):
+        base = daily_source(tmp_path)
+        config = write_config(tmp_path / "run.json", {
+            "spec_version": 1, "input": {"csv": base["csv"], "schema": base["schema"]},
+            **section(base)})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--output", str(out)]) == error[1]
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)["error"]
+        assert (record["type"], record["exit_code"], record["message"]) == error
 
     @pytest.mark.parametrize("where, command, code, error", [
         ("config", "crawl", 2, "ConfigError"), ("input", "crawl", 4, "DataError"),
@@ -981,6 +1033,112 @@ class TestInstrumentReport:
                 files = sorted(output.iterdir()) if output.is_dir() else [output]
                 outputs.append({str(f.relative_to(output)): f.read_bytes() for f in files})
             assert outputs[0] == outputs[1], name
+
+
+class TestWriteRecords:
+    class FailingFile:
+        """A text file whose writes first take a disk ``step``."""
+
+        def __init__(self, fh, step):
+            self.fh, self.step = fh, step
+
+        def write(self, text):
+            self.step()
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    @classmethod
+    def fail_on_step(cls, patch, n):
+        """Make the ``n``-th disk step of ``write_records`` raise OSError: each write to
+        its file and the replace that moves the file into place."""
+        steps = itertools.count(1)
+
+        def step():
+            if next(steps) == n:
+                raise OSError(f"step {n} fails")
+
+        def replace(*args, _real=os.replace):
+            step()
+            return _real(*args)
+
+        patch.setattr(cli, "open", lambda *args, **kwargs: cls.FailingFile(
+            open(*args, **kwargs), step), raising=False)
+        patch.setattr(os, "replace", replace)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["missing", "over-a-file"])
+    def test_a_write_that_fails_leaves_the_old_bytes_or_nothing(self, tmp_path, monkeypatch,
+                                                                fmt, existing):
+        out = tmp_path / "out"
+        if existing:
+            out.write_bytes(b"old bytes\n")
+        records = [{"region": {"d": f"{i}"}, "region_key": f"d={i}", "signals": {"w": i / 2}}
+                   for i in range(3)]
+        for n in itertools.count(1):
+            with monkeypatch.context() as patch:
+                self.fail_on_step(patch, n)
+                try:
+                    write_records(records, ["w"], fmt, out)
+                except OSError:
+                    assert list(tmp_path.iterdir()) == ([out] if existing else [])
+                    assert not existing or out.read_bytes() == b"old bytes\n"
+                    continue
+            break
+        # a write per record (and the CSV header), then the replace
+        assert n == 5 + (fmt == "csv")
+        assert list(tmp_path.iterdir()) == [out]
+        lines = out.read_text().splitlines()
+        assert len(lines) == 3 + (fmt == "csv") and "old bytes" not in lines
+
+    def test_an_output_is_written_through_a_symlink(self, tmp_path):
+        (tmp_path / "real").write_text("old bytes\n")
+        (tmp_path / "link").symlink_to("real")
+        write_records([], ["w"], "csv", tmp_path / "link")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+        assert (tmp_path / "link").is_symlink()
+        assert (tmp_path / "real").read_text() == "region,w\n"
+
+    def test_an_output_has_the_mode_of_a_plain_open(self, tmp_path):
+        write_records([], ["w"], "jsonl", tmp_path / "out")
+        (tmp_path / "file").write_bytes(b"")
+        assert (tmp_path / "out").stat().st_mode == (tmp_path / "file").stat().st_mode
+        (tmp_path / "out").chmod(0o600)
+        write_records([], ["w"], "jsonl", tmp_path / "out")
+        assert (tmp_path / "out").stat().st_mode & 0o777 == 0o600
+
+    def test_a_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_records([], ["w"], "csv", fifo)
+            assert os.read(reader, 4096) == b"region,w\r\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    @pytest.mark.parametrize("stdout", ["pipe", "file"])
+    def test_dev_stdout_is_written_in_place(self, tmp_path, stdout):
+        config_path = t1_crawl_config(tmp_path)
+        command = [sys.executable, "-m", "cubecrawl", "crawl", "--config", str(config_path),
+                   "--output", "/dev/stdout"]
+        expected = tmp_path / "out.jsonl"
+        assert subprocess.run(command[:-1] + [str(expected)]).returncode == 0
+        if stdout == "pipe":
+            proc = subprocess.run(command, capture_output=True)
+            assert proc.returncode == 0 and proc.stdout == expected.read_bytes()
+            return
+        out = tmp_path / "stdout"
+        with open(out, "wb") as fh:
+            inode = os.fstat(fh.fileno()).st_ino
+            assert subprocess.run(command, stdout=fh).returncode == 0
+        assert out.stat().st_ino == inode and out.read_bytes() == expected.read_bytes()
 
 
 class TestWorkerDeterminism:

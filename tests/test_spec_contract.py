@@ -29,7 +29,7 @@ from cubecrawl import (
     top_down_crawl,
 )
 from cubecrawl.errors import CubeError, SchemaError, SpecError
-from cubecrawl.models import MODEL_KINDS
+from cubecrawl.models import MODEL_KINDS, build_model
 
 NAMES = ("d", "e", "is_test", "m", "n", "support", "l.m", "r.m")
 
@@ -143,9 +143,14 @@ def _spec(**kwargs):
      "PushdownTerm"),
     (lambda: CrawlSpec(models=[IdModel(["m"], pushdown=[PushdownTerm("m", [">="], 1)])]),
      SpecError, "comparator"),
+    (lambda: CrawlSpec(models=[EntityWeightModel("m", gate="no")]), SpecError, "gate"),
+    (lambda: CrawlSpec(models=[EntityWeightModel("m", gate=[0])]), SpecError, "gate"),
+    (lambda: CrawlSpec(models=[build_model("entity_weight", {"metric": "m"}, gate=1)]),
+     SpecError, "gate"),
 ], ids=["order-int", "order-member-list", "grouping-set-member-list", "unhashable-value",
         "measure-list", "measure-dict", "metrics-member-list", "model-name-list",
-        "pushdown-int", "pushdown-string", "pushdown-tuple", "pushdown-op-list"])
+        "pushdown-int", "pushdown-string", "pushdown-tuple", "pushdown-op-list",
+        "gate-string", "gate-list", "built-gate-int"])
 def test_a_probe_of_the_wrong_type_is_a_cube_error(build, error, message):
     for crawl in (top_down_crawl, naive_crawl):
         with pytest.raises(error, match=message):

@@ -1,7 +1,10 @@
+import errno
 import itertools
 import json
 import math
+import os
 import random
+import shutil
 import struct
 import tempfile
 from pathlib import Path
@@ -98,6 +101,100 @@ class TestWriteTarget:
         with pytest.raises(StoreError, match="holds no cube store"):
             chunk_by_partition(daily_cube(), "date", ["Device"], path)
         assert sorted(tmp_path.rglob("*")) == before
+
+    @staticmethod
+    def fail_on_step(patch, n):
+        """Make the ``n``-th disk step of a store write raise OSError: each part or
+        manifest write and each directory rename."""
+        steps = itertools.count(1)
+
+        def step(real):
+            def stepped(*args, **kwargs):
+                if next(steps) == n:
+                    raise OSError(f"step {n} fails")
+                return real(*args, **kwargs)
+            return stepped
+        for name in ("write_bytes", "write_text"):
+            patch.setattr(Path, name, step(getattr(Path, name)))
+        patch.setattr(os, "replace", step(os.replace))
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["missing", "over-a-store"])
+    def test_a_write_that_fails_leaves_the_old_store_or_nothing(self, tmp_path, monkeypatch,
+                                                                existing):
+        path = tmp_path / "store"
+        if existing:
+            chunk_by_partition(daily_cube(n_days=4), "date", ["Device"], path)
+        old = {p.name: p.read_bytes() for p in path.iterdir()} if existing else None
+        for n in itertools.count(1):
+            with monkeypatch.context() as patch:
+                self.fail_on_step(patch, n)
+                try:
+                    chunk_by_partition(daily_cube(n_days=2), "date", ["Device"], path)
+                except OSError:
+                    assert list(tmp_path.iterdir()) == ([path] if existing else [])
+                    assert (({p.name: p.read_bytes() for p in path.iterdir()} if existing
+                             else None) == old)
+                    continue
+            break
+        # two parts, the manifest, and one rename into place, or two over a store
+        assert n == 5 + existing
+        assert list(tmp_path.iterdir()) == [path]
+        assert load_store(path).region_values(EMPTY_REGION, "date") == ("d00", "d01")
+
+    def test_a_store_that_cannot_be_renamed_is_left_as_it_was(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # as a mount point or a store in a directory the writer may not change is
+        path, source = tmp_path / "store", tmp_path / "source"
+        chunk_by_partition(daily_cube(n_days=4), "date", ["Device"], path)
+        materialize(daily_cube(), ["Device"], source)
+        old = {p.name: p.read_bytes() for p in path.iterdir()}
+
+        def replace(src, dst, _real=os.replace):
+            if Path(src) == path:
+                raise OSError(errno.EBUSY, os.strerror(errno.EBUSY), str(src))
+            return _real(src, dst)
+        monkeypatch.setattr(os, "replace", replace)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"spec_version": 1, "materialize": {
+            "action": "materialize", "source": {"kind": "store", "path": str(source)}}}))
+        assert main(["materialize", "--config", str(config), "--output", str(path)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "OSError"
+        assert sorted(tmp_path.iterdir()) == [config, source, path]
+        assert {p.name: p.read_bytes() for p in path.iterdir()} == old
+
+    def test_a_replaced_store_that_cannot_be_removed_is_still_written(self, tmp_path,
+                                                                      monkeypatch):
+        path = tmp_path / "store"
+        chunk_by_partition(daily_cube(n_days=4), "date", ["Device"], path)
+        def rmtree(path, ignore_errors=False):
+            if not ignore_errors:
+                raise OSError(f"cannot remove {path}")
+        monkeypatch.setattr(shutil, "rmtree", rmtree)
+        chunk_by_partition(daily_cube(n_days=2), "date", ["Device"], path)
+        assert load_store(path).region_values(EMPTY_REGION, "date") == ("d00", "d01")
+
+    def test_a_store_is_written_through_a_symlink(self, tmp_path):
+        chunk_by_partition(daily_cube(n_days=2), "date", ["Device"], tmp_path / "real")
+        (tmp_path / "link").symlink_to("real")
+        materialize(daily_cube(), ["Device"], tmp_path / "link")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+        assert (tmp_path / "link").is_symlink()
+        assert sorted(p.name for p in (tmp_path / "real").iterdir()) == [
+            "cells.bin", "manifest.json"]
+
+    def test_a_store_has_the_modes_of_a_plain_mkdir_and_open(self, tmp_path):
+        materialize(daily_cube(), ["Device"], tmp_path / "store")
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_bytes(b"")
+        assert (tmp_path / "store").stat().st_mode == (tmp_path / "dir").stat().st_mode
+        for part in (tmp_path / "store").iterdir():
+            assert part.stat().st_mode == (tmp_path / "file").stat().st_mode
+
+    def test_a_replaced_store_keeps_its_mode(self, tmp_path):
+        materialize(daily_cube(), ["Device"], tmp_path / "store")
+        (tmp_path / "store").chmod(0o700)
+        materialize(daily_cube(), ["Device"], tmp_path / "store")
+        assert (tmp_path / "store").stat().st_mode & 0o777 == 0o700
 
 
 class TestMaterialize:
